@@ -14,9 +14,7 @@ output.timings = 1).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -25,7 +23,7 @@ import numpy as np
 from .bilevel import BilevelProblem
 from .errors import (ConfigurationError, ContractViolation, DivergenceError,
                      ParseError, SboError)
-from .metrics import fit_rate
+from .metrics import default_fit_window, fit_rate
 from .problems import (InstanceSpec, build_instance, generate_instance_arrays,
                        save_instance)
 from .solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
@@ -76,6 +74,23 @@ def _get(cfg: dict, key: str, default=None, required: bool = False) -> str:
     return default
 
 
+def _number(cfg: dict, key: str, default: str | None = None,
+            keyword: str | None = None):
+    """A numeric config value as a finite float. `keyword` (e.g. "auto")
+    passes through as the string; an absent key without default gives None."""
+    text = _get(cfg, key, default)
+    if text is None or text == keyword:
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"config key {key!r} must be a finite number; got {text!r}")
+    return value
+
+
 def instance_from_config(cfg: dict) -> InstanceSpec:
     name = _get(cfg, "instance.name", required=True)
     n = int(_get(cfg, "instance.n", required=True))
@@ -88,7 +103,7 @@ def instance_from_config(cfg: dict) -> InstanceSpec:
     return InstanceSpec(name=name, n=n, seed=int(seed) if seed else None, params=params)
 
 
-def _resolve_eta(spec: str, problem: BilevelProblem) -> float:
+def _resolve_eta(spec: str | float, problem: BilevelProblem) -> float:
     if spec == "weak_sharp":
         ref = problem.reference
         if (ref is None or ref.weak_sharp is None or ref.weak_sharp.order != 1.0
@@ -98,52 +113,43 @@ def _resolve_eta(spec: str, problem: BilevelProblem) -> float:
                 "constants and a subgradient at the optimum"
             )
         return ref.weak_sharp.alpha / (2.0 * ref.subgradient.norm)
-    return float(spec)
+    return spec
 
 
 def run_from_config(cfg: dict) -> RunReport:
     """Build the instance and solver from a parsed config and execute."""
-    problem = build_instance(instance_from_config(cfg))
     solver = _get(cfg, "solver.name", required=True)
     big_k = int(_get(cfg, "solver.K", required=True))
-    gamma = _get(cfg, "solver.gamma", "auto")
-    gamma = gamma if gamma == "auto" else float(gamma)
+    gamma = _number(cfg, "solver.gamma", "auto", keyword="auto")
     trace_every = _get(cfg, "solver.trace_every")
     trace_every = int(trace_every) if trace_every else None
-    eta_spec = _get(cfg, "solver.eta")
+    eta = _number(cfg, "solver.eta", keyword="weak_sharp")
+    problem = build_instance(instance_from_config(cfg))
 
-    if solver == "ir_ista":
-        schedule = (FixedEtaSchedule(_resolve_eta(eta_spec, problem))
-                    if eta_spec else DiminishingSchedule())
-        sc = SolverConfig(big_k=big_k, schedule=schedule, gamma=gamma,
-                          trace_every=trace_every)
-        return solve_ir_ista(problem, sc)
-    if solver == "r_ista_const":
-        if eta_spec:
-            schedule = FixedEtaSchedule(_resolve_eta(eta_spec, problem))
-        else:
-            schedule = ConstantIstaSchedule(p=float(_get(cfg, "solver.p", "1")),
+    if solver in ("ir_ista", "r_ista_const", "r_vfista"):
+        if eta is not None:
+            schedule = FixedEtaSchedule(_resolve_eta(eta, problem))
+        elif solver == "ir_ista":
+            schedule = DiminishingSchedule()
+        elif solver == "r_ista_const":
+            schedule = ConstantIstaSchedule(p=_number(cfg, "solver.p", "1"),
                                             big_k=big_k)
-        sc = SolverConfig(big_k=big_k, schedule=schedule, gamma=gamma,
-                          trace_every=trace_every)
-        return solve_ir_ista(problem, sc)
-    if solver == "r_vfista":
-        if eta_spec:
-            schedule = FixedEtaSchedule(_resolve_eta(eta_spec, problem))
         else:
             schedule = ConstantVfistaSchedule(
-                p=float(_get(cfg, "solver.p", "3")),
-                eta_bar=float(_get(cfg, "solver.eta_bar", "1.0")), big_k=big_k)
+                p=_number(cfg, "solver.p", "3"),
+                eta_bar=_number(cfg, "solver.eta_bar", "1.0"), big_k=big_k)
         sc = SolverConfig(big_k=big_k, schedule=schedule, gamma=gamma,
                           trace_every=trace_every)
-        return solve_r_vfista(problem, sc)
+        if solver == "r_vfista":
+            return solve_r_vfista(problem, sc)
+        return solve_ir_ista(problem, sc)
     if solver == "ipr_vfista":
         nc = NcConfig(
             big_k=big_k,
             a=int(_get(cfg, "solver.a", "2")),
-            eta_bar=float(_get(cfg, "solver.eta_bar", "1.0")),
-            box_lower=float(_get(cfg, "solver.box_lower", "-10")),
-            box_upper=float(_get(cfg, "solver.box_upper", "10")),
+            eta_bar=_number(cfg, "solver.eta_bar", "1.0"),
+            box_lower=_number(cfg, "solver.box_lower", "-10"),
+            box_upper=_number(cfg, "solver.box_upper", "10"),
             allow_large_step=bool(int(_get(cfg, "solver.allow_large_step", "0"))),
         )
         return solve_ipr_vfista(problem, nc)
@@ -222,7 +228,7 @@ def attach_rate_fits(report: RunReport) -> None:
     big_k = max((r.k for r in report.trace), default=0)
     if big_k < 2:
         return
-    window = (max(1, big_k // 10), big_k)
+    window = default_fit_window(big_k)
     for name in _FITTABLE:
         samples = [(r.k, getattr(r, name)) for r in report.trace]
         try:
@@ -353,8 +359,7 @@ def cmd_run(config_path: str) -> int:
     except DivergenceError as exc:
         # keep whatever was traced up to the last finite record
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trace.csv").write_text(
-            trace_to_csv(getattr(exc, "trace", [])), encoding="utf-8")
+        (out_dir / "trace.csv").write_text(trace_to_csv(exc.trace), encoding="utf-8")
         (out_dir / "report.txt").write_text(
             f"diverged_at_step = {exc.k}\nerror = {exc}\n", encoding="utf-8")
         print(f"runtime divergence: {exc}", file=sys.stderr)
@@ -436,9 +441,8 @@ def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
         else:
             cfg = parse_kv_file(base_dir / row["config"])
             rep = run_from_config(cfg)
-            big_k = max(r.k for r in rep.trace)
-            window = (int(row.get("kmin", max(1, big_k // 10))),
-                      int(row.get("kmax", big_k)))
+            kmin, kmax = default_fit_window(max(r.k for r in rep.trace))
+            window = (int(row.get("kmin", kmin)), int(row.get("kmax", kmax)))
             samples = [(r.k, getattr(r, metric)) for r in rep.trace]
             fit = fit_rate(samples, window, min_samples=min_samples)
     except SboError as exc:
@@ -463,11 +467,9 @@ def cmd_rates(suite_path: str) -> int:
     except (ParseError, OSError) as exc:
         print(f"suite error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    workers = int(os.environ.get("SBO_THREADS", "0")) or (os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda r: _run_suite_row(r, base_dir), rows))
     all_ok = True
-    for ok, message in results:
+    for row in rows:
+        ok, message = _run_suite_row(row, base_dir)
         print(message)
         all_ok = all_ok and ok
     return EXIT_OK if all_ok else EXIT_RATE_FAIL

@@ -27,12 +27,14 @@ class ParseError(SboError, ValueError):
 
 class DivergenceError(SboError, RuntimeError):
     """A solver iterate left the finite-float range. Carries the index of
-    the failing step and the last finite iterate."""
+    the failing step, the last finite iterate and the trace recorded up to
+    the last finite record."""
 
-    def __init__(self, message: str, k: int, last_finite):
+    def __init__(self, message: str, k: int, last_finite, trace=None):
         super().__init__(message)
         self.k = k
         self.last_finite = last_finite
+        self.trace = trace or []
 
 
 class PowerIterationError(SboError, RuntimeError):

@@ -1,5 +1,7 @@
 """The three regularized prox-gradient solvers plus a plain accelerated
-baseline used to manufacture reference values.
+baseline for single composite objectives. Reference values are
+manufactured with `solve_r_vfista` (`problems.gen_rank_deficient_ls`,
+`metrics.approximate_projector`), not with the baseline.
 
 * `solve_ir_ista`   -- single-loop prox-gradient on the surrogate with a
   per-iteration regularization weight and geometric iterate averaging;
@@ -43,17 +45,13 @@ class DiminishingSchedule:
     eta0_l = 2*L_f/mu_f. The two parameters are derived, not free."""
 
     variant: str = "diminishing"
-    eta0_u: float = field(default=0.0, init=False)
-    eta0_l: float = field(default=0.0, init=False)
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
-        self.eta0_u = 1.0 / (gamma * mu_f)
-        self.eta0_l = 2.0 * l_f / mu_f
-        if self.eta0_l <= 1.0:
+        u, l = 1.0 / (gamma * mu_f), 2.0 * l_f / mu_f
+        if l <= 1.0:
             raise ConfigurationError(
                 "diminishing schedule requires 2*L_f/mu_f > 1 (mu_f <= L_f gives >= 2)"
             )
-        u, l = self.eta0_u, self.eta0_l
         return _ResolvedSchedule(
             eta_fn=lambda k: u / (l + k),
             params={"schedule": "diminishing", "eta0_u": u, "eta0_l": l},
@@ -186,8 +184,6 @@ class SolverConfig:
     schedule: Schedule
     gamma: Union[str, float] = "auto"
     trace_every: Optional[int] = None  # None -> geometric grid of ~200 points
-    trace_points: int = 200
-    seed: int = 0
     x0: Optional[np.ndarray] = None
 
 
@@ -204,17 +200,6 @@ class NcConfig:
     gamma_hat: Union[str, float] = "auto"  # auto -> 1/sqrt(K)
     allow_large_step: bool = False
     max_total_inner: int = 2_000_000
-    dist_points: int = 12  # outer indices at which the projector-based
-    residual_window_only: bool = True  # distance metric is evaluated
-
-
-@dataclass
-class AveragingState:
-    """Running weighted-average bookkeeping of the averaging solver."""
-
-    theta: float
-    gamma_sum: float  # running sum of theta_j * eta_j
-    x_bar: np.ndarray
 
 
 @dataclass
@@ -259,7 +244,7 @@ def _trace_ks(cfg: SolverConfig) -> set[int]:
         ks = set(range(cfg.trace_every, cfg.big_k + 1, cfg.trace_every))
         ks.add(cfg.big_k)
         return ks
-    return set(geometric_trace_ks(cfg.big_k, cfg.trace_points))
+    return set(geometric_trace_ks(cfg.big_k))
 
 
 def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
@@ -277,8 +262,8 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
         if ref.x_star is not None:
             d = x - ref.x_star
             dist_xsq = float(d @ d)
-        if ref.projector is not None and (with_dist or ref.projector_kind == "exact"):
-            dist_lower = float(np.linalg.norm(x - ref.projector(x)))
+        if with_dist or ref.projector_kind == "exact":
+            dist_lower = _metrics.dist_to_lower_set(problem, x)
         if with_residual and ref.projector is not None and gamma_hat is not None:
             g = _metrics.residual_norm(problem, x, gamma_hat)
             residual_sq = g * g
@@ -292,11 +277,10 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
 def _check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
                   trace: Optional[list] = None):
     if not np.isfinite(x).all():
-        err = DivergenceError(
-            f"{solver}: non-finite iterate at step {k}", k=k, last_finite=last
+        raise DivergenceError(
+            f"{solver}: non-finite iterate at step {k}", k=k, last_finite=last,
+            trace=trace,
         )
-        err.trace = trace or []  # trace up to the last finite record
-        raise err
 
 
 def _resolve_x0(problem: BilevelProblem, x0) -> np.ndarray:
@@ -362,41 +346,34 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
 
     t0 = time.perf_counter_ns()
     x = _resolve_x0(problem, cfg.x0)
-    state = AveragingState(
-        theta=1.0 / (1.0 - eta0 * gamma * mu_f), gamma_sum=0.0, x_bar=x.copy()
-    )
+    theta = 1.0 / (1.0 - eta0 * gamma * mu_f)
+    gamma_sum = 0.0  # running sum of theta_j * eta_j
+    x_bar = x.copy()
     trace_at = _trace_ks(cfg)
     trace: list[TraceRecord] = []
-    theta_prev = state.theta
+    theta_prev = theta
 
     for k in range(cfg.big_k):
         eta_k = sched.eta(k)
         x_next = problem.q_eta_step(eta_k, gamma, x)
         _check_finite(x_next, k, x, "averaging solver", trace)
-        w = eta_k * state.theta
-        gamma_sum_next = state.gamma_sum + w
-        state.x_bar = (state.gamma_sum * state.x_bar + w * x_next) / gamma_sum_next
-        theta_prev = state.theta
-        state.gamma_sum = gamma_sum_next
-        state.theta = state.theta / (1.0 - sched.eta(k + 1) * gamma * mu_f)
+        w = eta_k * theta
+        gamma_sum_next = gamma_sum + w
+        x_bar = (gamma_sum * x_bar + w * x_next) / gamma_sum_next
+        theta_prev = theta
+        gamma_sum = gamma_sum_next
+        theta = theta / (1.0 - sched.eta(k + 1) * gamma * mu_f)
         x = x_next
         if callback is not None:
-            callback(k + 1, x=x, x_bar=state.x_bar, eta=eta_k, theta=theta_prev,
-                     gamma_sum=state.gamma_sum)
+            callback(k + 1, x=x, x_bar=x_bar, eta=eta_k, theta=theta_prev,
+                     gamma_sum=gamma_sum)
         if (k + 1) in trace_at:
-            trace.append(
-                _eval_record(problem, state.x_bar, k + 1, eta_k, theta_prev, t0)
-            )
+            trace.append(_eval_record(problem, x_bar, k + 1, eta_k, theta_prev, t0))
 
-    cfg_echo = {
-        "solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, "seed": cfg.seed,
-        **sched.params,
-    }
+    cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched.params}
     return RunReport(
-        solver="ir_ista", config=cfg_echo, x_final=state.x_bar, trace=trace,
-        extras={
-            "x_last": x, "Gamma_K": state.gamma_sum, "theta_last": theta_prev,
-        },
+        solver="ir_ista", config=cfg_echo, x_final=x_bar, trace=trace,
+        extras={"x_last": x, "Gamma_K": gamma_sum, "theta_last": theta_prev},
         wall_ns=time.perf_counter_ns() - t0,
     )
 
@@ -454,7 +431,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
 
     cfg_echo = {
         "solver": "r_vfista", "K": cfg.big_k, "gamma": gamma, "kappa": kappa,
-        "momentum": momentum, "seed": cfg.seed, **sched.params,
+        "momentum": momentum, **sched.params,
     }
     return RunReport(
         solver="r_vfista", config=cfg_echo, x_final=x, trace=trace,
@@ -466,6 +443,10 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 # Inexactly projected outer loop for a smooth (possibly nonconvex) upper part
 # ---------------------------------------------------------------------------
+
+# Number of outer indices at which the projector-based dist_lower column is
+# evaluated (log-spaced, plus K).
+DIST_POINTS = 12
 
 
 def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
@@ -519,7 +500,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
     ref = problem.reference
     projector = ref.projector if ref is not None else None
     window_start = big_k // 2
-    dist_ks = set(geometric_trace_ks(big_k, cfg.dist_points)) | {big_k}
+    dist_ks = set(geometric_trace_ks(big_k, DIST_POINTS)) | {big_k}
     omega_h = problem.lower.nonsmooth
     box_lower = np.full(problem.dimension, float(cfg.box_lower))
     box_upper = np.full(problem.dimension, float(cfg.box_upper))
@@ -557,19 +538,15 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
 
         xhat = x_cur
         start = np.clip(x_cur, box_lower, box_upper)
-        in_window = window_start <= k <= big_k - 1
-        want_residual = projector is not None and (
-            in_window or not cfg.residual_window_only
-        )
+        want_residual = projector is not None and k >= window_start
         want_dist = projector is not None and (k + 1) in dist_ks
         rec = _eval_record(
             problem, xhat, k + 1, eta_k, None, t0, gamma_hat=gamma_hat,
             with_dist=want_dist, with_residual=want_residual,
         )
         trace.append(rec)
-        if want_residual and in_window and rec.residual_sq is not None:
-            if rec.residual_sq < best["residual_sq"]:
-                best = {"residual_sq": rec.residual_sq, "k": k, "x": xhat.copy()}
+        if want_residual and rec.residual_sq < best["residual_sq"]:
+            best = {"residual_sq": rec.residual_sq, "k": k, "x": xhat.copy()}
         if callback is not None:
             callback(k + 1, x_hat=xhat, z=z, eta=eta_k, j_budget=j_budget)
 
@@ -592,7 +569,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
 
 
 # ---------------------------------------------------------------------------
-# Plain accelerated baseline for single-level reference solves
+# Plain accelerated baseline on a single composite objective
 # ---------------------------------------------------------------------------
 
 

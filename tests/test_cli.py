@@ -138,7 +138,21 @@ def test_cmd_run_divergence_exits_3_with_partial_trace(tmp_path, capsys,
     assert "divergence" in capsys.readouterr().err
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "diverged_at_step" in report
-    assert (tmp_path / "out" / "trace.csv").read_text().startswith("k,eta")
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) >= 2  # records traced before the divergence are kept
+
+
+@pytest.mark.parametrize("key,value", [("solver.gamma", "nan"),
+                                       ("solver.eta", "inf"),
+                                       ("solver.eta", "-inf")])
+def test_cmd_run_non_finite_number_exits_2_naming_key(tmp_path, capsys,
+                                                      key, value):
+    cfg = write_config(tmp_path / "nf.cfg", **{key: value})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +175,18 @@ def test_cmd_rates_selftest_pass_and_fail(tmp_path, capsys):
     assert main(["rates", str(suite)]) == 1
     out = capsys.readouterr().out
     assert "FAIL wrong" in out and "slope=-1.0000" in out
+
+
+def test_cmd_rates_rows_run_in_file_order(tmp_path, capsys):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "label=first config=selftest:powerlaw:exp=-1,coeff=7 "
+        "metric=value slope=-1 tol=0.01\n"
+        "label=second config=selftest:powerlaw:exp=-2,coeff=3 "
+        "metric=value slope=-1 tol=0.01\n")
+    assert main(["rates", str(suite)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["PASS first", "FAIL second"]
 
 
 def test_cmd_rates_runs_configs(tmp_path, capsys):
