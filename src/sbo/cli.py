@@ -25,12 +25,11 @@ from .errors import (ConfigurationError, ContractViolation, DivergenceError,
                      ParseError, SboError)
 from .metrics import default_fit_window, fit_rate
 from .problems import (InstanceSpec, build_instance, generate_instance_arrays,
-                       save_instance)
+                       parse_kv_lines, parse_value, save_instance)
 from .solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                       DiminishingSchedule, FixedEtaSchedule, NcConfig,
-                      RunReport, SolverConfig, TraceRecord,
-                      geometric_trace_ks, solve_fista_baseline,
-                      solve_ipr_vfista, solve_ir_ista, solve_r_vfista)
+                      RunReport, SolverConfig, solve_ipr_vfista, solve_ir_ista,
+                      solve_r_vfista)
 
 CSV_HEADER = ("k,eta,theta,f_bar,h_bar,infeas,subopt,dist_xstar_sq,"
               "dist_lower,residual_sq,elapsed_ns")
@@ -48,59 +47,48 @@ EXIT_DIVERGED = 3
 
 def parse_kv_file(path) -> dict:
     """Flat "key = value" lines; '#' starts a comment; blank lines ignored."""
-    out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ParseError(f"empty key or value in {raw.strip()!r}", lineno)
-            if key in out:
-                raise ParseError(f"duplicate key {key!r}", lineno)
-            out[key] = value
-    return out
+        return parse_kv_lines(fh)
 
 
-def _get(cfg: dict, key: str, default=None, required: bool = False) -> str:
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigurationError(f"missing required config key {key!r}")
-    return default
+class _Keys:
+    """Typed reads of a parsed config that remember which keys were read,
+    so that a key nothing reads can be refused."""
 
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.read: set[str] = set()
 
-def _number(cfg: dict, key: str, default: str | None = None,
-            keyword: str | None = None):
-    """A numeric config value as a finite float. `keyword` (e.g. "auto")
-    passes through as the string; an absent key without default gives None."""
-    text = _get(cfg, key, default)
-    if text is None or text == keyword:
-        return text
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigurationError(
-            f"config key {key!r} must be a finite number; got {text!r}")
-    return value
+    def get(self, key: str, default: str | None = None, kind: type = float,
+            keyword: str | None = None, required: bool = False):
+        """The value parsed as `kind` (see `problems.parse_value`; str keeps
+        the text). `keyword` (e.g. "auto") passes through as the string; an
+        absent key without default gives None."""
+        self.read.add(key)
+        text = self.cfg.get(key, default)
+        if text is None and required:
+            raise ConfigurationError(f"missing required config key {key!r}")
+        if text is None or text == keyword or kind is str:
+            return text
+        return parse_value(f"config key {key!r}", text, kind)
+
+    def refuse_unread(self, skip: tuple) -> None:
+        """Refuse the first key not read, outside the sections in `skip`."""
+        for key in sorted(self.cfg):
+            if key not in self.read and not key.startswith(skip):
+                raise ConfigurationError(f"unknown config key {key!r}")
 
 
 def instance_from_config(cfg: dict) -> InstanceSpec:
-    name = _get(cfg, "instance.name", required=True)
-    n = int(_get(cfg, "instance.n", required=True))
-    seed = _get(cfg, "instance.seed")
+    keys = _Keys(cfg)
+    name = keys.get("instance.name", kind=str, required=True)
+    n = keys.get("instance.n", kind=int, required=True)
+    seed = keys.get("instance.seed", kind=int)
     params = {
         key.split(".", 1)[1]: value for key, value in cfg.items()
-        if key.startswith("instance.") and key not in ("instance.name", "instance.n",
-                                                       "instance.seed")
+        if key.startswith("instance.") and key not in keys.read
     }
-    return InstanceSpec(name=name, n=n, seed=int(seed) if seed else None, params=params)
+    return InstanceSpec(name=name, n=n, seed=seed, params=params)
 
 
 def _resolve_eta(spec: str | float, problem: BilevelProblem) -> float:
@@ -117,66 +105,50 @@ def _resolve_eta(spec: str | float, problem: BilevelProblem) -> float:
 
 
 def run_from_config(cfg: dict) -> RunReport:
-    """Build the instance and solver from a parsed config and execute."""
-    solver = _get(cfg, "solver.name", required=True)
-    big_k = int(_get(cfg, "solver.K", required=True))
-    gamma = _number(cfg, "solver.gamma", "auto", keyword="auto")
-    trace_every = _get(cfg, "solver.trace_every")
-    trace_every = int(trace_every) if trace_every else None
-    eta = _number(cfg, "solver.eta", keyword="weak_sharp")
-    problem = build_instance(instance_from_config(cfg))
-
-    if solver in ("ir_ista", "r_ista_const", "r_vfista"):
-        if eta is not None:
-            schedule = FixedEtaSchedule(_resolve_eta(eta, problem))
-        elif solver == "ir_ista":
-            schedule = DiminishingSchedule()
-        elif solver == "r_ista_const":
-            schedule = ConstantIstaSchedule(p=_number(cfg, "solver.p", "1"),
-                                            big_k=big_k)
-        else:
-            schedule = ConstantVfistaSchedule(
-                p=_number(cfg, "solver.p", "3"),
-                eta_bar=_number(cfg, "solver.eta_bar", "1.0"), big_k=big_k)
-        sc = SolverConfig(big_k=big_k, schedule=schedule, gamma=gamma,
-                          trace_every=trace_every)
-        if solver == "r_vfista":
-            return solve_r_vfista(problem, sc)
-        return solve_ir_ista(problem, sc)
+    """Build the instance and solver from a parsed config and execute. A key
+    outside instance.* and output.* that the solver does not read is refused
+    before the instance is built; `build_instance` refuses instance.* keys."""
+    keys = _Keys(cfg)
+    solver = keys.get("solver.name", kind=str, required=True)
+    big_k = keys.get("solver.K", kind=int, required=True)
     if solver == "ipr_vfista":
         nc = NcConfig(
             big_k=big_k,
-            a=int(_get(cfg, "solver.a", "2")),
-            eta_bar=_number(cfg, "solver.eta_bar", "1.0"),
-            box_lower=_number(cfg, "solver.box_lower", "-10"),
-            box_upper=_number(cfg, "solver.box_upper", "10"),
-            allow_large_step=bool(int(_get(cfg, "solver.allow_large_step", "0"))),
+            a=keys.get("solver.a", "2", kind=int),
+            eta_bar=keys.get("solver.eta_bar", "1.0"),
+            box_lower=keys.get("solver.box_lower", "-10"),
+            box_upper=keys.get("solver.box_upper", "10"),
+            allow_large_step=keys.get("solver.allow_large_step", "0", kind=bool),
         )
+    elif solver in ("ir_ista", "r_ista_const", "r_vfista"):
+        gamma = keys.get("solver.gamma", "auto", keyword="auto")
+        trace_every = keys.get("solver.trace_every", kind=int)
+        eta = keys.get("solver.eta", keyword="weak_sharp")
+        if eta is None and solver == "r_ista_const":
+            schedule = ConstantIstaSchedule(p=keys.get("solver.p", "1"), big_k=big_k)
+        elif eta is None and solver == "r_vfista":
+            schedule = ConstantVfistaSchedule(
+                p=keys.get("solver.p", "3"),
+                eta_bar=keys.get("solver.eta_bar", "1.0"), big_k=big_k)
+        else:  # replaced by the fixed schedule below when eta is set
+            schedule = DiminishingSchedule()
+    else:
+        raise ConfigurationError(
+            f"unknown solver {solver!r}; pick one of ir_ista, r_ista_const, "
+            "r_vfista, ipr_vfista"
+        )
+    keys.refuse_unread(skip=("instance.", "output."))
+    problem = build_instance(instance_from_config(cfg))
+
+    if solver == "ipr_vfista":
         return solve_ipr_vfista(problem, nc)
-    if solver == "fista_baseline":
-        records: list[TraceRecord] = []
-        want = set(geometric_trace_ks(big_k))
-        obj = problem.lower
-        if gamma == "auto":
-            gamma = 1.0 / obj.smooth.lipschitz if obj.smooth.lipschitz > 0 else 1.0
-
-        def hook(k, x, value):
-            if k in want:
-                records.append(TraceRecord(
-                    k=k, eta=None, theta=None, f_bar=problem.upper.value(x),
-                    h_bar=value, infeas=None, subopt=None, dist_xstar_sq=None,
-                    dist_lower=None, residual_sq=None, elapsed_ns=0))
-
-        x, value = solve_fista_baseline(obj, big_k, gamma, x0=problem.initial_point,
-                                        trace_hook=hook)
-        return RunReport(
-            solver="fista_baseline",
-            config={"solver": "fista_baseline", "K": big_k, "gamma": gamma},
-            x_final=x, trace=records, extras={"best_value": value})
-    raise ConfigurationError(
-        f"unknown solver {solver!r}; pick one of ir_ista, r_ista_const, "
-        "r_vfista, ipr_vfista, fista_baseline"
-    )
+    if eta is not None:
+        schedule = FixedEtaSchedule(_resolve_eta(eta, problem))
+    sc = SolverConfig(big_k=big_k, schedule=schedule, gamma=gamma,
+                      trace_every=trace_every)
+    if solver == "r_vfista":
+        return solve_r_vfista(problem, sc)
+    return solve_ir_ista(problem, sc)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +316,11 @@ def render_svg(xs, ys, logx: bool = False, logy: bool = False,
 def cmd_run(config_path: str) -> int:
     try:
         cfg = parse_kv_file(config_path)
-        out_dir = Path(_get(cfg, "output.dir", required=True))
-        timings = bool(int(_get(cfg, "output.timings", "0")))
-        plots = _get(cfg, "output.plots", "")
+        keys = _Keys(cfg)
+        out_dir = Path(keys.get("output.dir", kind=str, required=True))
+        timings = keys.get("output.timings", "0", kind=bool)
+        plots = keys.get("output.plots", "", kind=str)
+        keys.refuse_unread(skip=("instance.", "solver."))
     except (ConfigurationError, ParseError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -384,18 +358,31 @@ def cmd_run(config_path: str) -> int:
     return EXIT_OK
 
 
+# The keys a suite row may have, with the kind of each numeric one.
+_ROW_KEYS = {"label": str, "config": str, "metric": str, "mode": str,
+             "bound": str, "ks": str, "slope": float, "tol": float,
+             "min_samples": int, "kmin": int, "kmax": int}
+
+
 def _parse_suite_row(line: str, lineno: int) -> dict:
-    row: dict[str, str] = {}
+    row: dict = {}
     for token in line.split():
-        if "=" not in token:
-            raise ParseError(f"expected key=value tokens, got {token!r}", lineno)
-        key, _, value = token.partition("=")
-        row[key] = value
-    for req in ("metric", "slope", "tol"):
+        key, eq, value = token.partition("=")
+        if not eq or key not in _ROW_KEYS or key in row:
+            raise ParseError(f"expected key=value tokens with distinct keys from "
+                             f"{', '.join(_ROW_KEYS)}; got {token!r}", lineno)
+        kind, what = _ROW_KEYS[key], f"line {lineno}: suite key {key!r}"
+        row[key] = value if kind is str else parse_value(what, value, kind)
+    if "ks" in row:
+        row["ks"] = [parse_value(f"line {lineno}: suite key 'ks'", k, int)
+                     for k in row["ks"].split(",")]
+    for req in ("metric", "slope", "tol", "config"):
         if req not in row:
             raise ParseError(f"suite row missing {req!r}", lineno)
-    if "config" not in row:
-        raise ParseError("suite row missing 'config'", lineno)
+    if (row.get("mode", "finals") != "finals" or row.get("bound", "upper") != "upper"
+            or ("mode" in row and "ks" not in row)):
+        raise ParseError("suite rows take only mode=finals (with ks) and bound=upper",
+                         lineno)
     return row
 
 
@@ -406,7 +393,9 @@ def _selftest_samples(spec: str):
     if len(parts) > 2 and parts[2]:
         for item in parts[2].split(","):
             key, _, value = item.partition("=")
-            params[key] = float(value)
+            if key not in ("exp", "coeff", "wobble"):
+                raise ConfigurationError(f"unknown selftest parameter {key!r}")
+            params[key] = parse_value(f"selftest parameter {key!r}", value)
     exponent = params.get("exp", -1.0)
     coeff = params.get("coeff", 1.0)
     wobble = params.get("wobble", 0.0)
@@ -415,18 +404,18 @@ def _selftest_samples(spec: str):
 
 
 def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
+    """(passed, verdict line); a row that cannot run fails with the reason."""
     label = row.get("label", row["config"])
     metric = row["metric"]
-    expected = float(row["slope"])
-    tol = float(row["tol"])
-    min_samples = int(row.get("min_samples", "5"))
+    expected, tol = row["slope"], row["tol"]
+    min_samples = row.get("min_samples", 5)
     try:
         if row["config"].startswith("selftest:"):
             samples = _selftest_samples(row["config"])
-            window = (int(row.get("kmin", 1)), int(row.get("kmax", 10**9)))
+            window = (row.get("kmin", 1), row.get("kmax", 10**9))
             fit = fit_rate(samples, window, min_samples=min_samples)
         elif row.get("mode") == "finals":
-            ks = [int(v) for v in row["ks"].split(",")]
+            ks = row["ks"]
             cfg = parse_kv_file(base_dir / row["config"])
             samples = []
             for k in ks:
@@ -442,10 +431,10 @@ def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
             cfg = parse_kv_file(base_dir / row["config"])
             rep = run_from_config(cfg)
             kmin, kmax = default_fit_window(max(r.k for r in rep.trace))
-            window = (int(row.get("kmin", kmin)), int(row.get("kmax", kmax)))
+            window = (row.get("kmin", kmin), row.get("kmax", kmax))
             samples = [(r.k, getattr(r, metric)) for r in rep.trace]
             fit = fit_rate(samples, window, min_samples=min_samples)
-    except SboError as exc:
+    except (SboError, OSError) as exc:
         return False, f"FAIL {label}: {exc}"
     ok = abs(fit.slope - expected) <= tol if row.get("bound") != "upper" \
         else fit.slope <= expected + tol
@@ -464,7 +453,7 @@ def cmd_rates(suite_path: str) -> int:
                 line = raw.split("#", 1)[0].strip()
                 if line:
                     rows.append(_parse_suite_row(line, lineno))
-    except (ParseError, OSError) as exc:
+    except (ConfigurationError, ParseError, OSError) as exc:
         print(f"suite error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     all_ok = True
@@ -494,19 +483,14 @@ def cmd_plot(csv_path: str, metric: str, out_svg: str, logx: bool, logy: bool) -
 def parse_instance_arg(spec: str) -> InstanceSpec:
     """name:key=value,key=value with n required, seed optional."""
     name, _, rest = spec.partition(":")
-    params: dict[str, str] = {}
+    cfg = {"instance.name": name}
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
             if not eq:
                 raise ConfigurationError(f"bad instance parameter {item!r}")
-            params[key.strip()] = value.strip()
-    if "n" not in params:
-        raise ConfigurationError("instance spec needs n=<dimension>")
-    n = int(params.pop("n"))
-    seed = params.pop("seed", None)
-    return InstanceSpec(name=name, n=n, seed=int(seed) if seed else None,
-                        params=params)
+            cfg[f"instance.{key.strip()}"] = value.strip()
+    return instance_from_config(cfg)
 
 
 def cmd_gen(spec: str, out: str) -> int:

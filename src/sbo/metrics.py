@@ -15,13 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 
-# Documented defaults of the high-budget inexact projection used when no
-# exact projector is available (same machinery as the outer solver's inner
-# loop): minimize 0.5*||u - x||^2 over the lower solution set.
-PROJECTOR_ETA = 1e-6
-PROJECTOR_BUDGET = 100_000
-
-
 @dataclass
 class MetricSample:
     k: int
@@ -111,11 +104,11 @@ def default_fit_window(big_k: int) -> tuple:
     return (max(1, big_k // 10), big_k)
 
 
-def approximate_projector(problem, eta: float = PROJECTOR_ETA,
-                          budget: int = PROJECTOR_BUDGET) -> Callable[[np.ndarray], np.ndarray]:
+def approximate_projector(problem, eta: float,
+                          budget: int) -> Callable[[np.ndarray], np.ndarray]:
     """Inexact projection onto the lower solution set: for a query x, run the
-    accelerated solver on the pair (lower objective, 0.5*||u - x||^2) with a
-    tiny constant weight and a fixed high budget. Labeled "approximate"
+    accelerated solver on the pair (lower objective, 0.5*||u - x||^2) with
+    the tiny constant weight eta for budget iterations. Labeled "approximate"
     wherever it is attached to a reference."""
     from .bilevel import BilevelProblem, CompositeObjective
     from .functions import ScaledSqNorm

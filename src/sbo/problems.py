@@ -13,9 +13,10 @@ instance is bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -34,6 +35,20 @@ class InstanceSpec:
     n: int
     seed: Optional[int] = None
     params: dict = field(default_factory=dict)
+
+
+def parse_value(what: str, text, kind: type = float):
+    """`text` as an int, a finite float or a 0/1 flag (kind int, float or
+    bool), or a ConfigurationError that names it as `what`."""
+    try:
+        value = (int if kind is bool else kind)(text)
+    except (TypeError, ValueError):
+        value = None
+    if (value is None or kind is float and not math.isfinite(value)
+            or kind is bool and value not in (0, 1)):
+        must = {int: "an integer", float: "a finite number", bool: "0 or 1"}[kind]
+        raise ConfigurationError(f"{what} must be {must}; got {text!r}")
+    return bool(value) if kind is bool else value
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +196,28 @@ def inverse_problem(which: str, n: int):
 # ---------------------------------------------------------------------------
 
 
-def gen_rank_deficient_ls(n: int, rank: int, seed: int, mu_f: float = 1.0,
-                          lam: float = 0.1, noise_std: float = 0.0,
-                          f_star_budget: int = 0,
-                          f_star_eta: float = 1e-9) -> BilevelProblem:
-    """Seeded A = U diag(1, 1/2, ..., 1/rank, 0, ...) V^T with b in range(A)
-    (unless noise_std > 0). Lower level 0.5*||Ax-b||^2 has the affine
-    solution set {A x = proj_range(b)} with exact projector and quadratic
-    growth alpha = sigma_rank^2 / 2. Upper level (mu_f/2)||x||^2 + lam*||x||_1.
+# Tiny constant weights of the long accelerated solves that manufacture
+# reference values; ReferenceTruth.notes records each one.
+F_STAR_WEIGHT = 1e-9     # f_star of rank_deficient_ls with lam > 0
+H_STAR_WEIGHT = 1e-6     # h_star of the nonconvex instances
+PROJECTOR_WEIGHT = 1e-6  # the nonconvex instances' approximate projector
+
+
+def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
+                          mu_f: float = 1.0, lam: float = 0.1,
+                          f_star_budget: int = 0) -> BilevelProblem:
+    """Seeded A = U diag(1, 1/2, ..., 1/rank, 0, ...) V^T (rank n // 2 when
+    not given) with b in range(A). Lower level 0.5*||Ax-b||^2 has the affine
+    solution set {A x = b} with exact projector and quadratic growth
+    alpha = sigma_rank^2 / 2. Upper level (mu_f/2)||x||^2 + lam*||x||_1.
 
     With lam = 0 the bilevel solution is the min-norm least-squares point and
     f_star is analytic. With lam > 0 and f_star_budget > 0, f_star is
-    manufactured by a long accelerated run at the tiny recorded weight
-    f_star_eta, and its tolerance is derived from that weight.
+    manufactured by a long accelerated run at the tiny weight F_STAR_WEIGHT,
+    and its tolerance is derived from that weight.
     """
+    if rank is None:
+        rank = n // 2
     if not (1 <= rank < n):
         raise ConfigurationError(f"rank must satisfy 1 <= rank < n, got {rank}")
     rng = np.random.default_rng(seed)
@@ -203,8 +226,6 @@ def gen_rank_deficient_ls(n: int, rank: int, seed: int, mu_f: float = 1.0,
     sigma = 1.0 / np.arange(1.0, rank + 1.0)
     a = (u[:, :rank] * sigma) @ v[:, :rank].T
     b = a @ rng.standard_normal(n)
-    if noise_std > 0:
-        b = b + noise_std * rng.standard_normal(n)
 
     lower = CompositeObjective(LeastSquares(a, b), ZeroProx())
     upper = CompositeObjective(
@@ -237,7 +258,7 @@ def gen_rank_deficient_ls(n: int, rank: int, seed: int, mu_f: float = 1.0,
     elif f_star_budget > 0:
         from .solvers import FixedEtaSchedule, SolverConfig, solve_r_vfista
 
-        cfg = SolverConfig(big_k=f_star_budget, schedule=FixedEtaSchedule(f_star_eta),
+        cfg = SolverConfig(big_k=f_star_budget, schedule=FixedEtaSchedule(F_STAR_WEIGHT),
                            trace_every=f_star_budget, x0=x_dag)
         x_star = solve_r_vfista(problem, cfg).x_final
         g_star = min_norm_l1_subgradient(mu_f * x_star, lam, x_star)
@@ -247,9 +268,9 @@ def gen_rank_deficient_ls(n: int, rank: int, seed: int, mu_f: float = 1.0,
         ref.f_star = upper.value(x_star)
         # Tikhonov-path bias of the manufactured optimum: f_star true
         # exceeds the estimate by at most ||g*||^2 * eta / alpha
-        ref.f_star_tol = f_star_eta * g_norm * g_norm / alpha + 1e-10
+        ref.f_star_tol = F_STAR_WEIGHT * g_norm * g_norm / alpha + 1e-10
         ref.subgradient = SubgradientAtOpt(g_star, g_norm)
-        ref.notes.update(f_star_eta=f_star_eta, f_star_budget=f_star_budget)
+        ref.notes.update(f_star_eta=F_STAR_WEIGHT, f_star_budget=f_star_budget)
     return problem
 
 
@@ -298,8 +319,7 @@ def gen_sec61_inverse(which: str, n: int, mu_f: float = 1.0,
 
 def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
                        epsilon: float = 1e-1, with_reference: bool = True,
-                       ref_eta: float = 1e-6, ref_budget: int = 1_000_000,
-                       projector_eta: float = 1e-6,
+                       ref_budget: int = 1_000_000,
                        projector_budget: int = 100_000) -> BilevelProblem:
     """Smooth nonconvex selection: upper objective the Moreau envelope of the
     log-sum penalty, lower level 0.5*||Ax - b||^2 restricted to the unit
@@ -314,20 +334,20 @@ def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
     problem = BilevelProblem(upper, lower, reference=None, initial_point=x0,
                              name=f"nonconvex_sec6_{which}")
     if with_reference:
-        solve_ref = approximate_projector(problem, eta=ref_eta, budget=ref_budget)
+        solve_ref = approximate_projector(problem, eta=H_STAR_WEIGHT, budget=ref_budget)
         x_ref = solve_ref(x0)
         h_star = lower.value(x_ref)
         # the manufactured optimum overshoots h* by at most
         # eta * 0.5*dist(x0, X*)^2 plus the solver tail
-        bias = ref_eta * 0.5 * float((x_ref - x0) @ (x_ref - x0))
+        bias = H_STAR_WEIGHT * 0.5 * float((x_ref - x0) @ (x_ref - x0))
         problem.reference = ReferenceTruth(
             h_star=h_star, h_star_tol=bias + 1e-10,
-            projector=approximate_projector(problem, eta=projector_eta,
+            projector=approximate_projector(problem, eta=PROJECTOR_WEIGHT,
                                             budget=projector_budget),
             projector_kind="approximate",
             notes={
-                "h_star_eta": ref_eta, "h_star_budget": ref_budget,
-                "projector_eta": projector_eta,
+                "h_star_eta": H_STAR_WEIGHT, "h_star_budget": ref_budget,
+                "projector_eta": PROJECTOR_WEIGHT,
                 "projector_budget": projector_budget,
             },
         )
@@ -339,37 +359,63 @@ def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
 # ---------------------------------------------------------------------------
 
 
+def _gen_l1_weak_sharp_seeded(n: int, seed: int = 0) -> BilevelProblem:
+    """`gen_l1_weak_sharp` with a standard normal center drawn from `seed`."""
+    return gen_l1_weak_sharp(n, np.random.default_rng(seed).standard_normal(n))
+
+
+# name -> (generator, fixed arguments). Every other generator parameter but
+# n is an instance key: its annotation is the key's kind and its default the
+# default.
+_INSTANCES = {
+    "rank_deficient_ls": (gen_rank_deficient_ls, {}),
+    "l1_weak_sharp": (_gen_l1_weak_sharp_seeded, {}),
+    **{f"sec61_{w}": (gen_sec61_inverse, {"which": w}) for w in _MATRIX_GENERATORS},
+    **{f"nonconvex_{w}": (gen_nonconvex_sec6, {"which": w}) for w in _MATRIX_GENERATORS},
+}
+
+
 def build_instance(spec: InstanceSpec) -> BilevelProblem:
-    """Build a bilevel problem from a named instance specification."""
-    p = dict(spec.params)
-    name, n = spec.name, spec.n
-    if name == "rank_deficient_ls":
-        return gen_rank_deficient_ls(
-            n, rank=int(p.pop("rank", n // 2)), seed=int(spec.seed or 0),
-            mu_f=float(p.pop("mu_f", 1.0)), lam=float(p.pop("lam", 0.1)),
-            noise_std=float(p.pop("noise_std", 0.0)),
-            f_star_budget=int(p.pop("f_star_budget", 0)),
-            f_star_eta=float(p.pop("f_star_eta", 1e-9)),
-        )
-    if name == "l1_weak_sharp":
-        rng = np.random.default_rng(spec.seed or 0)
-        return gen_l1_weak_sharp(n, rng.standard_normal(n))
-    if name in ("sec61_phillips", "sec61_baart", "sec61_foxgood"):
-        return gen_sec61_inverse(
-            name.split("_", 1)[1], n,
-            mu_f=float(p.pop("mu_f", 1.0)), lam=float(p.pop("lam", 1.0)),
-        )
-    if name in ("nonconvex_phillips", "nonconvex_baart", "nonconvex_foxgood"):
-        return gen_nonconvex_sec6(
-            n, which=name.split("_", 1)[1],
-            delta=float(p.pop("delta", 1e-2)), epsilon=float(p.pop("epsilon", 1e-1)),
-            with_reference=bool(int(p.pop("with_reference", 1))),
-            ref_eta=float(p.pop("ref_eta", 1e-6)),
-            ref_budget=int(p.pop("ref_budget", 1_000_000)),
-            projector_eta=float(p.pop("projector_eta", 1e-6)),
-            projector_budget=int(p.pop("projector_budget", 100_000)),
-        )
-    raise ConfigurationError(f"unknown instance name {name!r}")
+    """Build a bilevel problem from a named instance specification. Only the
+    keys present are parsed; any key the instance does not take is refused."""
+    try:
+        generator, fixed = _INSTANCES[spec.name]
+    except KeyError:
+        raise ConfigurationError(f"unknown instance name {spec.name!r}")
+    # a key's kind is its annotation; Optional[int] counts as int
+    kinds = {key: (get_args(p.annotation) or (p.annotation,))[0]
+             for key, p in inspect.signature(generator, eval_str=True).parameters.items()
+             if key != "n" and key not in fixed}
+    params = dict(spec.params)
+    if spec.seed is not None:
+        params["seed"] = spec.seed
+    kwargs = dict(fixed)
+    for key, text in params.items():
+        if key not in kinds:
+            raise ConfigurationError(
+                f"unknown instance key {key!r} for {spec.name}; it takes "
+                f"{', '.join(sorted(kinds))}")
+        kwargs[key] = parse_value(f"instance key {key!r}", text, kinds[key])
+    return generator(n=spec.n, **kwargs)
+
+
+def parse_kv_lines(lines) -> dict:
+    """Flat "key = value" lines; '#' starts a comment; blank lines ignored."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ParseError(f"empty key or value in {raw.strip()!r}", lineno)
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", lineno)
+        out[key] = value
+    return out
 
 
 def save_instance(path, name: str, params: dict, a: Optional[np.ndarray],
@@ -389,21 +435,11 @@ def load_instance(path):
     """Inverse of save_instance: returns (name, params, A or None, b)."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    # header
-    params: dict = {}
-    name = None
     i = 0
     while i < len(lines) and lines[i].strip():
-        line = lines[i]
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", i + 1)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "name":
-            name = value
-        else:
-            params[key] = value
         i += 1
+    params = parse_kv_lines(lines[:i])
+    name = params.pop("name", None)
     if name is None:
         raise ParseError("missing 'name = ...' header line", 1)
     i += 1  # skip blank
@@ -412,16 +448,9 @@ def load_instance(path):
     if lines[i].split() == ["0", "0"]:
         a = None
         i += 1
-    else:
-        header = lines[i].split()
-        if len(header) != 2:
-            raise ParseError(f"expected matrix 'm n' header, got {lines[i]!r}", i + 1)
-        try:
-            m = int(header[0])
-        except ValueError:
-            raise ParseError(f"non-integer matrix dimensions {lines[i]!r}", i + 1)
-        a = parse_matrix_lines(lines[i:i + m + 1], first_lineno=i + 1)
-        i += m + 1
+    else:  # the header's row count says where the block ends
+        a = parse_matrix_lines(lines[i:], first_lineno=i + 1)
+        i += a.shape[0] + 1
     if i >= len(lines) or lines[i].strip():
         raise ParseError("expected a blank line before the vector block", i + 1)
     i += 1
@@ -432,18 +461,16 @@ def load_instance(path):
 
 
 def generate_instance_arrays(spec: InstanceSpec):
-    """(A, b) arrays for `save_instance`, per instance name."""
-    name, n = spec.name, spec.n
-    if name in _MATRIX_GENERATORS:
-        return inverse_problem(name, n)
-    if name == "rank_deficient_ls":
-        prob = gen_rank_deficient_ls(
-            n, rank=int(spec.params.get("rank", n // 2)), seed=int(spec.seed or 0),
-            lam=float(spec.params.get("lam", 0.1)),
-        )
-        ls = prob.lower.smooth
+    """(A, b) arrays for `save_instance`: a Fredholm system by name, or the
+    data of the built instance (A and b of rank_deficient_ls; no matrix and
+    the center c for l1_weak_sharp)."""
+    if spec.name in _MATRIX_GENERATORS:
+        if spec.params or spec.seed is not None:
+            raise ConfigurationError(f"{spec.name} takes no parameter but n")
+        return inverse_problem(spec.name, spec.n)
+    if spec.name == "rank_deficient_ls":
+        ls = build_instance(spec).lower.smooth
         return ls.a, ls.b
-    if name == "l1_weak_sharp":
-        rng = np.random.default_rng(spec.seed or 0)
-        return None, rng.standard_normal(n)
-    raise ConfigurationError(f"no array form for instance {name!r}")
+    if spec.name == "l1_weak_sharp":
+        return None, build_instance(spec).upper.smooth.center
+    raise ConfigurationError(f"no array form for instance {spec.name!r}")

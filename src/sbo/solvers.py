@@ -44,8 +44,6 @@ class DiminishingSchedule:
     """eta_k = eta0_u / (eta0_l + k) with eta0_u = 1/(gamma*mu_f) and
     eta0_l = 2*L_f/mu_f. The two parameters are derived, not free."""
 
-    variant: str = "diminishing"
-
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
         u, l = 1.0 / (gamma * mu_f), 2.0 * l_f / mu_f
         if l <= 1.0:
@@ -65,7 +63,6 @@ class ConstantIstaSchedule:
 
     p: float
     big_k: Optional[int] = None
-    variant: str = "constant_ista"
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
         if self.p <= 0:
@@ -96,7 +93,6 @@ class ConstantVfistaSchedule:
     p: float
     eta_bar: float = 1.0
     big_k: Optional[int] = None
-    variant: str = "constant_vfista"
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
         if self.p <= 2:
@@ -131,7 +127,6 @@ class FixedEtaSchedule:
     """A user-supplied constant eta (e.g. the weak-sharp threshold)."""
 
     eta: float
-    variant: str = "fixed"
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
         if self.eta <= 0:
@@ -196,8 +191,6 @@ class NcConfig:
     eta_bar: float = 1.0
     box_lower: float = -10.0
     box_upper: float = 10.0
-    x0: Optional[np.ndarray] = None
-    gamma_hat: Union[str, float] = "auto"  # auto -> 1/sqrt(K)
     allow_large_step: bool = False
     max_total_inner: int = 2_000_000
 
@@ -478,10 +471,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
 
     l_f, l_h = upper.lipschitz, lower.lipschitz
     big_k = cfg.big_k
-    if cfg.gamma_hat == "auto":
-        gamma_hat = 1.0 / math.sqrt(big_k)
-    else:
-        gamma_hat = float(cfg.gamma_hat)
+    gamma_hat = 1.0 / math.sqrt(big_k)
     if gamma_hat > 1.0 / (2.0 * l_f) and not cfg.allow_large_step:
         raise ConfigurationError(
             "outer stepsize bound violated: requires gamma_hat = 1/sqrt(K) <= 1/(2*L_f), "
@@ -508,7 +498,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         raise ConfigurationError("box bounds require box_lower < box_upper")
 
     t0 = time.perf_counter_ns()
-    xhat = _resolve_x0(problem, cfg.x0)
+    xhat = np.array(problem.initial_point, copy=True)
     start = np.clip(xhat, box_lower, box_upper)
     trace: list[TraceRecord] = [
         _eval_record(problem, xhat, 0, None, None, t0, gamma_hat=gamma_hat,

@@ -51,14 +51,14 @@ def rd_instance():
 def rd_instance_l1():
     """Small lam > 0 member with a manufactured f*."""
     return gen_rank_deficient_ls(12, 4, seed=11, mu_f=1.0, lam=0.1,
-                                 f_star_budget=300_000, f_star_eta=1e-9)
+                                 f_star_budget=300_000)
 
 
 @pytest.fixture(scope="session")
 def acceptance_instance():
     """The criterion instance: n = 50, rank = 25, lam = 0.1, mu_f = 1."""
     return gen_rank_deficient_ls(50, 25, seed=7, mu_f=1.0, lam=0.1,
-                                 f_star_budget=1_500_000, f_star_eta=1e-9)
+                                 f_star_budget=1_500_000)
 
 
 @pytest.fixture(scope="session")

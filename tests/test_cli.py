@@ -1,13 +1,19 @@
 import re
+import string
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sbo.cli import (CSV_HEADER, main, parse_kv_file, read_trace_csv,
                      render_svg, trace_to_csv)
 from sbo.errors import ParseError
-from sbo.problems import gen_phillips, load_instance
+from sbo.problems import InstanceSpec, build_instance, gen_phillips, load_instance
 from sbo.solvers import TraceRecord
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(path, **overrides):
@@ -44,6 +50,28 @@ def test_parse_kv_file_errors(tmp_path):
     p.write_text("a.b = 1\na.b = 2\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_kv_file(p)
+
+
+_KEY_CHARS = string.ascii_letters + string.digits + "._-"
+_VALUE_CHARS = _KEY_CHARS + " =,:;+*/()[]'\"!$%&<>?"
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          deadline=None)
+@given(entries=st.dictionaries(
+           st.text(_KEY_CHARS, min_size=1),
+           st.text(_VALUE_CHARS, min_size=1).map(str.strip).filter(bool),
+           max_size=8),
+       comments=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_parse_kv_file_roundtrip(tmp_path, entries, comments):
+    lines = []
+    for (key, value), comment in zip(entries.items(), comments):
+        lines.append(f"{key} = {value}" + ("  # note" if comment else ""))
+        if comment:
+            lines.append("# a comment line\n")
+    p = tmp_path / "rt.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    assert parse_kv_file(p) == entries
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +183,56 @@ def test_cmd_run_non_finite_number_exits_2_naming_key(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+RD_IR_ISTA = {"instance.name": "rank_deficient_ls", "instance.n": "10",
+              "instance.rank": "4", "solver.name": "ir_ista", "solver.K": "50"}
+
+
+@pytest.mark.parametrize("overrides,named", [
+    ({"instance.lamda": "5"}, "instance key 'lamda'"),
+    ({"instance.noise_std": "0.5"}, "instance key 'noise_std'"),
+    ({"instance.lam": "nan"}, "instance key 'lam'"),
+    ({"instance.mu_f": "inf"}, "instance key 'mu_f'"),
+    ({"instance.rank": "two"}, "instance key 'rank'"),
+    ({"instance.seed": "1.5"}, "'instance.seed'"),
+    ({"instance.n": "ten"}, "'instance.n'"),
+    ({"solver.gama": "0.001"}, "'solver.gama'"),
+    ({"solver.a": "x"}, "'solver.a'"),
+    ({"solver.K": "1e3"}, "'solver.K'"),
+    ({"solver.trace_every": "x"}, "'solver.trace_every'"),
+    ({"solver.name": "ipr_vfista", "solver.a": "two"}, "'solver.a'"),
+    ({"solver.name": "ipr_vfista", "solver.gamma": "0.1"}, "'solver.gamma'"),
+    ({"output.timings": "2"}, "'output.timings'"),
+    ({"output.plot": "infeas"}, "'output.plot'"),
+    ({"extra": "1"}, "'extra'"),
+])
+def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
+                                                     overrides, named):
+    cfg = tmp_path / "s.cfg"
+    entries = {**RD_IR_ISTA, "output.dir": str(tmp_path / "out"), **overrides}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    assert main(["run", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_pass_the_strict_parser(tmp_path, path):
+    # solver.K and the nonconvex reference budgets are lowered to keep the
+    # runs short; every key stays as shipped
+    cfg = parse_kv_file(path)
+    cfg["solver.K"] = "20"
+    cfg.update({k: "1000" for k in cfg if k.endswith("_budget")})
+    cfg["output.dir"] = str(tmp_path / "out")
+    small = tmp_path / path.name
+    small.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    assert main(["run", str(small)]) == 0
+
+
+def test_shipped_rate_suite_passes_the_strict_parser(capsys):
+    assert main(["rates", str(CONFIGS / "rates_quick.txt")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # rates command
 # ---------------------------------------------------------------------------
@@ -187,6 +265,33 @@ def test_cmd_rates_rows_run_in_file_order(tmp_path, capsys):
     assert main(["rates", str(suite)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["PASS first", "FAIL second"]
+
+
+def test_cmd_rates_row_that_cannot_run_fails_and_later_rows_run(tmp_path,
+                                                                 capsys):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "label=gone config=nosuch.cfg metric=infeas slope=-1 tol=0.1\n"
+        "label=typo config=selftest:powerlaw:exq=-1 metric=value slope=-1 tol=0.01\n"
+        "label=after config=selftest:powerlaw:exp=-1,coeff=7 "
+        "metric=value slope=-1 tol=0.01\n")
+    assert main(["rates", str(suite)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL gone:") and "nosuch.cfg" in lines[0]
+    assert lines[1].startswith("FAIL typo:") and "'exq'" in lines[1]
+    assert lines[2].startswith("PASS after:")
+
+
+@pytest.mark.parametrize("token", ["slope=abc", "tol=nan", "min_samples=x",
+                                   "kmin=1.5", "ks=10,x", "slpoe=-1",
+                                   "metric=infeas", "mode=final"])
+def test_cmd_rates_bad_row_exits_2_with_line(tmp_path, capsys, token):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "# one row\n"
+        f"label=x config=selftest:powerlaw metric=value slope=-1 tol=0.01 {token}\n")
+    assert main(["rates", str(suite)]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_cmd_rates_runs_configs(tmp_path, capsys):
@@ -284,7 +389,20 @@ def test_cmd_gen_roundtrip(tmp_path):
     assert np.array_equal(a, a8)
     assert np.array_equal(b, b8)
 
+    out = tmp_path / "ws.txt"
+    assert main(["gen", "l1_weak_sharp:n=6,seed=2", "--out", str(out)]) == 0
+    name, params, a, b = load_instance(out)
+    ws = build_instance(InstanceSpec("l1_weak_sharp", 6, seed=2))
+    assert a is None and params == {"n": "6", "seed": "2"}
+    assert np.array_equal(b, ws.upper.smooth.center)
+
 
 def test_cmd_gen_rejects_bad_spec(tmp_path, capsys):
     assert main(["gen", "phillips", "--out", str(tmp_path / "x.txt")]) == 2
     assert main(["gen", "nosuch:n=4", "--out", str(tmp_path / "x.txt")]) == 2
+    capsys.readouterr()
+    assert main(["gen", "rank_deficient_ls:n=10,rnk=3",
+                 "--out", str(tmp_path / "x.txt")]) == 2
+    assert "'rnk'" in capsys.readouterr().err
+    assert main(["gen", "phillips:n=8,seed=1", "--out", str(tmp_path / "x.txt")]) == 2
+    assert not (tmp_path / "x.txt").exists()

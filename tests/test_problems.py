@@ -1,8 +1,12 @@
 import math
 import pathlib
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sbo.errors import ConfigurationError, ParseError
 from sbo.linalg import min_norm_ls
@@ -272,3 +276,44 @@ def test_build_instance_registry():
     assert p2.reference.x_star is not None
     with pytest.raises(ConfigurationError, match="unknown instance"):
         build_instance(InstanceSpec("nope", 4))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_TEXT = string.ascii_letters + string.digits + "._-+:,"
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          deadline=None)
+@given(a=st.none() | arrays(np.float64, st.tuples(st.integers(1, 5),
+                                                  st.integers(1, 5)),
+                            elements=_finite),
+       b=arrays(np.float64, st.integers(1, 6), elements=_finite),
+       params=st.dictionaries(st.text(_TEXT, min_size=1).filter(lambda k: k != "name"),
+                              st.text(_TEXT + " =", min_size=1).map(str.strip).filter(bool),
+                              max_size=5),
+       name=st.text(_TEXT, min_size=1))
+def test_instance_roundtrip_property(tmp_path, a, b, params, name):
+    path = tmp_path / "inst.txt"
+    save_instance(path, name, params, a, b)
+    name2, params2, a2, b2 = load_instance(path)
+    assert name2 == name and params2 == params
+    # bit-exact, signed zeros and subnormals included
+    if a is None:
+        assert a2 is None
+    else:
+        assert a2.shape == a.shape and a2.tobytes() == a.tobytes()
+    assert b2.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,seed,params,named", [
+    ("rank_deficient_ls", 1, {"lamda": "5"}, "instance key 'lamda'"),
+    ("rank_deficient_ls", 1, {"noise_std": "0.5"}, "instance key 'noise_std'"),
+    ("rank_deficient_ls", 1, {"f_star_eta": "1e-9"}, "instance key 'f_star_eta'"),
+    ("rank_deficient_ls", 1, {"lam": "nan"}, "instance key 'lam'"),
+    ("rank_deficient_ls", 1, {"mu_f": "-inf"}, "instance key 'mu_f'"),
+    ("rank_deficient_ls", 1, {"rank": "2.5"}, "instance key 'rank'"),
+    ("sec61_phillips", 1, {}, "instance key 'seed'"),
+])
+def test_build_instance_refuses_unknown_or_bad_key(name, seed, params, named):
+    with pytest.raises(ConfigurationError, match=named):
+        build_instance(InstanceSpec(name, 8, seed=seed, params=params))
