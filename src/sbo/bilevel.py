@@ -49,8 +49,8 @@ class SubgradientAtOpt:
 class ReferenceTruth:
     """Ground truth attached to constructed instances; solvers never read it,
     only metric evaluation does. Tolerances record how the values were made:
-    analytic values default to 1e-10, manufactured (baseline-solve) values
-    carry the tolerance implied by their documented oracle.
+    analytic values default to 1e-10, values taken at a tiny weight recorded
+    in `notes` carry the bias that weight implies.
     """
 
     h_star: Optional[float] = None

@@ -125,6 +125,34 @@ def approximate_projector(problem, eta: float,
     return project
 
 
+def ls_ball_projector(svd, b: np.ndarray, radius: float,
+                      eta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Closed form of `approximate_projector` for the lower level
+    0.5*||A u - b||^2 on the ball ||u|| <= radius, from svd = np.linalg.svd(A)
+    (one factorization serves every weight): x -> the exact minimizer of
+    0.5*||A u - b||^2 + (eta/2)*||u - x||^2 over the ball. That is
+    V r / (s^2 + eta + mu) with r = s U^T b + eta V^T x, where the ball
+    multiplier mu is 0 if this point lies in the ball and otherwise the root
+    of the decreasing ||r / (s^2 + eta + mu)|| = radius (More & Sorensen,
+    "Computing a trust region step", 1983), bisected to machine precision."""
+    u_mat, s, vt = svd
+    pad = (0, vt.shape[0] - s.size)  # zero singular values of a wide A
+    d = eta + np.pad(s * s, pad)
+    sb = np.pad(s * (u_mat.T @ b)[:s.size], pad)
+
+    def project(x: np.ndarray) -> np.ndarray:
+        r = sb + eta * (vt @ x)
+        lo = mu = 0.0
+        if np.linalg.norm(r / d) > radius:  # the ball is active
+            mu = np.linalg.norm(r) / radius  # ||r / (d + mu)|| <= radius from here on
+            while lo < 0.5 * (lo + mu) < mu:
+                mid = 0.5 * (lo + mu)
+                lo, mu = (mid, mu) if np.linalg.norm(r / (d + mid)) > radius else (lo, mid)
+        return vt.T @ (r / (d + mu))
+
+    return project
+
+
 def empirical_growth_alpha(problem, points: Sequence[np.ndarray]) -> float:
     """Smallest observed ratio (lower gap) / dist^2 over the given points;
     an empirical quadratic-growth constant, reported rather than asserted."""

@@ -25,7 +25,7 @@ from .bilevel import (BilevelProblem, CompositeObjective, ReferenceTruth,
 from .errors import ConfigurationError, ParseError
 from .functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from .linalg import format_matrix, format_vector, min_norm_ls, parse_matrix_lines
-from .metrics import approximate_projector
+from .metrics import ls_ball_projector
 from .prox import BallProx, L1Prox, ZeroProx
 
 
@@ -39,12 +39,14 @@ class InstanceSpec:
 
 def parse_value(what: str, text, kind: type = float):
     """`text` as an int, a finite float or a 0/1 flag (kind int, float or
-    bool), or a ConfigurationError that names it as `what`."""
+    bool), or a ConfigurationError that names it as `what`. A float given
+    for an int or a flag must be integral."""
     try:
         value = (int if kind is bool else kind)(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = None
     if (value is None or kind is float and not math.isfinite(value)
+            or kind is not float and isinstance(text, float) and value != text
             or kind is bool and value not in (0, 1)):
         must = {int: "an integer", float: "a finite number", bool: "0 or 1"}[kind]
         raise ConfigurationError(f"{what} must be {must}; got {text!r}")
@@ -196,7 +198,7 @@ def inverse_problem(which: str, n: int):
 # ---------------------------------------------------------------------------
 
 
-# Tiny constant weights of the long accelerated solves that manufacture
+# Tiny constant weights of the surrogate problems whose minimizers give
 # reference values; ReferenceTruth.notes records each one.
 F_STAR_WEIGHT = 1e-9     # f_star of rank_deficient_ls with lam > 0
 H_STAR_WEIGHT = 1e-6     # h_star of the nonconvex instances
@@ -318,40 +320,31 @@ def gen_sec61_inverse(which: str, n: int, mu_f: float = 1.0,
 
 
 def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
-                       epsilon: float = 1e-1, with_reference: bool = True,
-                       ref_budget: int = 1_000_000,
-                       projector_budget: int = 100_000) -> BilevelProblem:
+                       epsilon: float = 1e-1) -> BilevelProblem:
     """Smooth nonconvex selection: upper objective the Moreau envelope of the
     log-sum penalty, lower level 0.5*||Ax - b||^2 restricted to the unit
-    ball. Feasible start x0 = ones/sqrt(n). The lower optimal value is
-    manufactured by a long tiny-weight accelerated solve anchored at x0, and
-    the projector onto the solution set is the documented approximate one.
+    ball. Feasible start x0 = ones/sqrt(n). The lower optimal value and the
+    documented approximate projector onto the solution set both come from
+    the closed-form tiny-weight minimizer `metrics.ls_ball_projector`: h_star
+    at weight H_STAR_WEIGHT anchored at x0, the projector at PROJECTOR_WEIGHT.
     """
     a, b = inverse_problem(which, n)
     lower = CompositeObjective(LeastSquares(a, b), BallProx(1.0))
     upper = CompositeObjective(MoreauLogSum(delta, epsilon, n), ZeroProx())
     x0 = np.ones(n) / math.sqrt(n)
-    problem = BilevelProblem(upper, lower, reference=None, initial_point=x0,
-                             name=f"nonconvex_sec6_{which}")
-    if with_reference:
-        solve_ref = approximate_projector(problem, eta=H_STAR_WEIGHT, budget=ref_budget)
-        x_ref = solve_ref(x0)
-        h_star = lower.value(x_ref)
-        # the manufactured optimum overshoots h* by at most
-        # eta * 0.5*dist(x0, X*)^2 plus the solver tail
-        bias = H_STAR_WEIGHT * 0.5 * float((x_ref - x0) @ (x_ref - x0))
-        problem.reference = ReferenceTruth(
-            h_star=h_star, h_star_tol=bias + 1e-10,
-            projector=approximate_projector(problem, eta=PROJECTOR_WEIGHT,
-                                            budget=projector_budget),
-            projector_kind="approximate",
-            notes={
-                "h_star_eta": H_STAR_WEIGHT, "h_star_budget": ref_budget,
-                "projector_eta": PROJECTOR_WEIGHT,
-                "projector_budget": projector_budget,
-            },
-        )
-    return problem
+    svd = np.linalg.svd(a)
+    x_ref = ls_ball_projector(svd, b, 1.0, H_STAR_WEIGHT)(x0)
+    # the tiny-weight optimum overshoots h* by at most eta * 0.5*dist(x0, X*)^2
+    bias = H_STAR_WEIGHT * 0.5 * float((x_ref - x0) @ (x_ref - x0))
+    ref = ReferenceTruth(
+        h_star=lower.value(x_ref), h_star_tol=bias + 1e-10,
+        projector=ls_ball_projector(svd, b, 1.0, PROJECTOR_WEIGHT),
+        projector_kind="approximate",
+        notes={"h_star_method": "closed_form", "h_star_eta": H_STAR_WEIGHT,
+               "projector_method": "closed_form", "projector_eta": PROJECTOR_WEIGHT},
+    )
+    return BilevelProblem(upper, lower, reference=ref, initial_point=x0,
+                          name=f"nonconvex_sec6_{which}")
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +450,9 @@ def load_instance(path):
     vec = parse_matrix_lines(lines[i:], first_lineno=i + 1)
     if vec.shape[0] != 1:
         raise ParseError("vector block must have header '1 n'", i + 1)
+    for lineno, line in enumerate(lines[i + 2:], start=i + 3):
+        if line.strip():
+            raise ParseError(f"unexpected line after the vector block: {line!r}", lineno)
     return name, params, a, vec[0]
 
 

@@ -1,7 +1,7 @@
 """The three regularized prox-gradient solvers plus a plain accelerated
-baseline for single composite objectives. Reference values are
-manufactured with `solve_r_vfista` (`problems.gen_rank_deficient_ls`,
-`metrics.approximate_projector`), not with the baseline.
+baseline for single composite objectives. The manufactured `f_star` of
+`problems.gen_rank_deficient_ls` comes from `solve_r_vfista`, not from the
+baseline.
 
 * `solve_ir_ista`   -- single-loop prox-gradient on the surrogate with a
   per-iteration regularization weight and geometric iterate averaging;

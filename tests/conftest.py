@@ -64,5 +64,4 @@ def acceptance_instance():
 @pytest.fixture(scope="session")
 def nonconvex_instance():
     """The smooth nonconvex configuration on the phillips system, n = 32."""
-    return gen_nonconvex_sec6(32, "phillips", delta=1e-2, epsilon=1e-1,
-                              ref_budget=1_000_000, projector_budget=100_000)
+    return gen_nonconvex_sec6(32, "phillips", delta=1e-2, epsilon=1e-1)

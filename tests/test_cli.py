@@ -185,6 +185,8 @@ def test_cmd_run_non_finite_number_exits_2_naming_key(tmp_path, capsys,
 
 RD_IR_ISTA = {"instance.name": "rank_deficient_ls", "instance.n": "10",
               "instance.rank": "4", "solver.name": "ir_ista", "solver.K": "50"}
+NONCONVEX = {"instance.name": "nonconvex_phillips", "instance.n": "8",
+             "instance.rank": None}
 
 
 @pytest.mark.parametrize("overrides,named", [
@@ -204,11 +206,16 @@ RD_IR_ISTA = {"instance.name": "rank_deficient_ls", "instance.n": "10",
     ({"output.timings": "2"}, "'output.timings'"),
     ({"output.plot": "infeas"}, "'output.plot'"),
     ({"extra": "1"}, "'extra'"),
+    ({**NONCONVEX, "instance.ref_budget": "1000"}, "instance key 'ref_budget'"),
+    ({**NONCONVEX, "instance.projector_budget": "1000"},
+     "instance key 'projector_budget'"),
 ])
 def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
                                                      overrides, named):
+    # an override of None drops the key
     cfg = tmp_path / "s.cfg"
     entries = {**RD_IR_ISTA, "output.dir": str(tmp_path / "out"), **overrides}
+    entries = {k: v for k, v in entries.items() if v is not None}
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
     assert main(["run", str(cfg)]) == 2
     assert named in capsys.readouterr().err
@@ -218,11 +225,10 @@ def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
                          ids=lambda p: p.name)
 def test_shipped_configs_pass_the_strict_parser(tmp_path, path):
-    # solver.K and the nonconvex reference budgets are lowered to keep the
-    # runs short; every key stays as shipped
+    # solver.K is lowered to keep the runs short; every other key stays as
+    # shipped
     cfg = parse_kv_file(path)
     cfg["solver.K"] = "20"
-    cfg.update({k: "1000" for k in cfg if k.endswith("_budget")})
     cfg["output.dir"] = str(tmp_path / "out")
     small = tmp_path / path.name
     small.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))

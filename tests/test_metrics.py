@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import quad_problem
+from sbo.bilevel import BilevelProblem, CompositeObjective
 from sbo.errors import ConfigurationError
+from sbo.functions import LeastSquares, ScaledSqNorm
 from sbo.metrics import (MetricSample, approximate_projector,
                          dist_to_lower_set, empirical_growth_alpha, fit_rate,
-                         infeasibility, residual_norm, suboptimality)
-from sbo.problems import gen_l1_weak_sharp
+                         infeasibility, ls_ball_projector, residual_norm,
+                         suboptimality)
+from sbo.problems import PROJECTOR_WEIGHT, gen_l1_weak_sharp, inverse_problem
+from sbo.prox import BallProx, ZeroProx
 from sbo.solvers import DiminishingSchedule, SolverConfig, solve_ir_ista
 
 
@@ -130,6 +136,76 @@ def test_approximate_projector_matches_exact(rd_instance):
     for _ in range(3):
         x = rng.standard_normal(rd_instance.dimension)
         assert np.linalg.norm(proj_approx(x) - proj_exact(x)) <= 1e-2
+
+
+def _ls_ball_query(which, n, eta, scale, active, seed):
+    """A Fredholm system, a query x and a ball radius that cuts the
+    unconstrained minimizer off (active) or holds it with room (inactive)."""
+    a, b = inverse_problem(which, n)
+    x = scale * np.random.default_rng(seed).standard_normal(n)
+    free = np.linalg.solve(a.T @ a + eta * np.eye(n), a.T @ b + eta * x)
+    radius = (0.5 if active else 2.0) * float(np.linalg.norm(free))
+    return a, b, x, radius
+
+
+def _iterative_ls_ball(a, b, radius, eta, x):
+    n = x.size
+    problem = BilevelProblem(CompositeObjective(ScaledSqNorm(1.0, dimension=n), ZeroProx()),
+                             CompositeObjective(LeastSquares(a, b), BallProx(radius)))
+    return approximate_projector(problem, eta=eta, budget=50_000)(x)
+
+
+def _assert_kkt(a, b, radius, eta, x, u, active):
+    """u is feasible and, with a multiplier mu >= 0 that vanishes inside the
+    ball, solves (A^T A + eta I + mu I) u = A^T b + eta x to 1e-10."""
+    m = a.T @ a + eta * np.eye(x.size)
+    rhs = a.T @ b + eta * x
+    if active:
+        assert np.linalg.norm(u) == pytest.approx(radius, rel=1e-14)
+        mu = float((rhs - m @ u) @ u) / float(u @ u)
+        assert mu > 0.0
+    else:
+        assert np.linalg.norm(u) < radius
+        mu = 0.0
+    assert np.linalg.norm(m @ u + mu * u - rhs) <= 1e-10
+
+
+_FREDHOLM = dict(which=st.sampled_from(["phillips", "baart", "foxgood"]),
+                 n=st.sampled_from([8, 16]), scale=st.floats(0.1, 10.0),
+                 active=st.booleans(), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_eta=st.floats(-8.0, 0.0), **_FREDHOLM)
+def test_ls_ball_projector_solves_kkt(log_eta, which, n, scale, active, seed):
+    eta = 10.0 ** log_eta
+    a, b, x, radius = _ls_ball_query(which, n, eta, scale, active, seed)
+    u = ls_ball_projector(np.linalg.svd(a), b, radius, eta)(x)
+    _assert_kkt(a, b, radius, eta, x, u, active)
+
+
+# The iterative projector contracts by 1 - sqrt(eta/L) per iteration, so 50k
+# of them reach 1e-12 from any query once eta >= 1e-2; at the instances'
+# weight they do so only where the ball is well active, which the unit ball
+# of the nonconvex instances is (checked below).
+@settings(max_examples=6, deadline=None)
+@given(log_eta=st.floats(-2.0, 0.0), **_FREDHOLM)
+def test_ls_ball_projector_matches_iterative(log_eta, which, n, scale, active, seed):
+    eta = 10.0 ** log_eta
+    a, b, x, radius = _ls_ball_query(which, n, eta, scale, active, seed)
+    u = ls_ball_projector(np.linalg.svd(a), b, radius, eta)(x)
+    _assert_kkt(a, b, radius, eta, x, u, active)
+    assert np.linalg.norm(u - _iterative_ls_ball(a, b, radius, eta, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("which", ["phillips", "baart", "foxgood"])
+def test_ls_ball_projector_matches_iterative_at_instance_weight(which, n):
+    a, b = inverse_problem(which, n)
+    x = np.random.default_rng(n).standard_normal(n)
+    u = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)(x)
+    _assert_kkt(a, b, 1.0, PROJECTOR_WEIGHT, x, u, active=True)
+    assert np.linalg.norm(u - _iterative_ls_ball(a, b, 1.0, PROJECTOR_WEIGHT, x)) <= 1e-12
 
 
 def test_empirical_growth_alpha(rd_instance):

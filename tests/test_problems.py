@@ -203,13 +203,14 @@ def test_nonconvex_initial_point_feasible(nonconvex_instance):
 
 
 def test_nonconvex_reference_stability(nonconvex_instance):
-    # an independent lower-budget solve agrees with the stored optimum
+    # an independent iterative solve of the same tiny-weight problem agrees
+    # with the closed-form optimum
     p = nonconvex_instance
     ref = p.reference
-    assert ref.notes["h_star_budget"] == 1_000_000
-    cheap = approximate_projector(p, eta=ref.notes["h_star_eta"], budget=100_000)
-    h_cheap = p.lower.value(cheap(p.initial_point))
-    assert abs(h_cheap - ref.h_star) <= 1e-6 * abs(ref.h_star)
+    assert ref.notes["h_star_method"] == ref.notes["projector_method"] == "closed_form"
+    iterative = approximate_projector(p, eta=ref.notes["h_star_eta"], budget=100_000)
+    h_iterative = p.lower.value(iterative(p.initial_point))
+    assert abs(h_iterative - ref.h_star) <= 1e-6 * abs(ref.h_star)
 
 
 def test_nonconvex_empirical_growth_reported(nonconvex_instance):
@@ -225,9 +226,9 @@ def test_nonconvex_empirical_growth_reported(nonconvex_instance):
 
 
 def test_nonconvex_rejects_bad_smoothing():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="sqrt"):
         build_instance(InstanceSpec("nonconvex_phillips", 8, params={
-            "delta": "0.04", "epsilon": "0.1", "with_reference": "0"}))
+            "delta": "0.04", "epsilon": "0.1"}))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,16 @@ def test_instance_without_matrix(tmp_path):
     name, params, a, b = load_instance(path)
     assert a is None
     assert np.array_equal(b, c)
+
+
+def test_load_rejects_lines_after_the_vector_block(tmp_path):
+    path = tmp_path / "inst.txt"
+    save_instance(path, "l1_weak_sharp", {"n": 2}, None, np.array([1.0, 2.0]))
+    path.write_text(path.read_text() + "\n\n")  # trailing blank lines are fine
+    assert load_instance(path)[0] == "l1_weak_sharp"
+    path.write_text(path.read_text() + "garbage line\n")
+    with pytest.raises(ParseError, match="line 10"):
+        load_instance(path)
 
 
 def test_load_rejects_inconsistent_file(tmp_path):
@@ -313,7 +324,16 @@ def test_instance_roundtrip_property(tmp_path, a, b, params, name):
     ("rank_deficient_ls", 1, {"mu_f": "-inf"}, "instance key 'mu_f'"),
     ("rank_deficient_ls", 1, {"rank": "2.5"}, "instance key 'rank'"),
     ("sec61_phillips", 1, {}, "instance key 'seed'"),
+    ("rank_deficient_ls", 1, {"rank": 2.5}, "instance key 'rank'"),
+    ("nonconvex_phillips", None, {"with_reference": "0"}, "instance key 'with_reference'"),
 ])
 def test_build_instance_refuses_unknown_or_bad_key(name, seed, params, named):
     with pytest.raises(ConfigurationError, match=named):
         build_instance(InstanceSpec(name, 8, seed=seed, params=params))
+
+
+def test_build_instance_takes_integral_numbers_for_integer_keys():
+    for rank in (2, "2", 2.0):
+        p = build_instance(InstanceSpec("rank_deficient_ls", 8, seed=1,
+                                        params={"rank": rank, "lam": 0}))
+        assert np.linalg.matrix_rank(p.lower.smooth.a) == 2
