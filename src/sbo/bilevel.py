@@ -11,8 +11,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .functions import SmoothFunction
-from .prox import CombinedProx
+from .functions import ScaledSqNorm, SmoothFunction
+from .prox import CombinedProx, ZeroProx
 
 
 class CompositeObjective:
@@ -116,9 +116,24 @@ class BilevelProblem:
         prox of gamma*(omega_h + eta*omega_f) at x - gamma*(grad h + eta*grad f)."""
         if gamma <= 0:
             raise ContractViolation("gamma must be positive")
-        return self.combined_prox.prox(
-            gamma, eta, x - gamma * self.regularized_gradient(eta, x)
-        )
+        if eta < 0:
+            raise ContractViolation("eta must be >= 0")
+        self._check_dim(x)
+        return self.step_map(gamma)(eta, x)
+
+    def step_map(self, gamma: float) -> Callable[[float, np.ndarray], np.ndarray]:
+        """The step kernel every solver iterates: step(eta, y) is
+        `q_eta_step(eta, gamma, y)`, the one home of its arithmetic. gamma is
+        checked here, once; step trusts y to have length `dimension` and
+        eta >= 0, and returns a new array."""
+        prox = self.combined_prox.bind(gamma)
+        grad_h = self.lower.smooth.gradient_unchecked
+        grad_f = self.upper.smooth.gradient_unchecked
+
+        def step(eta: float, y: np.ndarray) -> np.ndarray:
+            return prox(eta, y - gamma * (grad_h(y) + eta * grad_f(y)))
+
+        return step
 
     def surrogate_lipschitz(self, eta: float) -> float:
         return self.lower.smooth.lipschitz + eta * self.upper.smooth.lipschitz
@@ -128,6 +143,14 @@ class BilevelProblem:
             raise ContractViolation(
                 f"expected a vector of length {self.dimension}, got shape {x.shape}"
             )
+
+
+def projection_problem(lower: CompositeObjective, z: np.ndarray,
+                       initial_point: Optional[np.ndarray] = None) -> BilevelProblem:
+    """The pair (lower, 0.5*||. - z||^2): at a tiny weight its surrogate's
+    minimizer approximates the projection of z onto the lower solution set."""
+    anchor = CompositeObjective(ScaledSqNorm(1.0, center=z), ZeroProx())
+    return BilevelProblem(anchor, lower, initial_point=initial_point)
 
 
 def min_norm_l1_subgradient(grad_smooth: np.ndarray, lam: float,

@@ -37,6 +37,11 @@ class SmoothFunction:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
+        """`gradient` without the length check, for a loop that checked its
+        iterate once. The result may share memory with x: read it only."""
+        return self.gradient(x)
+
     def _check_dim(self, x: np.ndarray) -> None:
         if x.shape != (self.dimension,):
             raise ContractViolation(
@@ -73,6 +78,7 @@ class LeastSquares(SmoothFunction):
         self.dimension = self.a.shape[1]
         self.lipschitz = lipschitz_from_matrix(self.a)
         self.strong_convexity = 0.0
+        self._a_t = self.a.T
 
     def value(self, x: np.ndarray) -> float:
         self._check_dim(x)
@@ -81,11 +87,17 @@ class LeastSquares(SmoothFunction):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self._check_dim(x)
-        return self.a.T @ (self.a @ x - self.b)
+        return self.gradient_unchecked(x)
+
+    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
+        # ndarray.dot makes the same BLAS gemv calls as @, with less dispatch
+        return self._a_t.dot(self.a.dot(x) - self.b)
 
 
 class ScaledSqNorm(SmoothFunction):
-    """(weight/2) * ||x - center||_2^2; L = mu = weight."""
+    """(weight/2) * ||x - center||_2^2; L = mu = weight. The gradient skips
+    the subtraction of an all-zero center and the product with a unit
+    weight, both exact, so set weight and center at construction only."""
 
     def __init__(self, weight: float, center=None, dimension: int | None = None):
         if weight <= 0:
@@ -99,6 +111,7 @@ class ScaledSqNorm(SmoothFunction):
         self.weight = float(weight)
         self.lipschitz = self.weight
         self.strong_convexity = self.weight
+        self._zero_center = not self.center.any()
 
     def value(self, x: np.ndarray) -> float:
         self._check_dim(x)
@@ -107,7 +120,12 @@ class ScaledSqNorm(SmoothFunction):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self._check_dim(x)
-        return self.weight * (x - self.center)
+        g = self.gradient_unchecked(x)
+        return np.array(g, copy=True) if g is x else g
+
+    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
+        d = x if self._zero_center else x - self.center
+        return d if self.weight == 1.0 else self.weight * d
 
 
 class MoreauLogSum(SmoothFunction):
@@ -148,4 +166,7 @@ class MoreauLogSum(SmoothFunction):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self._check_dim(x)
+        return self.gradient_unchecked(x)
+
+    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
         return (x - self._prox_point(x)) / self.delta

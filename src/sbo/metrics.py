@@ -30,22 +30,26 @@ class RateFit:
     n_samples: int
 
 
-def infeasibility(problem, x: np.ndarray) -> Optional[float]:
+def infeasibility(problem, x: np.ndarray,
+                  h_bar: Optional[float] = None) -> Optional[float]:
     """Signed lower-level gap: lower(x) - h_star. Theory keeps it >= 0;
-    the sign is retained so a bad reference shows up as a negative dip."""
+    the sign is retained so a bad reference shows up as a negative dip.
+    h_bar, when given, is lower(x) already evaluated."""
     ref = problem.reference
     if ref is None or ref.h_star is None:
         return None
-    return problem.lower.value(x) - ref.h_star
+    return (problem.lower.value(x) if h_bar is None else h_bar) - ref.h_star
 
 
-def suboptimality(problem, x: np.ndarray) -> Optional[float]:
+def suboptimality(problem, x: np.ndarray,
+                  f_bar: Optional[float] = None) -> Optional[float]:
     """Signed upper-level gap: upper(x) - f_star. May legitimately be
-    negative at points that are infeasible for the lower level."""
+    negative at points that are infeasible for the lower level. f_bar,
+    when given, is upper(x) already evaluated."""
     ref = problem.reference
     if ref is None or ref.f_star is None:
         return None
-    return problem.upper.value(x) - ref.f_star
+    return (problem.upper.value(x) if f_bar is None else f_bar) - ref.f_star
 
 
 def dist_to_lower_set(problem, x: np.ndarray) -> Optional[float]:
@@ -109,15 +113,19 @@ def approximate_projector(problem, eta: float,
     """Inexact projection onto the lower solution set: for a query x, run the
     accelerated solver on the pair (lower objective, 0.5*||u - x||^2) with
     the tiny constant weight eta for budget iterations. Labeled "approximate"
-    wherever it is attached to a reference."""
-    from .bilevel import BilevelProblem, CompositeObjective
-    from .functions import ScaledSqNorm
-    from .prox import ZeroProx
+    wherever it is attached to a reference.
+
+    The run contracts its error to the minimizer of that pair only by about
+    (1 - sqrt(eta/(L_h + eta)))^budget. At eta = 1e-6 and a 50k budget this
+    can stop 1.9e-4 from the minimizer (phillips n=16, a ball twice the norm
+    of the unconstrained minimizer), which is why the tests cross-check it
+    against `ls_ball_projector` at random queries only at eta >= 1e-2, and
+    at eta = 1e-6 only where the ball is well active."""
+    from .bilevel import projection_problem
     from .solvers import FixedEtaSchedule, SolverConfig, solve_r_vfista
 
     def project(x: np.ndarray) -> np.ndarray:
-        anchor = CompositeObjective(ScaledSqNorm(1.0, center=x), ZeroProx())
-        sub = BilevelProblem(anchor, problem.lower, reference=None, initial_point=x)
+        sub = projection_problem(problem.lower, x, initial_point=x)
         cfg = SolverConfig(big_k=budget, schedule=FixedEtaSchedule(eta),
                            trace_every=budget)
         return solve_r_vfista(sub, cfg).x_final

@@ -9,6 +9,7 @@ them total.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -19,17 +20,31 @@ def prox_l1(threshold: float, x: np.ndarray) -> np.ndarray:
     """Soft threshold: sign(x_i) * max(|x_i| - threshold, 0)."""
     if threshold < 0:
         raise ContractViolation("prox_l1: threshold must be >= 0")
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+    return _soft_threshold(threshold, x)
+
+
+def _soft_threshold(t: float, v: np.ndarray) -> np.ndarray:
+    """v - clip(v, -t, t). For finite, infinite and NaN entries this is bit
+    for bit sign(v)*max(|v| - t, 0): outside [-t, t] both round the same
+    v -/+ t once, inside both give zero, but this form gives +0.0 where
+    that one gives -0.0."""
+    return v - np.maximum(np.minimum(v, t), -t)
 
 
 def prox_ball(radius: float, x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the ball ||x||_2 <= radius."""
     if radius <= 0:
         raise ContractViolation("prox_ball: radius must be positive")
-    norm = np.linalg.norm(x)
-    if norm <= radius:
-        return np.array(x, copy=True)
-    return (radius / norm) * x
+    p = _project_ball(radius, x)
+    return np.array(x, copy=True) if p is x else p
+
+
+def _project_ball(radius: float, v: np.ndarray) -> np.ndarray:
+    """The projection, returning v itself when it lies in the ball. The
+    norm is sqrt(v.dot(v)), which is what np.linalg.norm computes for a
+    vector."""
+    norm = math.sqrt(v.dot(v))
+    return v if norm <= radius else (radius / norm) * v
 
 
 def prox_box(lower: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -71,6 +86,9 @@ def _check_logsum_params(delta: float, epsilon: float) -> None:
 # ---------------------------------------------------------------------------
 # Prox-friendly terms: objects bundling an (extended-real) value with the
 # scaled prox map prox_{gamma * g}. The `kind` tag drives combinability.
+# `prox` never returns its argument; `prox_owned` takes a vector the caller
+# hands over (a temporary of the step kernel) and may return it, unchecked,
+# where that saves a copy or a check in the kernel's loop.
 # ---------------------------------------------------------------------------
 
 
@@ -84,6 +102,9 @@ class ZeroProx:
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         return np.array(x, copy=True)
+
+    def prox_owned(self, gamma: float, v: np.ndarray) -> np.ndarray:
+        return v
 
 
 class L1Prox:
@@ -101,6 +122,9 @@ class L1Prox:
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         return prox_l1(gamma * self.weight, x)
+
+    def prox_owned(self, gamma: float, v: np.ndarray) -> np.ndarray:
+        return _soft_threshold(gamma * self.weight, v)
 
 
 class BallProx:
@@ -123,6 +147,9 @@ class BallProx:
         if gamma == 0.0:
             return np.array(x, copy=True)
         return prox_ball(self.radius, x)
+
+    def prox_owned(self, gamma: float, v: np.ndarray) -> np.ndarray:
+        return v if gamma == 0.0 else _project_ball(self.radius, v)
 
 
 class BoxProx:
@@ -149,6 +176,8 @@ class BoxProx:
             return np.array(x, copy=True)
         return prox_box(self.lower, self.upper, x)
 
+    prox_owned = prox
+
 
 class LogSumProx:
     """sum_i log(1 + |x_i|/epsilon), nonconvex; prox valid for step <= epsilon^2."""
@@ -167,6 +196,8 @@ class LogSumProx:
         if gamma == 0.0:
             return np.array(x, copy=True)
         return prox_logsum(gamma, self.epsilon, x)
+
+    prox_owned = prox
 
 
 # Pairs (lower kind, upper kind) for which prox of gamma*(omega_h + eta*omega_f)
@@ -197,16 +228,21 @@ class CombinedProx:
         return self.omega_h.value(x) + eta * self.omega_f.value(x)
 
     def prox(self, gamma: float, eta: float, x: np.ndarray) -> np.ndarray:
-        if gamma <= 0:
-            raise ContractViolation("combined prox requires gamma > 0")
+        prox = self.bind(gamma)
         if eta < 0:
             raise ContractViolation("combined prox requires eta >= 0")
+        return prox(eta, np.array(x, copy=True))
+
+    def bind(self, gamma: float) -> Callable[[float, np.ndarray], np.ndarray]:
+        """(eta, v) -> prox of gamma*(omega_h + eta*omega_f) at a v the
+        caller hands over (the result may be v itself). gamma is checked
+        here, once; eta >= 0 is the caller's to ensure."""
+        if gamma <= 0:
+            raise ContractViolation("combined prox requires gamma > 0")
+        h, f = self.omega_h, self.omega_f
         if self.tag == "lower-only":
-            return self.omega_h.prox(gamma, x)
+            return lambda eta, v: h.prox_owned(gamma, v)
         if self.tag == "upper-only":
-            if eta == 0.0:
-                return np.array(x, copy=True)
-            return self.omega_f.prox(gamma * eta, x)
+            return lambda eta, v: v if eta == 0.0 else f.prox_owned(gamma * eta, v)
         # l1-l1: weights merge
-        merged = self.omega_h.weight + eta * self.omega_f.weight
-        return prox_l1(gamma * merged, x)
+        return lambda eta, v: _soft_threshold(gamma * (h.weight + eta * f.weight), v)

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .bilevel import BilevelProblem, CompositeObjective
+from .bilevel import BilevelProblem, CompositeObjective, projection_problem
 from .errors import ConfigurationError, DivergenceError
 from . import metrics as _metrics
 
@@ -246,12 +246,10 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
     ref = problem.reference
     f_bar = problem.upper.value(x)
     h_bar = problem.lower.value(x)
-    infeas = subopt = dist_xsq = dist_lower = residual_sq = None
+    infeas = _metrics.infeasibility(problem, x, h_bar)
+    subopt = _metrics.suboptimality(problem, x, f_bar)
+    dist_xsq = dist_lower = residual_sq = None
     if ref is not None:
-        if ref.h_star is not None:
-            infeas = h_bar - ref.h_star
-        if ref.f_star is not None:
-            subopt = f_bar - ref.f_star
         if ref.x_star is not None:
             d = x - ref.x_star
             dist_xsq = float(d @ d)
@@ -268,10 +266,15 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
 
 
 def _check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
-                  trace: Optional[list] = None):
-    if not np.isfinite(x).all():
+                  trace: Optional[list] = None, inner: Optional[int] = None,
+                  what: str = "iterate"):
+    # x.dot(x) is finite only if every entry is; the full test settles the
+    # rare finite x whose squares overflow
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+        if inner is not None:
+            what = f"inner iterate {inner}"
         raise DivergenceError(
-            f"{solver}: non-finite iterate at step {k}", k=k, last_finite=last,
+            f"{solver}: non-finite {what} at step {k}", k=k, last_finite=last,
             trace=trace,
         )
 
@@ -339,6 +342,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
 
     t0 = time.perf_counter_ns()
     x = _resolve_x0(problem, cfg.x0)
+    step, eta_of = problem.step_map(gamma), sched.eta_fn
     theta = 1.0 / (1.0 - eta0 * gamma * mu_f)
     gamma_sum = 0.0  # running sum of theta_j * eta_j
     x_bar = x.copy()
@@ -347,15 +351,15 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
     theta_prev = theta
 
     for k in range(cfg.big_k):
-        eta_k = sched.eta(k)
-        x_next = problem.q_eta_step(eta_k, gamma, x)
+        eta_k = eta_of(k)
+        x_next = step(eta_k, x)
         _check_finite(x_next, k, x, "averaging solver", trace)
         w = eta_k * theta
         gamma_sum_next = gamma_sum + w
         x_bar = (gamma_sum * x_bar + w * x_next) / gamma_sum_next
         theta_prev = theta
         gamma_sum = gamma_sum_next
-        theta = theta / (1.0 - sched.eta(k + 1) * gamma * mu_f)
+        theta = theta / (1.0 - eta_of(k + 1) * gamma * mu_f)
         x = x_next
         if callback is not None:
             callback(k + 1, x=x, x_bar=x_bar, eta=eta_k, theta=theta_prev,
@@ -409,11 +413,12 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
     t0 = time.perf_counter_ns()
     x = _resolve_x0(problem, cfg.x0)
     y = x.copy()
+    step = problem.step_map(gamma)
     trace_at = _trace_ks(cfg)
     trace: list[TraceRecord] = []
 
     for k in range(cfg.big_k):
-        x_next = problem.q_eta_step(eta, gamma, y)
+        x_next = step(eta, y)
         _check_finite(x_next, k, x, "accelerated solver", trace)
         y = x_next + momentum * (x_next - x)
         x = x_next
@@ -451,7 +456,9 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
     eta_k = 16*(L_h + eta_bar) * (ln J_k / J_k)^2.
 
     The report's extras carry the minimum of the squared residual-map norm
-    over the window k in [floor(K/2), K-1] plus its index and iterate.
+    over the window k in [floor(K/2), K-1] plus its index and iterate. A
+    non-finite z_k or inner iterate raises DivergenceError at the outer
+    index k, with the trace up to k.
     """
     upper, lower = problem.upper.smooth, problem.lower.smooth
     if upper.lipschitz <= 0 or not math.isfinite(upper.lipschitz):
@@ -491,7 +498,6 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
     projector = ref.projector if ref is not None else None
     window_start = big_k // 2
     dist_ks = set(geometric_trace_ks(big_k, DIST_POINTS)) | {big_k}
-    omega_h = problem.lower.nonsmooth
     box_lower = np.full(problem.dimension, float(cfg.box_lower))
     box_upper = np.full(problem.dimension, float(cfg.box_upper))
     if np.any(box_lower >= box_upper):
@@ -509,6 +515,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
     for k in range(big_k):
         grad_f = upper.gradient(xhat)
         z = xhat - gamma_hat * grad_f
+        _check_finite(z, k, xhat, "outer solver", trace, what="gradient step z")
         j_budget = (k + 1) ** a
         ln_j = max(math.log(j_budget), math.log(2.0))  # J_0 = 1 would give eta = 0
         eta_k = 16.0 * (l_h + cfg.eta_bar) * (ln_j / j_budget) ** 2
@@ -516,15 +523,15 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         gamma_k = 1.0 / (l_h + eta_k)
         momentum = (math.sqrt(kappa_k) - 1.0) / (math.sqrt(kappa_k) + 1.0)
 
+        step = projection_problem(problem.lower, z, initial_point=start).step_map(gamma_k)
         x_prev = start
         y = start
         x_cur = start
-        for _ in range(j_budget):
-            grad = lower.gradient(y) + eta_k * (y - z)
-            x_cur = omega_h.prox(gamma_k, y - gamma_k * grad)
+        for j in range(j_budget):
+            x_cur = step(eta_k, y)
+            _check_finite(x_cur, k, xhat, "outer solver", trace, inner=j)
             y = x_cur + momentum * (x_cur - x_prev)
             x_prev = x_cur
-        _check_finite(x_cur, k, xhat, "outer solver", trace)
 
         xhat = x_cur
         start = np.clip(x_cur, box_lower, box_upper)

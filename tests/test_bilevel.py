@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import quad_problem
 from sbo.bilevel import (BilevelProblem, CompositeObjective,
-                         min_norm_l1_subgradient)
+                         min_norm_l1_subgradient, projection_problem)
 from sbo.errors import ConfigurationError, ContractViolation
 from sbo.functions import ScaledSqNorm, ZeroFunction
+from sbo.problems import (gen_l1_weak_sharp, gen_nonconvex_sec6,
+                          gen_rank_deficient_ls, gen_sec61_inverse)
 from sbo.prox import BallProx, L1Prox, ZeroProx
 
 
@@ -131,3 +135,67 @@ def test_min_norm_l1_subgradient():
     s = (g - grad) / 0.5
     assert np.all(np.abs(s) <= 1 + 1e-12)
     assert s[0] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the step kernel
+# ---------------------------------------------------------------------------
+
+
+def _ipr_anchor_problem():
+    """The sub-problem of one ipr_vfista inner loop: the ball-constrained
+    phillips lower level with the anchor 0.5*||. - z||^2."""
+    lower = gen_nonconvex_sec6(16, "phillips").lower
+    return projection_problem(lower, np.random.default_rng(3).standard_normal(16))
+
+
+_KERNEL_PROBLEMS = {
+    "rank_deficient_ls lam=0": gen_rank_deficient_ls(12, 5, seed=2, lam=0.0),
+    "rank_deficient_ls lam=0.1": gen_rank_deficient_ls(12, 5, seed=2, lam=0.1),
+    "rank_deficient_ls mu_f=2": gen_rank_deficient_ls(12, 5, seed=2, mu_f=2.0),
+    "l1_weak_sharp": gen_l1_weak_sharp(12, np.linspace(-2.0, 2.0, 12)),
+    "sec61_phillips": gen_sec61_inverse("phillips", 16, mu_f=1.0, lam=1.0),
+    "ipr anchor": _ipr_anchor_problem(),
+    "l1-l1 pair": quad_problem(np.linspace(0.5, 2.0, 6), np.zeros(6),
+                               np.ones(6), np.linspace(-1.0, 1.0, 6),
+                               omega_h=L1Prox(0.3), omega_f=L1Prox(0.2)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_KERNEL_PROBLEMS)),
+       gamma_scale=st.floats(1e-3, 1.0),
+       eta=st.one_of(st.just(0.0), st.floats(1e-12, 10.0)),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_step_kernel_is_the_prox_gradient_step_bit_for_bit(name, gamma_scale, eta,
+                                                           scale, seed):
+    p = _KERNEL_PROBLEMS[name]
+    gamma = gamma_scale / max(p.surrogate_lipschitz(eta), 1e-3)
+    x = scale * np.random.default_rng(seed).standard_normal(p.dimension)
+    grad = p.lower.smooth.gradient(x) + eta * p.upper.smooth.gradient(x)
+    want = p.combined_prox.prox(gamma, eta, x - gamma * grad)
+    got = p.step_map(gamma)(eta, x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(p.q_eta_step(eta, gamma, x), want)
+    assert got is not x
+
+
+def test_step_kernel_matches_the_hand_written_ipr_inner_step():
+    p = _ipr_anchor_problem()
+    lower, z = p.lower, p.upper.smooth.center
+    rng = np.random.default_rng(4)
+    for eta in (1e-6, 1e-2, 3.0):
+        gamma = 1.0 / (lower.smooth.lipschitz + eta)
+        step = p.step_map(gamma)
+        for scale in (0.01, 1.0, 100.0):
+            y = scale * rng.standard_normal(p.dimension)
+            grad = lower.smooth.gradient(y) + eta * (y - z)
+            want = lower.nonsmooth.prox(gamma, y - gamma * grad)
+            assert np.array_equal(step(eta, y), want)
+
+
+def test_step_map_checks_gamma_once():
+    p = make_1d_problem()
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ContractViolation):
+            p.step_map(gamma)

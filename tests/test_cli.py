@@ -171,6 +171,33 @@ def test_cmd_run_divergence_exits_3_with_partial_trace(tmp_path, capsys,
     assert len(lines) >= 2  # records traced before the divergence are kept
 
 
+def test_cmd_run_ipr_divergence_at_outer_step_2_exits_3(tmp_path, capsys,
+                                                       monkeypatch):
+    import sbo.cli as cli_mod
+    from test_solvers import GradientTurnsNan
+    from conftest import DiagQuadratic
+    from sbo.bilevel import BilevelProblem, CompositeObjective
+    from sbo.prox import ZeroProx
+
+    def fake_instance(spec):
+        lower = CompositeObjective(DiagQuadratic(np.array([1.0, 0.0])), ZeroProx())
+        upper = CompositeObjective(GradientTurnsNan(np.array([1.0, 1.0]), 2),
+                                   ZeroProx())
+        return BilevelProblem(upper, lower, initial_point=np.ones(2))
+
+    monkeypatch.setattr(cli_mod, "build_instance", fake_instance)
+    cfg = write_config(tmp_path / "d.cfg", **{"solver.name": "ipr_vfista",
+                                              "solver.K": "4"})
+    cfg.write_text(cfg.read_text().replace("solver.eta = weak_sharp\n", ""))
+    assert main(["run", str(cfg)]) == 3
+    assert "at step 2" in capsys.readouterr().err
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "diverged_at_step = 2\n" in report
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+
+
 @pytest.mark.parametrize("key,value", [("solver.gamma", "nan"),
                                        ("solver.eta", "inf"),
                                        ("solver.eta", "-inf")])
@@ -233,6 +260,34 @@ def test_shipped_configs_pass_the_strict_parser(tmp_path, path):
     small = tmp_path / path.name
     small.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
     assert main(["run", str(small)]) == 0
+
+
+GOLDEN_TRACES = Path(__file__).resolve().parent / "fixtures" / "traces"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_reproduce_their_golden_traces(tmp_path, path):
+    # tests/fixtures/traces/<config>.csv holds each config's trace at
+    # solver.K = 20; the header must match exactly and every number to
+    # rtol 1e-12, which leaves room for BLAS summing in another order
+    cfg = parse_kv_file(path)
+    cfg["solver.K"] = "20"
+    cfg["output.dir"] = str(tmp_path / "out")
+    small = tmp_path / path.name
+    small.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    assert main(["run", str(small)]) == 0
+    got = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    want = (GOLDEN_TRACES / f"{path.stem}.csv").read_text().splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        for name, g, w in zip(want[0].split(","), got_row.split(","),
+                              want_row.split(",")):
+            if w == "":
+                assert g == "", name
+            else:
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0), \
+                    f"{name} in row {want_row}"
 
 
 def test_shipped_rate_suite_passes_the_strict_parser(capsys):

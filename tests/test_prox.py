@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbo.errors import ConfigurationError, ContractViolation
 from sbo.prox import (BallProx, BoxProx, CombinedProx, L1Prox, LogSumProx,
@@ -233,3 +235,59 @@ def test_combined_value_and_logsum_term():
     assert term.value(np.array([0.0, 0.0])) == 0.0
     comb = CombinedProx(L1Prox(0.5), ZeroProx())
     assert comb.value(3.0, np.array([1.0, -1.0])) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests
+# ---------------------------------------------------------------------------
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def _vectors(elements=_FINITE, n=8):
+    return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(1e-3, 1e2), x=_vectors())
+def test_l1_moreau_decomposition(t, x):
+    # x = prox_{t|.|}(x) + t * prox_{|.|^*/t}(x / t), the conjugate's prox
+    # being the projection onto [-1, 1]
+    assert np.allclose(prox_l1(t, x) + t * np.clip(x / t, -1.0, 1.0), x,
+                       rtol=0.0, atol=1e-12)
+
+
+_CONVEX_TERMS = [L1Prox(0.7), BallProx(1.3), BoxProx(-np.ones(8), np.ones(8))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(which=st.integers(0, len(_CONVEX_TERMS) - 1), gamma=st.floats(1e-3, 10.0),
+       x=_vectors(), y=_vectors())
+def test_convex_proxes_are_firmly_nonexpansive(which, gamma, x, y):
+    px = _CONVEX_TERMS[which].prox(gamma, x)
+    py = _CONVEX_TERMS[which].prox(gamma, y)
+    d = px - py
+    assert d @ d <= d @ (x - y) + 1e-9 * (1.0 + (x - y) @ (x - y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(1e-3, 10.0), x=_vectors(st.floats(-1.0, 1.0)))
+def test_prox_fixed_points(gamma, x):
+    inside = x / (1.0 + math.sqrt(x @ x))
+    assert np.array_equal(BallProx(1.0).prox(gamma, inside), inside)
+    assert np.array_equal(BoxProx(-np.ones(8), np.ones(8)).prox(gamma, x), x)
+    assert np.array_equal(L1Prox(0.7).prox(gamma, np.zeros(8)), np.zeros(8))
+
+
+def _sign_form_l1(t, v):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(0.0, 1e3),
+       v=_vectors(st.one_of(st.floats(), st.floats(-2.0, 2.0),
+                            st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                             math.nan]))))
+def test_prox_l1_agrees_with_the_sign_form(t, v):
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(prox_l1(t, v), _sign_form_l1(t, v), equal_nan=True)

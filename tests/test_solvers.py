@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DiagQuadratic, quad_problem
 from sbo.bilevel import BilevelProblem, CompositeObjective
@@ -10,8 +12,9 @@ from sbo.functions import MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.prox import BallProx, L1Prox, ZeroProx
 from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                          DiminishingSchedule, FixedEtaSchedule, NcConfig,
-                         SolverConfig, schedule_eta, solve_fista_baseline,
-                         solve_ipr_vfista, solve_ir_ista, solve_r_vfista)
+                         SolverConfig, _check_finite, schedule_eta,
+                         solve_fista_baseline, solve_ipr_vfista, solve_ir_ista,
+                         solve_r_vfista)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +391,60 @@ def test_ipr_validates_a_and_eta_bar():
         solve_ipr_vfista(p, NcConfig(big_k=4, a=1))
     with pytest.raises(ConfigurationError, match="eta_bar"):
         solve_ipr_vfista(p, NcConfig(big_k=4, eta_bar=0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([1e200, -1e200, 1e154])),
+                min_size=1, max_size=6))
+def test_fast_finiteness_check_gives_the_full_verdict(entries):
+    x = np.array(entries)
+    finite = bool(np.isfinite(x).all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            _check_finite(x, 0, x, "test")
+            caught = False
+        except DivergenceError:
+            caught = True
+    assert caught == (not finite)
+
+
+class GradientTurnsNan(DiagQuadratic):
+    """Its gradient is NaN from call number `good_calls` + 1 on."""
+
+    def __init__(self, weights, good_calls):
+        super().__init__(weights)
+        self.calls, self.good_calls = 0, good_calls
+
+    def gradient(self, x):
+        self.calls += 1
+        g = super().gradient(x)
+        return g if self.calls <= self.good_calls else np.full_like(g, np.nan)
+
+
+def test_ipr_divergence_in_the_outer_gradient_step_is_caught_at_its_step():
+    # one upper gradient per outer step: the third is NaN, at outer step 2
+    lower = CompositeObjective(DiagQuadratic(np.array([1.0, 0.0])), ZeroProx())
+    upper = CompositeObjective(GradientTurnsNan(np.array([1.0, 1.0]), 2), ZeroProx())
+    p = BilevelProblem(upper, lower, initial_point=np.ones(2))
+    with pytest.raises(DivergenceError, match="gradient step z at step 2") as err:
+        solve_ipr_vfista(p, NcConfig(big_k=4, a=2))
+    assert err.value.k == 2
+    assert [r.k for r in err.value.trace] == [0, 1, 2]
+    assert np.isfinite(err.value.last_finite).all()
+
+
+def test_ipr_divergence_inside_the_inner_loop_names_the_inner_step():
+    # inner budgets 1, 4, 9: the lower gradient's 7th call is inner step 1
+    # of outer step 2
+    lower = CompositeObjective(GradientTurnsNan(np.array([1.0, 0.0]), 6), ZeroProx())
+    upper = CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx())
+    p = BilevelProblem(upper, lower, initial_point=np.ones(2))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match="inner iterate 1 at step 2") as err:
+            solve_ipr_vfista(p, NcConfig(big_k=4, a=2))
+    assert err.value.k == 2
+    assert [r.k for r in err.value.trace] == [0, 1, 2]
+    assert np.isfinite(err.value.last_finite).all()
 
 
 # ---------------------------------------------------------------------------
