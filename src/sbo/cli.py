@@ -16,23 +16,27 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .bilevel import BilevelProblem
-from .errors import (ConfigurationError, ContractViolation, DivergenceError,
-                     ParseError, SboError)
+from .errors import ConfigurationError, DivergenceError, ParseError, SboError
 from .metrics import default_fit_window, fit_rate
 from .problems import (InstanceSpec, build_instance, generate_instance_arrays,
                        parse_kv_lines, parse_value, save_instance)
 from .solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                       DiminishingSchedule, FixedEtaSchedule, NcConfig,
-                      RunReport, SolverConfig, solve_ipr_vfista, solve_ir_ista,
-                      solve_r_vfista)
+                      RunReport, SolverConfig, TraceRecord, solve_ipr_vfista,
+                      solve_ir_ista, solve_r_vfista)
 
-CSV_HEADER = ("k,eta,theta,f_bar,h_bar,infeas,subopt,dist_xstar_sq,"
-              "dist_lower,residual_sq,elapsed_ns")
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+CSV_HEADER = ",".join(TRACE_COLUMNS)
+# The values a report states at the last record (all but k, the schedule
+# state and the wall time), and the error metrics among them with a rate fit.
+_FINAL = TRACE_COLUMNS[TRACE_COLUMNS.index("f_bar"):-1]
+_FITTABLE = TRACE_COLUMNS[TRACE_COLUMNS.index("infeas"):-1]
 
 EXIT_OK = 0
 EXIT_RATE_FAIL = 1
@@ -125,11 +129,10 @@ def run_from_config(cfg: dict) -> RunReport:
         trace_every = keys.get("solver.trace_every", kind=int)
         eta = keys.get("solver.eta", keyword="weak_sharp")
         if eta is None and solver == "r_ista_const":
-            schedule = ConstantIstaSchedule(p=keys.get("solver.p", "1"), big_k=big_k)
+            schedule = ConstantIstaSchedule(p=keys.get("solver.p", "1"))
         elif eta is None and solver == "r_vfista":
             schedule = ConstantVfistaSchedule(
-                p=keys.get("solver.p", "3"),
-                eta_bar=keys.get("solver.eta_bar", "1.0"), big_k=big_k)
+                p=keys.get("solver.p", "3"), eta_bar=keys.get("solver.eta_bar", "1.0"))
         else:  # replaced by the fixed schedule below when eta is set
             schedule = DiminishingSchedule()
     else:
@@ -167,12 +170,9 @@ def _fmt(value) -> str:
 def trace_to_csv(trace, include_timings: bool = False) -> str:
     lines = [CSV_HEADER]
     for r in trace:
-        lines.append(",".join([
-            str(r.k), _fmt(r.eta), _fmt(r.theta), _fmt(r.f_bar), _fmt(r.h_bar),
-            _fmt(r.infeas), _fmt(r.subopt), _fmt(r.dist_xstar_sq),
-            _fmt(r.dist_lower), _fmt(r.residual_sq),
-            str(r.elapsed_ns) if include_timings else "",
-        ]))
+        lines.append(",".join(
+            "" if name == "elapsed_ns" and not include_timings else _fmt(getattr(r, name))
+            for name in TRACE_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -181,18 +181,18 @@ def read_trace_csv(path) -> dict[str, list]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"unexpected trace header in {path}", 1)
-    cols: dict[str, list] = {name: [] for name in CSV_HEADER.split(",")}
-    names = CSV_HEADER.split(",")
+    cols: dict[str, list] = {name: [] for name in TRACE_COLUMNS}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != len(names):
-            raise ParseError(f"expected {len(names)} fields, got {len(parts)}", lineno)
-        for name, part in zip(names, parts):
-            cols[name].append(float(part) if part else None)
+        if len(parts) != len(TRACE_COLUMNS):
+            raise ParseError(f"expected {len(TRACE_COLUMNS)} fields, got {len(parts)}",
+                             lineno)
+        for name, part in zip(TRACE_COLUMNS, parts):
+            try:
+                cols[name].append(float(part) if part else None)
+            except ValueError:
+                raise ParseError(f"non-numeric {name} field {part!r}", lineno) from None
     return cols
-
-
-_FITTABLE = ("infeas", "subopt", "dist_xstar_sq", "dist_lower", "residual_sq")
 
 
 def attach_rate_fits(report: RunReport) -> None:
@@ -220,8 +220,7 @@ def report_to_text(report: RunReport) -> str:
     lines.append(f"final.norm = {_fmt(float(np.linalg.norm(x)))}")
     if report.trace:
         last = report.trace[-1]
-        for name in ("f_bar", "h_bar", "infeas", "subopt", "dist_xstar_sq",
-                     "dist_lower", "residual_sq"):
+        for name in _FINAL:
             value = getattr(last, name)
             if value is not None:
                 lines.append(f"final.{name} = {_fmt(value)}")
@@ -319,15 +318,16 @@ def cmd_run(config_path: str) -> int:
         keys = _Keys(cfg)
         out_dir = Path(keys.get("output.dir", kind=str, required=True))
         timings = keys.get("output.timings", "0", kind=bool)
-        plots = keys.get("output.plots", "", kind=str)
+        plots = [m.strip() for m in keys.get("output.plots", "", kind=str).split(",")
+                 if m.strip()]
         keys.refuse_unread(skip=("instance.", "solver."))
-    except (ConfigurationError, ParseError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        for metric in plots:
+            if metric not in TRACE_COLUMNS:
+                raise ConfigurationError(
+                    f"config key 'output.plots': no trace column {metric!r}; "
+                    f"have {', '.join(TRACE_COLUMNS)}")
         report = run_from_config(cfg)
-    except (ConfigurationError, ContractViolation, ParseError, OSError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every sbo input error is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
@@ -345,12 +345,12 @@ def cmd_run(config_path: str) -> int:
     (out_dir / "trace.csv").write_text(
         trace_to_csv(report.trace, include_timings=timings), encoding="utf-8")
     (out_dir / "report.txt").write_text(report_to_text(report), encoding="utf-8")
-    for metric in [m.strip() for m in plots.split(",") if m.strip()]:
+    for metric in plots:
         try:
             xs = [r.k for r in report.trace]
             ys = [getattr(r, metric) for r in report.trace]
             svg = render_svg(xs, ys, logx=True, logy=True, xlabel="k", ylabel=metric)
-        except (AttributeError, ConfigurationError) as exc:
+        except ConfigurationError as exc:
             print(f"config error: cannot plot {metric!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         (out_dir / f"plot_{metric}.svg").write_text(svg, encoding="utf-8")
@@ -380,27 +380,55 @@ def _parse_suite_row(line: str, lineno: int) -> dict:
         if req not in row:
             raise ParseError(f"suite row missing {req!r}", lineno)
     if (row.get("mode", "finals") != "finals" or row.get("bound", "upper") != "upper"
-            or ("mode" in row and "ks" not in row)):
-        raise ParseError("suite rows take only mode=finals (with ks) and bound=upper",
-                         lineno)
+            or ("mode" in row) != ("ks" in row)):
+        raise ParseError("suite rows take bound=upper only, and mode=finals and ks "
+                         "only together", lineno)
+    if row["config"].startswith("selftest:"):
+        if "ks" in row or row["metric"] != "value":
+            raise ParseError("a selftest row takes metric=value and no mode or ks",
+                             lineno)
+    elif row["metric"] not in _FITTABLE:
+        raise ParseError(f"metric {row['metric']!r} is not a fittable trace column; "
+                         f"pick one of {', '.join(_FITTABLE)}", lineno)
     return row
 
 
 def _selftest_samples(spec: str):
     # selftest:powerlaw:exp=-1,coeff=7[,wobble=0.01]
     parts = spec.split(":")
-    params = {}
+    params = {"exp": -1.0, "coeff": 1.0, "wobble": 0.0}
     if len(parts) > 2 and parts[2]:
         for item in parts[2].split(","):
             key, _, value = item.partition("=")
-            if key not in ("exp", "coeff", "wobble"):
+            if key not in params:
                 raise ConfigurationError(f"unknown selftest parameter {key!r}")
             params[key] = parse_value(f"selftest parameter {key!r}", value)
-    exponent = params.get("exp", -1.0)
-    coeff = params.get("coeff", 1.0)
-    wobble = params.get("wobble", 0.0)
+    exponent, coeff, wobble = params["exp"], params["coeff"], params["wobble"]
     ks = range(1, 1001)
     return [(k, coeff * k ** exponent * (1.0 + wobble * math.sin(k))) for k in ks]
+
+
+def _row_samples(row: dict, base_dir: Path) -> tuple[list, tuple]:
+    """The (k, value) samples of a suite row's source and their default fit
+    window: the whole selftest range, the default window of one run, or the
+    span of ks, where each sample is the final value of a run at K = k."""
+    if row["config"].startswith("selftest:"):
+        samples = _selftest_samples(row["config"])
+        return samples, (1, samples[-1][0])
+    metric = row["metric"]
+    cfg = parse_kv_file(base_dir / row["config"])
+    if "ks" not in row:
+        trace = run_from_config(cfg).trace
+        return ([(r.k, getattr(r, metric)) for r in trace],
+                default_fit_window(max(r.k for r in trace)))
+    samples = []
+    for k in row["ks"]:
+        rep = run_from_config({**cfg, "solver.K": str(k)})
+        value = getattr(rep.trace[-1], metric) if rep.trace else None
+        if metric == "residual_sq" and "best_residual_sq" in rep.extras:
+            value = rep.extras["best_residual_sq"]
+        samples.append((k, value))
+    return samples, (min(row["ks"]), max(row["ks"]))
 
 
 def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
@@ -408,32 +436,10 @@ def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
     label = row.get("label", row["config"])
     metric = row["metric"]
     expected, tol = row["slope"], row["tol"]
-    min_samples = row.get("min_samples", 5)
     try:
-        if row["config"].startswith("selftest:"):
-            samples = _selftest_samples(row["config"])
-            window = (row.get("kmin", 1), row.get("kmax", 10**9))
-            fit = fit_rate(samples, window, min_samples=min_samples)
-        elif row.get("mode") == "finals":
-            ks = row["ks"]
-            cfg = parse_kv_file(base_dir / row["config"])
-            samples = []
-            for k in ks:
-                cfg_k = dict(cfg)
-                cfg_k["solver.K"] = str(k)
-                rep = run_from_config(cfg_k)
-                value = getattr(rep.trace[-1], metric) if rep.trace else None
-                if metric == "residual_sq" and "best_residual_sq" in rep.extras:
-                    value = rep.extras["best_residual_sq"]
-                samples.append((k, value))
-            fit = fit_rate(samples, (min(ks), max(ks)), min_samples=min_samples)
-        else:
-            cfg = parse_kv_file(base_dir / row["config"])
-            rep = run_from_config(cfg)
-            kmin, kmax = default_fit_window(max(r.k for r in rep.trace))
-            window = (row.get("kmin", kmin), row.get("kmax", kmax))
-            samples = [(r.k, getattr(r, metric)) for r in rep.trace]
-            fit = fit_rate(samples, window, min_samples=min_samples)
+        samples, (kmin, kmax) = _row_samples(row, base_dir)
+        fit = fit_rate(samples, (row.get("kmin", kmin), row.get("kmax", kmax)),
+                       min_samples=row.get("min_samples", 5))
     except (SboError, OSError) as exc:
         return False, f"FAIL {label}: {exc}"
     ok = abs(fit.slope - expected) <= tol if row.get("bound") != "upper" \

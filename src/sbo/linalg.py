@@ -1,6 +1,6 @@
-"""Dense linear algebra kernel: validated vectors/matrices, products,
-spectral-norm estimation, a minimum-norm least-squares oracle, and the
-whitespace text format used for matrix/vector interchange.
+"""Dense linear algebra kernel: validated vectors/matrices, spectral-norm
+estimation, a minimum-norm least-squares oracle, and the whitespace text
+format of the matrix and vector blocks in instance files.
 
 Vectors are 1-D float64 ndarrays and matrices are 2-D row-major float64
 ndarrays; `as_vector` / `as_matrix` are the validating constructors used at
@@ -40,24 +40,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ContractViolation("matrix contains non-finite entries")
     return m
-
-
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x with an explicit dimension check."""
-    if a.shape[1] != x.shape[0]:
-        raise ContractViolation(
-            f"matvec: matrix has {a.shape[1]} columns but vector has length {x.shape[0]}"
-        )
-    return a @ x
-
-
-def matvec_t(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A.T @ y with an explicit dimension check."""
-    if a.shape[0] != y.shape[0]:
-        raise ContractViolation(
-            f"matvec_t: matrix has {a.shape[0]} rows but vector has length {y.shape[0]}"
-        )
-    return a.T @ y
 
 
 def spectral_norm_sq(a: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> float:
@@ -117,7 +99,7 @@ def min_norm_ls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Text interchange format.
+# Text format of the instance files' matrix and vector blocks.
 #
 # Line 1: "m n". Then m lines of n space-separated decimal reals. Floats are
 # printed with Python's shortest round-trip representation, so write/read is
@@ -166,26 +148,3 @@ def parse_matrix_lines(lines: list[str], first_lineno: int = 1) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ParseError("non-finite entry in matrix block", first_lineno)
     return out
-
-
-def save_matrix(path, a: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(a))
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    return parse_matrix_lines(lines)
-
-
-def save_vector(path, x: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_vector(x))
-
-
-def load_vector(path) -> np.ndarray:
-    a = load_matrix(path)
-    if a.shape[0] != 1:
-        raise ParseError(f"expected a vector (header '1 n'), got {a.shape[0]} rows", 1)
-    return a[0]

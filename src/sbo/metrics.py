@@ -15,11 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 
-@dataclass
-class MetricSample:
-    k: int
-    value: float
-
 
 @dataclass
 class RateFit:
@@ -76,12 +71,11 @@ def residual_norm(problem, x: np.ndarray, gamma_hat: float) -> Optional[float]:
 def fit_rate(samples: Sequence, window: tuple, min_samples: int = 5) -> RateFit:
     """Least-squares line through (ln k, ln value) over positive samples with
     k inside [window[0], window[1]]; the slope is the empirical rate
-    exponent. Samples may be MetricSample objects or (k, value) pairs.
+    exponent. Samples are (k, value) pairs; a None value is skipped.
     """
     k_lo, k_hi = window
     pts = []
-    for s in samples:
-        k, v = (s.k, s.value) if isinstance(s, MetricSample) else (s[0], s[1])
+    for k, v in samples:
         if v is not None and v > 0 and k_lo <= k <= k_hi and k > 0:
             pts.append((math.log(k), math.log(v)))
     if len(pts) < min_samples:

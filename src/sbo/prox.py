@@ -224,9 +224,6 @@ class CombinedProx:
                 f"omega_f={omega_f.kind}); supported pairs: {_SUPPORTED_NOTE}"
             )
 
-    def value(self, eta: float, x: np.ndarray) -> float:
-        return self.omega_h.value(x) + eta * self.omega_f.value(x)
-
     def prox(self, gamma: float, eta: float, x: np.ndarray) -> np.ndarray:
         prox = self.bind(gamma)
         if eta < 0:

@@ -35,7 +35,11 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Regularization schedules
+# Regularization schedules.
+#
+# A schedule's resolve(gamma, L_f, L_h, mu_f, K) checks its feasibility
+# conditions and returns (eta_fn, params): eta_fn(k) is eta_k, and params
+# echo the resolved schedule into the run report.
 # ---------------------------------------------------------------------------
 
 
@@ -50,10 +54,8 @@ class DiminishingSchedule:
             raise ConfigurationError(
                 "diminishing schedule requires 2*L_f/mu_f > 1 (mu_f <= L_f gives >= 2)"
             )
-        return _ResolvedSchedule(
-            eta_fn=lambda k: u / (l + k),
-            params={"schedule": "diminishing", "eta0_u": u, "eta0_l": l},
-        )
+        return (lambda k: u / (l + k),
+                {"schedule": "diminishing", "eta0_u": u, "eta0_l": l})
 
 
 @dataclass
@@ -78,10 +80,8 @@ class ConstantIstaSchedule:
                 f"K/ln(K) >= 2*(p+1)*L_f/mu_f; got {lhs:.6g} < {rhs:.6g}"
             )
         eta = (self.p + 1.0) * math.log(big_k) / (gamma * mu_f * big_k)
-        return _ResolvedSchedule(
-            eta_fn=lambda k: eta,
-            params={"schedule": "constant_ista", "p": self.p, "K": big_k, "eta": eta},
-        )
+        return (lambda k: eta,
+                {"schedule": "constant_ista", "p": self.p, "K": big_k, "eta": eta})
 
 
 @dataclass
@@ -113,13 +113,9 @@ class ConstantVfistaSchedule:
         eta = ((l_h + self.eta_bar * l_f) / mu_f) * (
             (self.p + 1.0) * math.log(big_k) / big_k
         ) ** 2
-        return _ResolvedSchedule(
-            eta_fn=lambda k: eta,
-            params={
-                "schedule": "constant_vfista", "p": self.p,
-                "eta_bar": self.eta_bar, "K": big_k, "eta": eta,
-            },
-        )
+        return (lambda k: eta,
+                {"schedule": "constant_vfista", "p": self.p,
+                 "eta_bar": self.eta_bar, "K": big_k, "eta": eta})
 
 
 @dataclass
@@ -132,18 +128,7 @@ class FixedEtaSchedule:
         if self.eta <= 0:
             raise ConfigurationError("fixed schedule requires eta > 0")
         eta = self.eta
-        return _ResolvedSchedule(
-            eta_fn=lambda k: eta, params={"schedule": "fixed", "eta": eta}
-        )
-
-
-@dataclass
-class _ResolvedSchedule:
-    eta_fn: Callable[[int], float]
-    params: dict
-
-    def eta(self, k: int) -> float:
-        return self.eta_fn(k)
+        return lambda k: eta, {"schedule": "fixed", "eta": eta}
 
 
 Schedule = Union[
@@ -155,8 +140,8 @@ def schedule_eta(schedule: Schedule, k: int, gamma: float, l_f: float,
                  l_h: float, mu_f: float) -> float:
     """Evaluate a schedule's eta_k after validating its feasibility
     conditions; constant variants read K from the schedule itself."""
-    resolved = schedule.resolve(gamma, l_f, l_h, mu_f, getattr(schedule, "big_k", 0) or 0)
-    return resolved.eta(k)
+    eta_fn, _ = schedule.resolve(gamma, l_f, l_h, mu_f, getattr(schedule, "big_k", 0) or 0)
+    return eta_fn(k)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +177,6 @@ class NcConfig:
     box_lower: float = -10.0
     box_upper: float = 10.0
     allow_large_step: bool = False
-    max_total_inner: int = 2_000_000
 
 
 @dataclass
@@ -327,8 +311,8 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
 
-    sched = cfg.schedule.resolve(gamma, l_f, l_h, mu_f, cfg.big_k)
-    eta0 = sched.eta(0)
+    eta_of, sched_params = cfg.schedule.resolve(gamma, l_f, l_h, mu_f, cfg.big_k)
+    eta0 = eta_of(0)
     if gamma > 1.0 / (l_h + eta0 * l_f) * (1 + 1e-12):
         raise ConfigurationError(
             "stepsize bound violated: requires gamma <= 1/(L_h + eta_0*L_f); "
@@ -342,7 +326,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
 
     t0 = time.perf_counter_ns()
     x = _resolve_x0(problem, cfg.x0)
-    step, eta_of = problem.step_map(gamma), sched.eta_fn
+    step = problem.step_map(gamma)
     theta = 1.0 / (1.0 - eta0 * gamma * mu_f)
     gamma_sum = 0.0  # running sum of theta_j * eta_j
     x_bar = x.copy()
@@ -367,7 +351,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
         if (k + 1) in trace_at:
             trace.append(_eval_record(problem, x_bar, k + 1, eta_k, theta_prev, t0))
 
-    cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched.params}
+    cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched_params}
     return RunReport(
         solver="ir_ista", config=cfg_echo, x_final=x_bar, trace=trace,
         extras={"x_last": x, "Gamma_K": gamma_sum, "theta_last": theta_prev},
@@ -399,8 +383,8 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
         )
     if cfg.big_k < 1:
         raise ConfigurationError("K must be >= 1")
-    sched = cfg.schedule.resolve(0.0, l_f, l_h, mu_f, cfg.big_k)
-    eta = sched.eta(0)
+    eta_of, sched_params = cfg.schedule.resolve(0.0, l_f, l_h, mu_f, cfg.big_k)
+    eta = eta_of(0)
     gamma = 1.0 / (l_h + eta * l_f)
     if cfg.gamma != "auto" and not math.isclose(float(cfg.gamma), gamma, rel_tol=1e-12):
         raise ConfigurationError(
@@ -429,7 +413,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
 
     cfg_echo = {
         "solver": "r_vfista", "K": cfg.big_k, "gamma": gamma, "kappa": kappa,
-        "momentum": momentum, **sched.params,
+        "momentum": momentum, **sched_params,
     }
     return RunReport(
         solver="r_vfista", config=cfg_echo, x_final=x, trace=trace,
@@ -445,6 +429,8 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
 # Number of outer indices at which the projector-based dist_lower column is
 # evaluated (log-spaced, plus K).
 DIST_POINTS = 12
+# Cap on the inner iterations sum_k (k+1)^a of one run.
+MAX_TOTAL_INNER = 2_000_000
 
 
 def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
@@ -488,10 +474,10 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         )
     a = int(cfg.a)
     total_inner = sum((k + 1) ** a for k in range(big_k))
-    if total_inner > cfg.max_total_inner:
+    if total_inner > MAX_TOTAL_INNER:
         raise ConfigurationError(
             f"inner budget sum_k (k+1)^a = {total_inner} exceeds the cap "
-            f"{cfg.max_total_inner}; lower K or a, or raise max_total_inner"
+            f"{MAX_TOTAL_INNER}; lower K or a"
         )
 
     ref = problem.reference
@@ -571,12 +557,10 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
 
 
 def solve_fista_baseline(obj: CompositeObjective, big_k: int, gamma: float,
-                         x0: Optional[np.ndarray] = None,
-                         trace_hook: Optional[Callable] = None) -> tuple[np.ndarray, float]:
+                         x0: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
     """Standard accelerated prox-gradient on one composite convex objective
     with t-sequence momentum and best-value tracking. Returns the best
-    iterate seen and its objective value. trace_hook(k, x, value), when
-    given, observes each iterate.
+    iterate seen and its objective value.
     """
     if gamma <= 0 or (obj.smooth.lipschitz > 0 and gamma > 1.0 / obj.smooth.lipschitz * (1 + 1e-12)):
         raise ConfigurationError(
@@ -597,6 +581,4 @@ def solve_fista_baseline(obj: CompositeObjective, big_k: int, gamma: float,
         v = obj.value(x)
         if v < best_v:
             best_v, best_x = v, x.copy()
-        if trace_hook is not None:
-            trace_hook(k + 1, x, v)
     return best_x, best_v

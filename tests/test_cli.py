@@ -125,6 +125,14 @@ def test_cmd_run_writes_plots(tmp_path):
     assert svg.count("<polyline") == 1
 
 
+def test_cmd_run_unknown_plot_name_exits_2_before_the_run(tmp_path, capsys):
+    cfg = write_config(tmp_path / "p.cfg", **{"output.plots": "infeas,bogus"})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'output.plots'" in err and "'bogus'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_run_missing_key_exits_2(tmp_path, capsys):
     p = tmp_path / "c.cfg"
     p.write_text("instance.name = l1_weak_sharp\n")
@@ -355,6 +363,45 @@ def test_cmd_rates_bad_row_exits_2_with_line(tmp_path, capsys, token):
     assert "line 2" in capsys.readouterr().err
 
 
+def _rank_deficient_config(path, big_k="300"):
+    cfg = write_config(
+        path, **{"instance.name": "rank_deficient_ls", "instance.n": "10",
+                 "instance.rank": "4", "solver.name": "ir_ista",
+                 "solver.K": big_k, "output.dir": str(path.parent / "o")})
+    cfg.write_text(cfg.read_text().replace("solver.eta = weak_sharp\n", ""))
+    return cfg
+
+
+@pytest.mark.parametrize("row", [
+    "config=rd.cfg metric=bogus",              # not a trace column
+    "config=rd.cfg metric=k",                  # k against itself
+    "config=rd.cfg metric=eta",                # not an error metric
+    "config=selftest:powerlaw metric=infeas",  # a selftest fits its value
+    "config=rd.cfg metric=infeas ks=100,200",  # ks without mode=finals
+    "config=selftest:powerlaw metric=value mode=finals ks=100,200",
+])
+def test_cmd_rates_row_with_a_key_it_would_not_read_exits_2(tmp_path, capsys, row):
+    _rank_deficient_config(tmp_path / "rd.cfg")
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "label=ok config=selftest:powerlaw metric=value slope=-1 tol=0.01\n"
+        f"label=x {row} slope=-1 tol=5\n")
+    assert main(["rates", str(suite)]) == 2
+    captured = capsys.readouterr()
+    assert "line 2" in captured.err and captured.out == ""
+
+
+def test_cmd_rates_finals_row_honours_kmin(tmp_path, capsys):
+    _rank_deficient_config(tmp_path / "rd.cfg")
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "label=finals config=rd.cfg metric=infeas slope=-1 tol=5 mode=finals "
+        "ks=50,100,200,400 min_samples=3 kmin=100\n")
+    assert main(["rates", str(suite)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS finals" in out and "n=3" in out  # k = 50 is outside the window
+
+
 def test_cmd_rates_runs_configs(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "ir.cfg",
@@ -407,6 +454,19 @@ def test_cmd_plot_svg_polyline(tmp_path):
     assert svg.startswith("<svg")
 
 
+def test_cmd_plot_non_numeric_field_exits_2_naming_the_line(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    _write_trace(csv, [(1, 1.0), (10, 0.1), (100, 0.01)])
+    lines = csv.read_text().splitlines()
+    lines[2] = lines[2].replace("0.1", "abc", 1)
+    csv.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "p.svg"
+    assert main(["plot", str(csv), "--metric", "infeas", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "'abc'" in err
+    assert not out.exists()
+
+
 def test_cmd_plot_missing_or_empty_column_exits_2(tmp_path, capsys):
     csv = tmp_path / "t.csv"
     _write_trace(csv, [(1, 1.0), (10, 0.1)])
@@ -425,6 +485,11 @@ def test_plot_log_log_power_law_is_straight(tmp_path):
     coef = np.polyfit(xy[:, 0], xy[:, 1], 1)
     pred = np.polyval(coef, xy[:, 0])
     assert np.abs(xy[:, 1] - pred).max() < 1.0
+
+
+def test_csv_header_is_the_trace_contract():
+    assert CSV_HEADER == ("k,eta,theta,f_bar,h_bar,infeas,subopt,dist_xstar_sq,"
+                          "dist_lower,residual_sq,elapsed_ns")
 
 
 def test_read_trace_csv_roundtrip(tmp_path):

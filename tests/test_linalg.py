@@ -5,9 +5,7 @@ import pytest
 
 from sbo.errors import ContractViolation, ParseError, PowerIterationError
 from sbo.linalg import (as_matrix, as_vector, format_matrix, format_vector,
-                        load_matrix, load_vector, matvec, matvec_t,
-                        min_norm_ls, parse_matrix_lines, save_matrix,
-                        save_vector, spectral_norm_sq)
+                        min_norm_ls, parse_matrix_lines, spectral_norm_sq)
 
 
 def test_as_vector_rejects_nonfinite():
@@ -15,46 +13,6 @@ def test_as_vector_rejects_nonfinite():
         as_vector([1.0, float("nan")])
     with pytest.raises(ContractViolation):
         as_matrix([[1.0, float("inf")]])
-
-
-def test_matvec_identity_and_zero():
-    eye = np.eye(2)
-    assert np.array_equal(matvec(eye, np.array([3.0, -1.0])), [3.0, -1.0])
-    assert np.array_equal(matvec(np.zeros((2, 2)), np.array([5.0, 2.0])), [0.0, 0.0])
-
-
-def test_matvec_hand_case_against_loop_oracle():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    x = np.array([1.0, 1.0])
-    got = matvec(a, x)
-    assert np.array_equal(got, [3.0, 7.0])
-    # independent elementwise oracle
-    oracle = np.array([sum(a[i, j] * x[j] for j in range(2)) for i in range(2)])
-    assert np.array_equal(got, oracle)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ContractViolation):
-        matvec(np.eye(2), np.ones(3))
-    with pytest.raises(ContractViolation):
-        matvec_t(np.eye(2), np.ones(3))
-
-
-def test_matvec_t_cases():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matvec_t(np.eye(2), np.array([5.0, 6.0])), [5.0, 6.0])
-    assert np.array_equal(matvec_t(a, np.array([1.0, 0.0])), [1.0, 2.0])
-    assert np.array_equal(matvec_t(a, np.array([1.0, 1.0])), [4.0, 6.0])
-
-
-def test_gram_consistency_small_sizes():
-    rng = np.random.default_rng(0)
-    for n in (2, 5, 16):
-        a = rng.standard_normal((n + 1, n))
-        x = rng.standard_normal(n)
-        lhs = matvec_t(a, matvec(a, x))
-        rhs = matvec(a.T @ a, x)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_spectral_norm_sq_identity_and_diag():
@@ -143,22 +101,18 @@ def test_min_norm_ls_dimension_check():
         min_norm_ls(np.eye(3), np.ones(2))
 
 
-def test_matrix_text_roundtrip_exact(tmp_path):
+def test_matrix_text_roundtrip_exact():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((4, 3)) * np.array([1e-17, 1.0, 1e14])
-    path = tmp_path / "m.txt"
-    save_matrix(path, a)
-    back = load_matrix(path)
+    back = parse_matrix_lines(format_matrix(a).splitlines())
     assert np.array_equal(a, back)
 
 
-def test_vector_text_roundtrip_exact(tmp_path):
+def test_vector_text_roundtrip_exact():
     x = np.array([0.1, -1e-300, 3.0, math.pi])
-    path = tmp_path / "v.txt"
-    save_vector(path, x)
-    assert np.array_equal(load_vector(path), x)
-    content = path.read_text()
-    assert content.splitlines()[0] == "1 4"
+    lines = format_vector(x).splitlines()
+    assert lines[0] == "1 4"
+    assert np.array_equal(parse_matrix_lines(lines)[0], x)
 
 
 def test_parse_matrix_reports_line_numbers():

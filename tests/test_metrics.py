@@ -9,10 +9,9 @@ from conftest import quad_problem
 from sbo.bilevel import BilevelProblem, CompositeObjective
 from sbo.errors import ConfigurationError
 from sbo.functions import LeastSquares, ScaledSqNorm
-from sbo.metrics import (MetricSample, approximate_projector,
-                         dist_to_lower_set, empirical_growth_alpha, fit_rate,
-                         infeasibility, ls_ball_projector, residual_norm,
-                         suboptimality)
+from sbo.metrics import (approximate_projector, dist_to_lower_set,
+                         empirical_growth_alpha, fit_rate, infeasibility,
+                         ls_ball_projector, residual_norm, suboptimality)
 from sbo.problems import PROJECTOR_WEIGHT, gen_l1_weak_sharp, inverse_problem
 from sbo.prox import BallProx, ZeroProx
 from sbo.solvers import DiminishingSchedule, SolverConfig, solve_ir_ista
@@ -255,8 +254,8 @@ def test_fit_rate_requires_positive_samples():
     assert fit.slope == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_fit_rate_accepts_metric_samples_and_skips_none():
-    samples = [MetricSample(k, 1.0 / k) for k in range(1, 50)]
+def test_fit_rate_skips_none_and_nonpositive_samples():
+    samples = [(k, 1.0 / k) for k in range(1, 50)]
     samples += [(60, None), (70, -2.0)]
     fit = fit_rate(samples, (1, 100))
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)

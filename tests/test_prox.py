@@ -233,8 +233,20 @@ def test_combined_unsupported_pair_rejected_at_build():
 def test_combined_value_and_logsum_term():
     term = LogSumProx(0.1)
     assert term.value(np.array([0.0, 0.0])) == 0.0
-    comb = CombinedProx(L1Prox(0.5), ZeroProx())
-    assert comb.value(3.0, np.array([1.0, -1.0])) == pytest.approx(1.0)
+    # the combined prox minimizes gamma*(omega_h + eta*omega_f)(u) + 0.5*||u - x||^2
+    comb = CombinedProx(L1Prox(0.5), L1Prox(0.25))
+    gamma, eta, x = 0.8, 3.0, np.array([1.0, -0.2, 0.9])
+
+    def objective(u):
+        value = comb.omega_h.value(u) + eta * comb.omega_f.value(u)
+        return gamma * value + 0.5 * float((u - x) @ (u - x))
+
+    p = comb.prox(gamma, eta, x)
+    assert objective(np.array([1.0, -1.0, 0.0])) == pytest.approx(
+        0.8 * (1.0 + 3.0 * 0.5) + 0.5 * (0.0 + 0.64 + 0.81))
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        assert objective(p) <= objective(p + 1e-3 * rng.standard_normal(3))
 
 
 # ---------------------------------------------------------------------------

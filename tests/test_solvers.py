@@ -379,8 +379,9 @@ def test_ipr_inner_budget_cap():
     lower = CompositeObjective(DiagQuadratic(np.array([1.0])), ZeroProx())
     upper = CompositeObjective(ScaledSqNorm(1.0, dimension=1), ZeroProx())
     p = BilevelProblem(upper, lower, initial_point=np.zeros(1))
-    with pytest.raises(ConfigurationError, match="cap"):
-        solve_ipr_vfista(p, NcConfig(big_k=4, a=2, max_total_inner=10))
+    # sum_{k=1}^{200} k^2 = 2,686,700 inner iterations exceed the 2M cap
+    with pytest.raises(ConfigurationError, match="cap 2000000; lower K or a$"):
+        solve_ipr_vfista(p, NcConfig(big_k=200, a=2))
 
 
 def test_ipr_validates_a_and_eta_bar():
