@@ -234,8 +234,10 @@ def report_to_text(report: RunReport) -> str:
         lines.append(f"fit.{name}.r_squared = {_fmt(fit.r_squared)}")
         lines.append(f"fit.{name}.window = {fit.window[0]}:{fit.window[1]}")
         lines.append(f"fit.{name}.n_samples = {fit.n_samples}")
-    # wall-clock footer: excluded from the determinism contract
+    # wall-clock footer: excluded from the determinism contract; metrics_ns
+    # is the part of wall_clock_ns spent evaluating trace records
     lines.append(f"wall_clock_ns = {report.wall_ns}")
+    lines.append(f"metrics_ns = {report.metrics_ns}")
     return "\n".join(lines) + "\n"
 
 
@@ -440,7 +442,7 @@ def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
         samples, (kmin, kmax) = _row_samples(row, base_dir)
         fit = fit_rate(samples, (row.get("kmin", kmin), row.get("kmax", kmax)),
                        min_samples=row.get("min_samples", 5))
-    except (SboError, OSError) as exc:
+    except (SboError, OSError, UnicodeDecodeError) as exc:
         return False, f"FAIL {label}: {exc}"
     ok = abs(fit.slope - expected) <= tol if row.get("bound") != "upper" \
         else fit.slope <= expected + tol
@@ -459,7 +461,7 @@ def cmd_rates(suite_path: str) -> int:
                 line = raw.split("#", 1)[0].strip()
                 if line:
                     rows.append(_parse_suite_row(line, lineno))
-    except (ConfigurationError, ParseError, OSError) as exc:
+    except (ConfigurationError, ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"suite error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     all_ok = True
@@ -478,7 +480,7 @@ def cmd_plot(csv_path: str, metric: str, out_svg: str, logx: bool, logy: bool) -
                 f"no column {metric!r} in {csv_path}; have {list(cols)}")
         svg = render_svg(cols["k"], cols[metric], logx=logx, logy=logy,
                          xlabel="k", ylabel=metric)
-    except (SboError, OSError) as exc:
+    except (SboError, OSError, UnicodeDecodeError) as exc:
         print(f"plot error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     Path(out_svg).write_text(svg, encoding="utf-8")

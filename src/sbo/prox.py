@@ -42,9 +42,18 @@ def prox_ball(radius: float, x: np.ndarray) -> np.ndarray:
 def _project_ball(radius: float, v: np.ndarray) -> np.ndarray:
     """The projection, returning v itself when it lies in the ball. The
     norm is sqrt(v.dot(v)), which is what np.linalg.norm computes for a
-    vector."""
+    vector. When the squares overflow (a finite v with norm past ~1.3e154),
+    the norm is taken of v / max|v| instead."""
     norm = math.sqrt(v.dot(v))
-    return v if norm <= radius else (radius / norm) * v
+    if norm <= radius:
+        return v
+    if math.isinf(norm):
+        scale = float(np.abs(v).max())
+        if math.isfinite(scale):
+            u = v / scale
+            unit_norm = math.sqrt(u.dot(u))
+            return v if scale * unit_norm <= radius else (radius / unit_norm) * u
+    return (radius / norm) * v
 
 
 def prox_box(lower: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -203,6 +203,7 @@ class RunReport:
     extras: dict = field(default_factory=dict)
     rate_fits: dict = field(default_factory=dict)
     wall_ns: int = 0
+    metrics_ns: int = 0
     schema_version: int = SCHEMA_VERSION
 
 
@@ -224,9 +225,24 @@ def _trace_ks(cfg: SolverConfig) -> set[int]:
     return set(geometric_trace_ks(cfg.big_k))
 
 
+@dataclass
+class _Clock:
+    """A run's clock: the time since t0 splits into the time spent
+    evaluating trace records (metrics_ns) and the solver's own time."""
+
+    t0: int = field(default_factory=time.perf_counter_ns)
+    metrics_ns: int = 0
+
+    def wall_ns(self) -> int:
+        return time.perf_counter_ns() - self.t0
+
+
 def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
-                 t0: int, gamma_hat: Optional[float] = None,
+                 clock: _Clock, gamma_hat: Optional[float] = None,
                  with_dist: bool = False, with_residual: bool = False) -> TraceRecord:
+    """The trace record of x at step k; its elapsed_ns is the solver time
+    so far, and the time the record takes goes to clock.metrics_ns."""
+    start = time.perf_counter_ns()
     ref = problem.reference
     f_bar = problem.upper.value(x)
     h_bar = problem.lower.value(x)
@@ -242,11 +258,13 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
         if with_residual and ref.projector is not None and gamma_hat is not None:
             g = _metrics.residual_norm(problem, x, gamma_hat)
             residual_sq = g * g
-    return TraceRecord(
+    record = TraceRecord(
         k=k, eta=eta, theta=theta, f_bar=f_bar, h_bar=h_bar, infeas=infeas,
         subopt=subopt, dist_xstar_sq=dist_xsq, dist_lower=dist_lower,
-        residual_sq=residual_sq, elapsed_ns=time.perf_counter_ns() - t0,
+        residual_sq=residual_sq, elapsed_ns=start - clock.t0 - clock.metrics_ns,
     )
+    clock.metrics_ns += time.perf_counter_ns() - start
+    return record
 
 
 def _check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
@@ -277,14 +295,35 @@ def _resolve_x0(problem: BilevelProblem, x0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# The largest sum of averaging weights Gamma_K a run may reach: S_K, the
+# weighted sum of iterates, stays finite for iterates up to ~1e8 in norm.
+WEIGHT_SUM_MAX = 1e300
+
+
+def _log_constant_weight_sum(eta: float, gamma_mu: float, big_k: int) -> float:
+    """ln Gamma_K for a constant eta, where theta_k = q^(k+1) with
+    q = 1/(1 - eta*gamma*mu_f) = e^a:
+    Gamma_K = eta * sum_{j=1..K} e^(j*a) = eta * e^(K*a) * (1 - e^(-K*a)) / (1 - e^(-a))."""
+    a = -math.log1p(-eta * gamma_mu)
+    if a == 0.0:  # eta*gamma*mu_f underflowed to 0: theta stays 1
+        return math.log(eta * big_k)
+    ka = big_k * a
+    return math.log(eta) + ka + math.log(-math.expm1(-ka)) - math.log(-math.expm1(-a))
+
+
 def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
                   callback: Optional[Callable] = None) -> RunReport:
     """Prox-gradient on the regularized surrogate with weighted averaging.
 
-    Per iteration: x_{k+1} = q_step(eta_k, gamma, x_k), then the running
-    average x_bar is advanced with weight eta_k * theta_k, where
-    theta_{k+1} = theta_k / (1 - eta_{k+1}*gamma*mu_f). Returns the averaged
-    iterate; the trace reports metrics of the average.
+    Per iteration: x_{k+1} = q_step(eta_k, gamma, x_k) with weight
+    w_k = eta_k * theta_k, where theta_{k+1} = theta_k / (1 - eta_{k+1}*gamma*mu_f).
+    The loop keeps two running sums, Gamma_k = sum_j w_j and
+    S_k = sum_j w_j x_{j+1}, and forms the average x_bar = S_k / Gamma_k only
+    where it is read: at a trace point, for the callback and at the return.
+    Returns the averaged iterate; the trace reports metrics of the average.
+
+    With a constant eta, theta grows geometrically; a run whose Gamma_K
+    would pass WEIGHT_SUM_MAX is refused before the first step.
     """
     upper, lower = problem.upper.smooth, problem.lower.smooth
     mu_f, l_f, l_h = upper.strong_convexity, upper.lipschitz, lower.lipschitz
@@ -323,40 +362,53 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
             "averaging weights require eta_0*gamma*mu_f < 1; "
             f"got {eta0 * gamma * mu_f:.6g}"
         )
+    if isinstance(cfg.schedule, (ConstantIstaSchedule, FixedEtaSchedule)):
+        log_sum = _log_constant_weight_sum(eta0, gamma * mu_f, cfg.big_k)
+        if log_sum > math.log(WEIGHT_SUM_MAX):
+            raise ConfigurationError(
+                f"averaging weights overflow: Gamma_K = sum_k eta*theta_k would be "
+                f"about 10^{log_sum / math.log(10.0):.1f}, beyond the bound "
+                f"{WEIGHT_SUM_MAX:g} (theta grows by 1/(1 - eta*gamma*mu_f) per "
+                "step); lower K, p or eta"
+            )
 
-    t0 = time.perf_counter_ns()
+    clock = _Clock()
     x = _resolve_x0(problem, cfg.x0)
     step = problem.step_map(gamma)
     theta = 1.0 / (1.0 - eta0 * gamma * mu_f)
-    gamma_sum = 0.0  # running sum of theta_j * eta_j
-    x_bar = x.copy()
+    gamma_sum = 0.0  # Gamma_k, the running sum of eta_j * theta_j
+    w_sum = np.zeros_like(x)  # S_k, the running sum of eta_j * theta_j * x_{j+1}
     trace_at = _trace_ks(cfg)
     trace: list[TraceRecord] = []
     theta_prev = theta
+    eta_k = eta0
 
     for k in range(cfg.big_k):
-        eta_k = eta_of(k)
         x_next = step(eta_k, x)
-        _check_finite(x_next, k, x, "averaging solver", trace)
+        if not math.isfinite(x_next.dot(x_next)):
+            _check_finite(x_next, k, x, "averaging solver", trace)
         w = eta_k * theta
-        gamma_sum_next = gamma_sum + w
-        x_bar = (gamma_sum * x_bar + w * x_next) / gamma_sum_next
+        w_sum += w * x_next
+        gamma_sum += w
         theta_prev = theta
-        gamma_sum = gamma_sum_next
-        theta = theta / (1.0 - eta_of(k + 1) * gamma * mu_f)
+        eta_next = eta_of(k + 1)
+        theta = theta / (1.0 - eta_next * gamma * mu_f)
         x = x_next
         if callback is not None:
-            callback(k + 1, x=x, x_bar=x_bar, eta=eta_k, theta=theta_prev,
+            callback(k + 1, x=x, x_bar=w_sum / gamma_sum, eta=eta_k, theta=theta_prev,
                      gamma_sum=gamma_sum)
         if (k + 1) in trace_at:
-            trace.append(_eval_record(problem, x_bar, k + 1, eta_k, theta_prev, t0))
+            trace.append(_eval_record(problem, w_sum / gamma_sum, k + 1, eta_k,
+                                      theta_prev, clock))
+        eta_k = eta_next
 
     cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched_params}
     return RunReport(
-        solver="ir_ista", config=cfg_echo, x_final=x_bar, trace=trace,
+        solver="ir_ista", config=cfg_echo, x_final=w_sum / gamma_sum, trace=trace,
         extras={"x_last": x, "Gamma_K": gamma_sum, "theta_last": theta_prev},
-        wall_ns=time.perf_counter_ns() - t0,
+        wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
     )
+
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +446,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
     kappa = (l_h + eta * l_f) / (eta * mu_f)
     momentum = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
-    t0 = time.perf_counter_ns()
+    clock = _Clock()
     x = _resolve_x0(problem, cfg.x0)
     y = x.copy()
     step = problem.step_map(gamma)
@@ -403,13 +455,14 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
 
     for k in range(cfg.big_k):
         x_next = step(eta, y)
-        _check_finite(x_next, k, x, "accelerated solver", trace)
+        if not math.isfinite(x_next.dot(x_next)):
+            _check_finite(x_next, k, x, "accelerated solver", trace)
         y = x_next + momentum * (x_next - x)
         x = x_next
         if callback is not None:
             callback(k + 1, x=x, y=y, eta=eta)
         if (k + 1) in trace_at:
-            trace.append(_eval_record(problem, x, k + 1, eta, None, t0))
+            trace.append(_eval_record(problem, x, k + 1, eta, None, clock))
 
     cfg_echo = {
         "solver": "r_vfista", "K": cfg.big_k, "gamma": gamma, "kappa": kappa,
@@ -418,7 +471,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
     return RunReport(
         solver="r_vfista", config=cfg_echo, x_final=x, trace=trace,
         extras={"y_last": y},
-        wall_ns=time.perf_counter_ns() - t0,
+        wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
     )
 
 
@@ -489,11 +542,11 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
     if np.any(box_lower >= box_upper):
         raise ConfigurationError("box bounds require box_lower < box_upper")
 
-    t0 = time.perf_counter_ns()
+    clock = _Clock()
     xhat = np.array(problem.initial_point, copy=True)
     start = np.clip(xhat, box_lower, box_upper)
     trace: list[TraceRecord] = [
-        _eval_record(problem, xhat, 0, None, None, t0, gamma_hat=gamma_hat,
+        _eval_record(problem, xhat, 0, None, None, clock, gamma_hat=gamma_hat,
                      with_dist=projector is not None, with_residual=False)
     ]
     best = {"residual_sq": math.inf, "k": -1, "x": xhat.copy()}
@@ -515,7 +568,8 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         x_cur = start
         for j in range(j_budget):
             x_cur = step(eta_k, y)
-            _check_finite(x_cur, k, xhat, "outer solver", trace, inner=j)
+            if not math.isfinite(x_cur.dot(x_cur)):
+                _check_finite(x_cur, k, xhat, "outer solver", trace, inner=j)
             y = x_cur + momentum * (x_cur - x_prev)
             x_prev = x_cur
 
@@ -524,7 +578,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         want_residual = projector is not None and k >= window_start
         want_dist = projector is not None and (k + 1) in dist_ks
         rec = _eval_record(
-            problem, xhat, k + 1, eta_k, None, t0, gamma_hat=gamma_hat,
+            problem, xhat, k + 1, eta_k, None, clock, gamma_hat=gamma_hat,
             with_dist=want_dist, with_residual=want_residual,
         )
         trace.append(rec)
@@ -547,7 +601,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         )
     return RunReport(
         solver="ipr_vfista", config=cfg_echo, x_final=xhat, trace=trace,
-        extras=extras, wall_ns=time.perf_counter_ns() - t0,
+        extras=extras, wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
     )
 
 

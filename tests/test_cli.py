@@ -13,6 +13,8 @@ from sbo.errors import ParseError
 from sbo.problems import InstanceSpec, build_instance, gen_phillips, load_instance
 from sbo.solvers import TraceRecord
 
+from gen_golden_traces import GOLDEN_TRACES, SHORT_K, golden_runs, run_trace
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -147,6 +149,21 @@ def test_cmd_run_report_echoes_resolved_config(tmp_path):
     assert "config.eta = " in report        # weak_sharp expanded to a number
     assert "config.gamma = " in report      # auto expanded
     assert "wall_clock_ns" in report
+    assert "metrics_ns" in report
+
+
+def test_cmd_run_refuses_averaging_weights_that_would_overflow(tmp_path, capsys):
+    # theta_K ~ K^(p+1) passes 1.8e308; without the check the run exits 0
+    # with Gamma_K = inf and NaN metrics in the trace's late rows
+    cfg = tmp_path / "ov.cfg"
+    cfg.write_text(
+        "instance.name = rank_deficient_ls\ninstance.n = 10\ninstance.seed = 1\n"
+        "solver.name = r_ista_const\nsolver.p = 70\nsolver.K = 100000\n"
+        f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "averaging weights overflow" in err and "1e+300" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_run_divergence_exits_3_with_partial_trace(tmp_path, capsys,
@@ -270,22 +287,11 @@ def test_shipped_configs_pass_the_strict_parser(tmp_path, path):
     assert main(["run", str(small)]) == 0
 
 
-GOLDEN_TRACES = Path(__file__).resolve().parent / "fixtures" / "traces"
-
-
-@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
-def test_shipped_configs_reproduce_their_golden_traces(tmp_path, path):
-    # tests/fixtures/traces/<config>.csv holds each config's trace at
-    # solver.K = 20; the header must match exactly and every number to
-    # rtol 1e-12, which leaves room for BLAS summing in another order
-    cfg = parse_kv_file(path)
-    cfg["solver.K"] = "20"
-    cfg["output.dir"] = str(tmp_path / "out")
-    small = tmp_path / path.name
-    small.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
-    assert main(["run", str(small)]) == 0
-    got = (tmp_path / "out" / "trace.csv").read_text().splitlines()
-    want = (GOLDEN_TRACES / f"{path.stem}.csv").read_text().splitlines()
+def _assert_trace_matches(got_text: str, want_path: Path, rtol: float) -> None:
+    # the header must match exactly, empty fields stay empty and every
+    # number agrees to rtol
+    got = got_text.splitlines()
+    want = want_path.read_text().splitlines()
     assert got[0] == want[0]
     assert len(got) == len(want)
     for got_row, want_row in zip(got[1:], want[1:]):
@@ -294,8 +300,27 @@ def test_shipped_configs_reproduce_their_golden_traces(tmp_path, path):
             if w == "":
                 assert g == "", name
             else:
-                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0), \
+                assert float(g) == pytest.approx(float(w), rel=rtol, abs=0.0), \
                     f"{name} in row {want_row}"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_configs_reproduce_their_golden_traces(tmp_path, path):
+    # tests/fixtures/traces/<config>.csv holds each config's trace at
+    # solver.K = 20 (see gen_golden_traces.py); rtol 1e-12 leaves room for
+    # BLAS summing in another order
+    _assert_trace_matches(run_trace(path, SHORT_K, tmp_path),
+                         GOLDEN_TRACES / f"{path.stem}.csv", rtol=1e-12)
+
+
+@pytest.mark.parametrize("path,big_k,golden", [
+    pytest.param(*run, id=run[2].stem) for run in golden_runs() if run[1] != SHORT_K])
+def test_shipped_ir_ista_configs_reproduce_their_long_horizon_golden_traces(
+        tmp_path, path, big_k, golden):
+    # the ir_ista configs at their shipped K, where rounding in the
+    # averaging has tens of thousands of steps to build up; rtol 1e-10 is
+    # the tolerance a refactor of a solver must hold
+    _assert_trace_matches(run_trace(path, big_k, tmp_path), golden, rtol=1e-10)
 
 
 def test_shipped_rate_suite_passes_the_strict_parser(capsys):
@@ -349,6 +374,28 @@ def test_cmd_rates_row_that_cannot_run_fails_and_later_rows_run(tmp_path,
     assert lines[0].startswith("FAIL gone:") and "nosuch.cfg" in lines[0]
     assert lines[1].startswith("FAIL typo:") and "'exq'" in lines[1]
     assert lines[2].startswith("PASS after:")
+
+
+def test_cmd_rates_suite_not_in_utf8_exits_2(tmp_path, capsys):
+    suite = tmp_path / "suite.txt"
+    suite.write_bytes(b"label=\xff config=selftest:powerlaw metric=value "
+                      b"slope=-1 tol=0.01\n")
+    assert main(["rates", str(suite)]) == 2
+    assert "utf-8" in capsys.readouterr().err
+
+
+def test_cmd_rates_row_whose_config_is_not_utf8_fails_and_later_rows_run(
+        tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_bytes(b"instance.name = \xff\n")
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "label=bad config=bad.cfg metric=infeas slope=-1 tol=0.1\n"
+        "label=after config=selftest:powerlaw:exp=-1,coeff=7 "
+        "metric=value slope=-1 tol=0.01\n")
+    assert main(["rates", str(suite)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL bad:") and "utf-8" in lines[0]
+    assert lines[1].startswith("PASS after:")
 
 
 @pytest.mark.parametrize("token", ["slope=abc", "tol=nan", "min_samples=x",
@@ -464,6 +511,16 @@ def test_cmd_plot_non_numeric_field_exits_2_naming_the_line(tmp_path, capsys):
     assert main(["plot", str(csv), "--metric", "infeas", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "'abc'" in err
+    assert not out.exists()
+
+
+def test_cmd_plot_csv_not_in_utf8_exits_2(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    _write_trace(csv, [(1, 1.0), (10, 0.1), (100, 0.01)])
+    csv.write_bytes(csv.read_bytes() + b"\xff\n")
+    out = tmp_path / "p.svg"
+    assert main(["plot", str(csv), "--metric", "infeas", "--out", str(out)]) == 2
+    assert "utf-8" in capsys.readouterr().err
     assert not out.exists()
 
 

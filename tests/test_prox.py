@@ -291,6 +291,22 @@ def test_prox_fixed_points(gamma, x):
     assert np.array_equal(L1Prox(0.7).prox(gamma, np.zeros(8)), np.zeros(8))
 
 
+@settings(max_examples=200, deadline=None)
+@given(radius=st.floats(1e-3, 1e3), exponent=st.floats(0.0, 300.0),
+       d=_vectors(st.floats(-1.0, 1.0)).filter(lambda d: np.abs(d).max() > 1e-3))
+def test_prox_ball_at_any_finite_scale(radius, exponent, d):
+    # past a norm of ~1.3e154 the squares overflow (numpy warns, hence the
+    # errstate); the projection must still be radius * d / ||d||, not 0
+    v = 10.0 ** exponent * d
+    with np.errstate(over="ignore"):
+        got = prox_ball(radius, v)
+    if 10.0 ** exponent * np.linalg.norm(d) <= radius:
+        assert np.array_equal(got, v)
+    else:
+        assert np.allclose(got, radius * d / np.linalg.norm(d), rtol=1e-13,
+                           atol=1e-13 * radius)
+
+
 def _sign_form_l1(t, v):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from sbo.functions import MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.prox import BallProx, L1Prox, ZeroProx
 from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                          DiminishingSchedule, FixedEtaSchedule, NcConfig,
-                         SolverConfig, _check_finite, schedule_eta,
+                         SolverConfig, _check_finite, _log_constant_weight_sum,
+                         schedule_eta,
                          solve_fista_baseline, solve_ipr_vfista, solve_ir_ista,
                          solve_r_vfista)
 
@@ -135,6 +137,49 @@ def test_ir_ista_averaging_identity_direct_sum():
                         callback=cb)
     direct = sum(w * x for w, x in zip(ws, xs)) / sum(ws)
     assert np.linalg.norm(rep.x_final - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("eta,big_k", [(0.5, 1), (0.5, 200), (1e-9, 5000), (1.0, 2300)])
+def test_ir_ista_constant_weight_sum_closed_form(eta, big_k):
+    # gamma = 0.25, mu_f = 1: theta grows by 1/(1 - eta/4) per step
+    p = make_theta_problem()
+    rep = solve_ir_ista(p, SolverConfig(big_k=big_k, schedule=FixedEtaSchedule(eta),
+                                        gamma=0.25))
+    assert math.exp(_log_constant_weight_sum(eta, 0.25, big_k)) == pytest.approx(
+        rep.extras["Gamma_K"], rel=1e-9)
+
+
+def test_ir_ista_refuses_weights_that_would_overflow():
+    # theta grows by 4/3 per step: Gamma_K ~ 4 * (4/3)^K passes 1e300 at
+    # K ~ 2396 and theta itself overflows at K ~ 2467
+    p = make_theta_problem()
+    with pytest.raises(ConfigurationError, match=r"10\^375\.\d, beyond the bound 1e\+300"):
+        solve_ir_ista(p, SolverConfig(big_k=3000, schedule=FixedEtaSchedule(1.0),
+                                      gamma=0.25))
+    rep = solve_ir_ista(p, SolverConfig(big_k=2390, schedule=FixedEtaSchedule(1.0),
+                                        gamma=0.25))
+    assert 1e298 < rep.extras["Gamma_K"] < 1e300
+
+
+def test_elapsed_ns_counts_solver_time_only(monkeypatch):
+    # every record takes >= 30 ms; elapsed_ns must not count them, and the
+    # report's metrics_ns must
+    import sbo.solvers as solvers_mod
+    infeasibility = solvers_mod._metrics.infeasibility
+
+    def slow_infeasibility(*args):
+        time.sleep(0.03)
+        return infeasibility(*args)
+
+    monkeypatch.setattr(solvers_mod._metrics, "infeasibility", slow_infeasibility)
+    p = make_theta_problem()
+    rep = solve_ir_ista(p, SolverConfig(big_k=5, schedule=DiminishingSchedule(),
+                                        gamma=0.25, trace_every=1))
+    elapsed = [r.elapsed_ns for r in rep.trace]
+    assert elapsed == sorted(elapsed)
+    assert elapsed[-1] < 30_000_000
+    assert rep.metrics_ns >= 5 * 30_000_000
+    assert elapsed[-1] + rep.metrics_ns <= rep.wall_ns
 
 
 def test_ir_ista_converges_to_bilevel_solution():
