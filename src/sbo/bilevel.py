@@ -1,16 +1,17 @@
 """Problem assembly: composite objectives, the bilevel problem container
-with optional reference truth, the eta-regularized surrogate, and the
-prox-gradient step map that all three solvers iterate.
+with optional reference truth, the eta-regularized surrogate, the step map
+all three solvers iterate, and the untraced accelerated run on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ConfigurationError, ContractViolation, DivergenceError
 from .functions import ScaledSqNorm, SmoothFunction
 from .prox import CombinedProx, ZeroProx
 
@@ -145,12 +146,58 @@ class BilevelProblem:
             )
 
 
-def projection_problem(lower: CompositeObjective, z: np.ndarray,
-                       initial_point: Optional[np.ndarray] = None) -> BilevelProblem:
+def projection_problem(lower: CompositeObjective, z: np.ndarray) -> BilevelProblem:
     """The pair (lower, 0.5*||. - z||^2): at a tiny weight its surrogate's
     minimizer approximates the projection of z onto the lower solution set."""
     anchor = CompositeObjective(ScaledSqNorm(1.0, center=z), ZeroProx())
-    return BilevelProblem(anchor, lower, initial_point=initial_point)
+    return BilevelProblem(anchor, lower)
+
+
+def accelerated_constants(problem: BilevelProblem,
+                          eta: float) -> tuple[float, float, float]:
+    """(gamma, kappa, momentum) of the accelerated method on the surrogate at
+    the constant weight eta: stepsize gamma = 1/(L_h + eta*L_f) and momentum
+    (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f)."""
+    lipschitz = problem.surrogate_lipschitz(eta)
+    kappa = lipschitz / (eta * problem.upper.smooth.strong_convexity)
+    return 1.0 / lipschitz, kappa, (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+
+
+def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
+                    iters: int) -> np.ndarray:
+    """The last of `iters` accelerated prox-gradient steps from x0 on the
+    surrogate at the constant weight eta (`accelerated_constants`), untraced.
+    A non-finite iterate raises DivergenceError with its step index as k."""
+    upper = problem.upper.smooth
+    if upper.strong_convexity <= 0 or upper.nonconvex:
+        raise ConfigurationError(
+            "accelerated run requires a strongly convex smooth upper part (mu_f > 0)")
+    if not (eta > 0 and iters >= 1):
+        raise ConfigurationError(
+            f"accelerated run requires eta > 0 and iters >= 1; got {eta!r} and {iters!r}")
+    x = y = np.asarray(x0, dtype=float)
+    problem._check_dim(x)
+    gamma, _, momentum = accelerated_constants(problem, eta)
+    step = problem.step_map(gamma)
+    for j in range(iters):
+        x_next = step(eta, y)
+        if not math.isfinite(x_next.dot(x_next)):
+            check_finite(x_next, j, x, "accelerated run")
+        y = x_next + momentum * (x_next - x)
+        x = x_next
+    return x
+
+
+def check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
+                 trace: Optional[list] = None, what: str = "iterate") -> None:
+    """DivergenceError "<solver>: non-finite <what> at step k" unless x is finite."""
+    # x.dot(x) is finite only if every entry is; the full test settles the
+    # rare finite x whose squares overflow
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+        raise DivergenceError(
+            f"{solver}: non-finite {what} at step {k}", k=k, last_finite=last,
+            trace=trace,
+        )
 
 
 def min_norm_l1_subgradient(grad_smooth: np.ndarray, lam: float,

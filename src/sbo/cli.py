@@ -25,7 +25,7 @@ from .bilevel import BilevelProblem
 from .errors import ConfigurationError, DivergenceError, ParseError, SboError
 from .metrics import default_fit_window, fit_rate
 from .problems import (InstanceSpec, build_instance, generate_instance_arrays,
-                       parse_kv_lines, parse_value, save_instance)
+                       parse_kv_lines, parse_value, read_text_lines, save_instance)
 from .solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                       DiminishingSchedule, FixedEtaSchedule, NcConfig,
                       RunReport, SolverConfig, TraceRecord, solve_ipr_vfista,
@@ -51,8 +51,7 @@ EXIT_DIVERGED = 3
 
 def parse_kv_file(path) -> dict:
     """Flat "key = value" lines; '#' starts a comment; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_kv_lines(fh)
+    return parse_kv_lines(read_text_lines(path))
 
 
 class _Keys:
@@ -120,8 +119,6 @@ def run_from_config(cfg: dict) -> RunReport:
             big_k=big_k,
             a=keys.get("solver.a", "2", kind=int),
             eta_bar=keys.get("solver.eta_bar", "1.0"),
-            box_lower=keys.get("solver.box_lower", "-10"),
-            box_upper=keys.get("solver.box_upper", "10"),
             allow_large_step=keys.get("solver.allow_large_step", "0", kind=bool),
         )
     elif solver in ("ir_ista", "r_ista_const", "r_vfista"):
@@ -177,8 +174,7 @@ def trace_to_csv(trace, include_timings: bool = False) -> str:
 
 
 def read_trace_csv(path) -> dict[str, list]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text_lines(path)
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"unexpected trace header in {path}", 1)
     cols: dict[str, list] = {name: [] for name in TRACE_COLUMNS}
@@ -442,7 +438,7 @@ def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
         samples, (kmin, kmax) = _row_samples(row, base_dir)
         fit = fit_rate(samples, (row.get("kmin", kmin), row.get("kmax", kmax)),
                        min_samples=row.get("min_samples", 5))
-    except (SboError, OSError, UnicodeDecodeError) as exc:
+    except (SboError, OSError) as exc:
         return False, f"FAIL {label}: {exc}"
     ok = abs(fit.slope - expected) <= tol if row.get("bound") != "upper" \
         else fit.slope <= expected + tol
@@ -456,12 +452,11 @@ def cmd_rates(suite_path: str) -> int:
     try:
         base_dir = Path(suite_path).resolve().parent
         rows = []
-        with open(suite_path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    rows.append(_parse_suite_row(line, lineno))
-    except (ConfigurationError, ParseError, OSError, UnicodeDecodeError) as exc:
+        for lineno, raw in enumerate(read_text_lines(suite_path), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                rows.append(_parse_suite_row(line, lineno))
+    except (ConfigurationError, ParseError, OSError) as exc:
         print(f"suite error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     all_ok = True
@@ -480,7 +475,7 @@ def cmd_plot(csv_path: str, metric: str, out_svg: str, logx: bool, logy: bool) -
                 f"no column {metric!r} in {csv_path}; have {list(cols)}")
         svg = render_svg(cols["k"], cols[metric], logx=logx, logy=logy,
                          xlabel="k", ylabel=metric)
-    except (SboError, OSError, UnicodeDecodeError) as exc:
+    except (SboError, OSError) as exc:
         print(f"plot error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     Path(out_svg).write_text(svg, encoding="utf-8")

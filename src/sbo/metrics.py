@@ -13,6 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .bilevel import accelerated_run, projection_problem
 from .errors import ConfigurationError, ContractViolation
 
 
@@ -104,10 +105,10 @@ def default_fit_window(big_k: int) -> tuple:
 
 def approximate_projector(problem, eta: float,
                           budget: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Inexact projection onto the lower solution set: for a query x, run the
-    accelerated solver on the pair (lower objective, 0.5*||u - x||^2) with
-    the tiny constant weight eta for budget iterations. Labeled "approximate"
-    wherever it is attached to a reference.
+    """Inexact projection onto the lower solution set: for a query x, the
+    untraced `bilevel.accelerated_run` from x on the pair (lower objective,
+    0.5*||u - x||^2) with the tiny constant weight eta for budget iterations.
+    Labeled "approximate" wherever it is attached to a reference.
 
     The run contracts its error to the minimizer of that pair only by about
     (1 - sqrt(eta/(L_h + eta)))^budget. At eta = 1e-6 and a 50k budget this
@@ -115,16 +116,7 @@ def approximate_projector(problem, eta: float,
     of the unconstrained minimizer), which is why the tests cross-check it
     against `ls_ball_projector` at random queries only at eta >= 1e-2, and
     at eta = 1e-6 only where the ball is well active."""
-    from .bilevel import projection_problem
-    from .solvers import FixedEtaSchedule, SolverConfig, solve_r_vfista
-
-    def project(x: np.ndarray) -> np.ndarray:
-        sub = projection_problem(problem.lower, x, initial_point=x)
-        cfg = SolverConfig(big_k=budget, schedule=FixedEtaSchedule(eta),
-                           trace_every=budget)
-        return solve_r_vfista(sub, cfg).x_final
-
-    return project
+    return lambda x: accelerated_run(projection_problem(problem.lower, x), eta, x, budget)
 
 
 def ls_ball_projector(svd, b: np.ndarray, radius: float,

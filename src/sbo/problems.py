@@ -16,12 +16,14 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, get_args
 
 import numpy as np
 
 from .bilevel import (BilevelProblem, CompositeObjective, ReferenceTruth,
-                      SubgradientAtOpt, WeakSharp, min_norm_l1_subgradient)
+                      SubgradientAtOpt, WeakSharp, accelerated_run,
+                      min_norm_l1_subgradient)
 from .errors import ConfigurationError, ParseError
 from .functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from .linalg import format_matrix, format_vector, min_norm_ls, parse_matrix_lines
@@ -215,8 +217,9 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
 
     With lam = 0 the bilevel solution is the min-norm least-squares point and
     f_star is analytic. With lam > 0 and f_star_budget > 0, f_star is
-    manufactured by a long accelerated run at the tiny weight F_STAR_WEIGHT,
-    and its tolerance is derived from that weight.
+    manufactured by f_star_budget steps of `bilevel.accelerated_run` from the
+    min-norm point at the tiny weight F_STAR_WEIGHT, and its tolerance is
+    derived from that weight.
     """
     if rank is None:
         rank = n // 2
@@ -258,11 +261,7 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
         g_star = mu_f * x_dag
         ref.subgradient = SubgradientAtOpt(g_star, float(np.linalg.norm(g_star)))
     elif f_star_budget > 0:
-        from .solvers import FixedEtaSchedule, SolverConfig, solve_r_vfista
-
-        cfg = SolverConfig(big_k=f_star_budget, schedule=FixedEtaSchedule(F_STAR_WEIGHT),
-                           trace_every=f_star_budget, x0=x_dag)
-        x_star = solve_r_vfista(problem, cfg).x_final
+        x_star = accelerated_run(problem, F_STAR_WEIGHT, x_dag, f_star_budget)
         g_star = min_norm_l1_subgradient(mu_f * x_star, lam, x_star)
         g_norm = float(np.linalg.norm(g_star))
         alpha = ref.weak_sharp.alpha
@@ -392,6 +391,17 @@ def build_instance(spec: InstanceSpec) -> BilevelProblem:
     return generator(n=spec.n, **kwargs)
 
 
+def read_text_lines(path) -> list[str]:
+    """The lines of the UTF-8 file at path (every text input is read here);
+    a ParseError names the path and the line of a byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid utf-8: {exc.reason}",
+                         data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def parse_kv_lines(lines) -> dict:
     """Flat "key = value" lines; '#' starts a comment; blank lines ignored."""
     out: dict[str, str] = {}
@@ -426,8 +436,7 @@ def save_instance(path, name: str, params: dict, a: Optional[np.ndarray],
 
 def load_instance(path):
     """Inverse of save_instance: returns (name, params, A or None, b)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text_lines(path)
     i = 0
     while i < len(lines) and lines[i].strip():
         i += 1

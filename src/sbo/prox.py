@@ -32,10 +32,11 @@ def _soft_threshold(t: float, v: np.ndarray) -> np.ndarray:
 
 
 def prox_ball(radius: float, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the ball ||x||_2 <= radius."""
+    """Euclidean projection onto the ball ||x||_2 <= radius, for any finite x."""
     if radius <= 0:
         raise ContractViolation("prox_ball: radius must be positive")
-    p = _project_ball(radius, x)
+    with np.errstate(over="ignore"):  # squares past the float range take the rescaled path
+        p = _project_ball(radius, x)
     return np.array(x, copy=True) if p is x else p
 
 
@@ -212,7 +213,7 @@ class LogSumProx:
 # Pairs (lower kind, upper kind) for which prox of gamma*(omega_h + eta*omega_f)
 # has a closed form. Anything else is rejected when the problem is built --
 # approximating a sum-prox silently would corrupt the rate measurements.
-_SUPPORTED_NOTE = "(zero, any), (any, zero), (l1, l1), (box, zero), (ball, zero)"
+_SUPPORTED_NOTE = "(zero, any), (any, zero), (l1, l1)"
 
 
 class CombinedProx:

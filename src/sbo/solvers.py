@@ -1,7 +1,5 @@
 """The three regularized prox-gradient solvers plus a plain accelerated
-baseline for single composite objectives. The manufactured `f_star` of
-`problems.gen_rank_deficient_ls` comes from `solve_r_vfista`, not from the
-baseline.
+baseline for single composite objectives.
 
 * `solve_ir_ista`   -- single-loop prox-gradient on the surrogate with a
   per-iteration regularization weight and geometric iterate averaging;
@@ -11,7 +9,7 @@ baseline.
 * `solve_ipr_vfista` -- outer gradient loop on a (possibly nonconvex) smooth
   upper objective with inexact projection onto the lower solution set,
   each projection performed by a budgeted inner run of the accelerated
-  variant.
+  variant (`bilevel.accelerated_run`, as for the iterative references).
 * `solve_fista_baseline` -- standard FISTA on a single composite objective.
 
 Every solver is deterministic given its configuration and emits a trace of
@@ -27,7 +25,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .bilevel import BilevelProblem, CompositeObjective, projection_problem
+from .bilevel import (BilevelProblem, CompositeObjective, accelerated_constants,
+                      accelerated_run, check_finite, projection_problem)
 from .errors import ConfigurationError, DivergenceError
 from . import metrics as _metrics
 
@@ -64,12 +63,10 @@ class ConstantIstaSchedule:
     K/ln(K) >= 2*(p+1)*L_f/mu_f."""
 
     p: float
-    big_k: Optional[int] = None
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
         if self.p <= 0:
             raise ConfigurationError("constant-regularization schedule requires p > 0")
-        big_k = self.big_k if self.big_k is not None else big_k
         if big_k <= 1:
             raise ConfigurationError("constant-regularization schedule requires K > 1")
         lhs = big_k / math.log(big_k)
@@ -92,14 +89,12 @@ class ConstantVfistaSchedule:
 
     p: float
     eta_bar: float = 1.0
-    big_k: Optional[int] = None
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
         if self.p <= 2:
             raise ConfigurationError("accelerated constant schedule requires p > 2")
         if self.eta_bar <= 0:
             raise ConfigurationError("accelerated constant schedule requires eta_bar > 0")
-        big_k = self.big_k if self.big_k is not None else big_k
         if big_k <= 1:
             raise ConfigurationError("accelerated constant schedule requires K > 1")
         lhs = (big_k / math.log(big_k)) ** 2
@@ -137,10 +132,10 @@ Schedule = Union[
 
 
 def schedule_eta(schedule: Schedule, k: int, gamma: float, l_f: float,
-                 l_h: float, mu_f: float) -> float:
-    """Evaluate a schedule's eta_k after validating its feasibility
-    conditions; constant variants read K from the schedule itself."""
-    eta_fn, _ = schedule.resolve(gamma, l_f, l_h, mu_f, getattr(schedule, "big_k", 0) or 0)
+                 l_h: float, mu_f: float, big_k: int) -> float:
+    """Evaluate a schedule's eta_k in a run of K = big_k steps after
+    validating its feasibility conditions."""
+    eta_fn, _ = schedule.resolve(gamma, l_f, l_h, mu_f, big_k)
     return eta_fn(k)
 
 
@@ -164,7 +159,6 @@ class SolverConfig:
     schedule: Schedule
     gamma: Union[str, float] = "auto"
     trace_every: Optional[int] = None  # None -> geometric grid of ~200 points
-    x0: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -174,8 +168,6 @@ class NcConfig:
     big_k: int
     a: int = 2
     eta_bar: float = 1.0
-    box_lower: float = -10.0
-    box_upper: float = 10.0
     allow_large_step: bool = False
 
 
@@ -267,29 +259,6 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
     return record
 
 
-def _check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
-                  trace: Optional[list] = None, inner: Optional[int] = None,
-                  what: str = "iterate"):
-    # x.dot(x) is finite only if every entry is; the full test settles the
-    # rare finite x whose squares overflow
-    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
-        if inner is not None:
-            what = f"inner iterate {inner}"
-        raise DivergenceError(
-            f"{solver}: non-finite {what} at step {k}", k=k, last_finite=last,
-            trace=trace,
-        )
-
-
-def _resolve_x0(problem: BilevelProblem, x0) -> np.ndarray:
-    if x0 is None:
-        return np.array(problem.initial_point, copy=True)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dimension,):
-        raise ConfigurationError("x0 has the wrong length for this problem")
-    return np.array(x0, copy=True)
-
-
 # ---------------------------------------------------------------------------
 # Averaging solver (diminishing or constant regularization weight)
 # ---------------------------------------------------------------------------
@@ -373,7 +342,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
             )
 
     clock = _Clock()
-    x = _resolve_x0(problem, cfg.x0)
+    x = np.array(problem.initial_point, copy=True)
     step = problem.step_map(gamma)
     theta = 1.0 / (1.0 - eta0 * gamma * mu_f)
     gamma_sum = 0.0  # Gamma_k, the running sum of eta_j * theta_j
@@ -386,7 +355,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
     for k in range(cfg.big_k):
         x_next = step(eta_k, x)
         if not math.isfinite(x_next.dot(x_next)):
-            _check_finite(x_next, k, x, "averaging solver", trace)
+            check_finite(x_next, k, x, "averaging solver", trace)
         w = eta_k * theta
         w_sum += w * x_next
         gamma_sum += w
@@ -420,8 +389,10 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
                    callback: Optional[Callable] = None) -> RunReport:
     """Accelerated prox-gradient on the surrogate with constant weight eta,
     stepsize exactly 1/(L_h + eta*L_f), and momentum factor
-    (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f).
-    Returns the last iterate (no averaging).
+    (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f)
+    (`bilevel.accelerated_constants`). Returns the last iterate (no
+    averaging). This is `bilevel.accelerated_run` with a trace and a
+    callback.
     """
     upper, lower = problem.upper.smooth, problem.lower.smooth
     mu_f, l_f, l_h = upper.strong_convexity, upper.lipschitz, lower.lipschitz
@@ -437,18 +408,15 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
         raise ConfigurationError("K must be >= 1")
     eta_of, sched_params = cfg.schedule.resolve(0.0, l_f, l_h, mu_f, cfg.big_k)
     eta = eta_of(0)
-    gamma = 1.0 / (l_h + eta * l_f)
+    gamma, kappa, momentum = accelerated_constants(problem, eta)
     if cfg.gamma != "auto" and not math.isclose(float(cfg.gamma), gamma, rel_tol=1e-12):
         raise ConfigurationError(
             "accelerated solver uses gamma = 1/(L_h + eta*L_f) exactly; "
             f"leave gamma = 'auto' (would be {gamma:.6g})"
         )
-    kappa = (l_h + eta * l_f) / (eta * mu_f)
-    momentum = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
     clock = _Clock()
-    x = _resolve_x0(problem, cfg.x0)
-    y = x.copy()
+    x = y = problem.initial_point  # the loop writes no array in place
     step = problem.step_map(gamma)
     trace_at = _trace_ks(cfg)
     trace: list[TraceRecord] = []
@@ -456,7 +424,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
     for k in range(cfg.big_k):
         x_next = step(eta, y)
         if not math.isfinite(x_next.dot(x_next)):
-            _check_finite(x_next, k, x, "accelerated solver", trace)
+            check_finite(x_next, k, x, "accelerated solver", trace)
         y = x_next + momentum * (x_next - x)
         x = x_next
         if callback is not None:
@@ -484,6 +452,8 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
 DIST_POINTS = 12
 # Cap on the inner iterations sum_k (k+1)^a of one run.
 MAX_TOTAL_INNER = 2_000_000
+# Each inner run starts from the outer iterate clipped to this box.
+INNER_START_BOX = 10.0
 
 
 def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
@@ -537,14 +507,9 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
     projector = ref.projector if ref is not None else None
     window_start = big_k // 2
     dist_ks = set(geometric_trace_ks(big_k, DIST_POINTS)) | {big_k}
-    box_lower = np.full(problem.dimension, float(cfg.box_lower))
-    box_upper = np.full(problem.dimension, float(cfg.box_upper))
-    if np.any(box_lower >= box_upper):
-        raise ConfigurationError("box bounds require box_lower < box_upper")
 
     clock = _Clock()
     xhat = np.array(problem.initial_point, copy=True)
-    start = np.clip(xhat, box_lower, box_upper)
     trace: list[TraceRecord] = [
         _eval_record(problem, xhat, 0, None, None, clock, gamma_hat=gamma_hat,
                      with_dist=projector is not None, with_residual=False)
@@ -554,27 +519,17 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
     for k in range(big_k):
         grad_f = upper.gradient(xhat)
         z = xhat - gamma_hat * grad_f
-        _check_finite(z, k, xhat, "outer solver", trace, what="gradient step z")
+        check_finite(z, k, xhat, "outer solver", trace, what="gradient step z")
         j_budget = (k + 1) ** a
         ln_j = max(math.log(j_budget), math.log(2.0))  # J_0 = 1 would give eta = 0
         eta_k = 16.0 * (l_h + cfg.eta_bar) * (ln_j / j_budget) ** 2
-        kappa_k = (l_h + eta_k) / eta_k
-        gamma_k = 1.0 / (l_h + eta_k)
-        momentum = (math.sqrt(kappa_k) - 1.0) / (math.sqrt(kappa_k) + 1.0)
-
-        step = projection_problem(problem.lower, z, initial_point=start).step_map(gamma_k)
-        x_prev = start
-        y = start
-        x_cur = start
-        for j in range(j_budget):
-            x_cur = step(eta_k, y)
-            if not math.isfinite(x_cur.dot(x_cur)):
-                _check_finite(x_cur, k, xhat, "outer solver", trace, inner=j)
-            y = x_cur + momentum * (x_cur - x_prev)
-            x_prev = x_cur
-
-        xhat = x_cur
-        start = np.clip(x_cur, box_lower, box_upper)
+        try:
+            xhat = accelerated_run(projection_problem(problem.lower, z), eta_k,
+                                   np.clip(xhat, -INNER_START_BOX, INNER_START_BOX), j_budget)
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"outer solver: non-finite inner iterate {exc.k} at step {k}", k=k,
+                last_finite=xhat, trace=trace) from None
         want_residual = projector is not None and k >= window_start
         want_dist = projector is not None and (k + 1) in dist_ks
         rec = _eval_record(
@@ -589,8 +544,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
 
     cfg_echo = {
         "solver": "ipr_vfista", "K": big_k, "a": a, "eta_bar": cfg.eta_bar,
-        "gamma_hat": gamma_hat, "box_lower": cfg.box_lower,
-        "box_upper": cfg.box_upper, "total_inner": total_inner,
+        "gamma_hat": gamma_hat, "total_inner": total_inner,
         "allow_large_step": cfg.allow_large_step,
     }
     extras = {"total_inner": total_inner}
@@ -628,7 +582,7 @@ def solve_fista_baseline(obj: CompositeObjective, big_k: int, gamma: float,
     best_x, best_v = x.copy(), obj.value(x)
     for k in range(big_k):
         x_next = obj.nonsmooth.prox(gamma, y - gamma * obj.smooth.gradient(y))
-        _check_finite(x_next, k, x, "baseline")
+        check_finite(x_next, k, x, "baseline")
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next

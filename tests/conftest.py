@@ -31,6 +31,19 @@ class DiagQuadratic(SmoothFunction):
         return self.weights * (x - self.center)
 
 
+class GradientTurnsNan(DiagQuadratic):
+    """Its gradient is NaN from call number `good_calls` + 1 on."""
+
+    def __init__(self, weights, good_calls):
+        super().__init__(weights)
+        self.calls, self.good_calls = 0, good_calls
+
+    def gradient(self, x):
+        self.calls += 1
+        g = super().gradient(x)
+        return g if self.calls <= self.good_calls else np.full_like(g, np.nan)
+
+
 def quad_problem(h_weights, h_center, f_weights, f_center,
                  omega_h=None, omega_f=None, x0=None):
     lower = CompositeObjective(DiagQuadratic(h_weights, h_center),

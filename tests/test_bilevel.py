@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quad_problem
-from sbo.bilevel import (BilevelProblem, CompositeObjective,
-                         min_norm_l1_subgradient, projection_problem)
-from sbo.errors import ConfigurationError, ContractViolation
-from sbo.functions import ScaledSqNorm, ZeroFunction
+from conftest import GradientTurnsNan, quad_problem
+from sbo.bilevel import (BilevelProblem, CompositeObjective, accelerated_constants,
+                         accelerated_run, min_norm_l1_subgradient,
+                         projection_problem)
+from sbo.errors import ConfigurationError, ContractViolation, DivergenceError
+from sbo.functions import MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.problems import (gen_l1_weak_sharp, gen_nonconvex_sec6,
                           gen_rank_deficient_ls, gen_sec61_inverse)
 from sbo.prox import BallProx, L1Prox, ZeroProx
+from sbo.solvers import FixedEtaSchedule, SolverConfig, solve_r_vfista
 
 
 def make_1d_problem():
@@ -192,6 +194,55 @@ def test_step_kernel_matches_the_hand_written_ipr_inner_step():
             grad = lower.smooth.gradient(y) + eta * (y - z)
             want = lower.nonsmooth.prox(gamma, y - gamma * grad)
             assert np.array_equal(step(eta, y), want)
+
+
+# ---------------------------------------------------------------------------
+# the accelerated run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["rank_deficient_ls lam=0.1", "rank_deficient_ls mu_f=2",
+                                  "l1_weak_sharp", "sec61_phillips", "ipr anchor",
+                                  "l1-l1 pair"])
+@pytest.mark.parametrize("eta,iters", [(1e-6, 300), (0.5, 40), (3.0, 1)])
+def test_accelerated_run_is_the_r_vfista_loop_bit_for_bit(name, eta, iters):
+    p = _KERNEL_PROBLEMS[name]
+    x0 = p.initial_point.copy()
+    rep = solve_r_vfista(p, SolverConfig(big_k=iters, schedule=FixedEtaSchedule(eta),
+                                         trace_every=iters))
+    assert np.array_equal(accelerated_run(p, eta, x0, iters), rep.x_final)
+    assert np.array_equal(x0, p.initial_point)  # x0 is not written to
+    gamma, kappa, momentum = accelerated_constants(p, eta)
+    assert (gamma, kappa, momentum) == (rep.config["gamma"], rep.config["kappa"],
+                                        rep.config["momentum"])
+
+
+def test_accelerated_run_refuses_what_the_accelerated_solver_refuses():
+    p = make_1d_problem()
+    x0 = np.array([3.0])
+    for eta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="eta > 0"):
+            accelerated_run(p, eta, x0, 5)
+    with pytest.raises(ConfigurationError, match="iters >= 1"):
+        accelerated_run(p, 1.0, x0, 0)
+    nonconvex = BilevelProblem(CompositeObjective(MoreauLogSum(1e-2, 1e-1, 1), ZeroProx()),
+                               p.lower)
+    with pytest.raises(ConfigurationError, match="strongly convex"):
+        accelerated_run(nonconvex, 1.0, x0, 5)
+    with pytest.raises(ContractViolation):
+        accelerated_run(p, 1.0, np.ones(2), 5)
+
+
+def test_accelerated_run_divergence_names_its_step():
+    # one lower gradient per step: the 4th is NaN, at step 3
+    lower = CompositeObjective(GradientTurnsNan(np.array([1.0, 2.0]), 3), ZeroProx())
+    p = BilevelProblem(CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx()),
+                       lower)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match="non-finite iterate at step 3") as err:
+            accelerated_run(p, 0.5, np.ones(2), 10)
+    assert err.value.k == 3
+    assert np.isfinite(err.value.last_finite).all()
 
 
 def test_step_map_checks_gamma_once():

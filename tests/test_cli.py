@@ -199,8 +199,7 @@ def test_cmd_run_divergence_exits_3_with_partial_trace(tmp_path, capsys,
 def test_cmd_run_ipr_divergence_at_outer_step_2_exits_3(tmp_path, capsys,
                                                        monkeypatch):
     import sbo.cli as cli_mod
-    from test_solvers import GradientTurnsNan
-    from conftest import DiagQuadratic
+    from conftest import DiagQuadratic, GradientTurnsNan
     from sbo.bilevel import BilevelProblem, CompositeObjective
     from sbo.prox import ZeroProx
 
@@ -235,6 +234,16 @@ def test_cmd_run_non_finite_number_exits_2_naming_key(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_cmd_run_config_not_in_utf8_exits_2_naming_path_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# a config\ninstance.name = rank_deficient_ls\n"
+                    b"instance.seed = \xff\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "utf-8" in err
+    assert str(cfg) in err and "line 3" in err
+
+
 RD_IR_ISTA = {"instance.name": "rank_deficient_ls", "instance.n": "10",
               "instance.rank": "4", "solver.name": "ir_ista", "solver.K": "50"}
 NONCONVEX = {"instance.name": "nonconvex_phillips", "instance.n": "8",
@@ -261,6 +270,8 @@ NONCONVEX = {"instance.name": "nonconvex_phillips", "instance.n": "8",
     ({**NONCONVEX, "instance.ref_budget": "1000"}, "instance key 'ref_budget'"),
     ({**NONCONVEX, "instance.projector_budget": "1000"},
      "instance key 'projector_budget'"),
+    ({"solver.name": "ipr_vfista", "solver.box_lower": "-10"}, "'solver.box_lower'"),
+    ({"solver.name": "ipr_vfista", "solver.box_upper": "10"}, "'solver.box_upper'"),
 ])
 def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
                                                      overrides, named):
@@ -381,7 +392,9 @@ def test_cmd_rates_suite_not_in_utf8_exits_2(tmp_path, capsys):
     suite.write_bytes(b"label=\xff config=selftest:powerlaw metric=value "
                       b"slope=-1 tol=0.01\n")
     assert main(["rates", str(suite)]) == 2
-    assert "utf-8" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "utf-8" in err
+    assert str(suite) in err and "line 1" in err
 
 
 def test_cmd_rates_row_whose_config_is_not_utf8_fails_and_later_rows_run(
@@ -395,6 +408,7 @@ def test_cmd_rates_row_whose_config_is_not_utf8_fails_and_later_rows_run(
     assert main(["rates", str(suite)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL bad:") and "utf-8" in lines[0]
+    assert str(tmp_path / "bad.cfg") in lines[0] and "line 1" in lines[0]
     assert lines[1].startswith("PASS after:")
 
 
@@ -517,10 +531,12 @@ def test_cmd_plot_non_numeric_field_exits_2_naming_the_line(tmp_path, capsys):
 def test_cmd_plot_csv_not_in_utf8_exits_2(tmp_path, capsys):
     csv = tmp_path / "t.csv"
     _write_trace(csv, [(1, 1.0), (10, 0.1), (100, 0.01)])
-    csv.write_bytes(csv.read_bytes() + b"\xff\n")
+    csv.write_bytes(csv.read_bytes() + b"\xff\n")  # line 5, after the header and 3 rows
     out = tmp_path / "p.svg"
     assert main(["plot", str(csv), "--metric", "infeas", "--out", str(out)]) == 2
-    assert "utf-8" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "utf-8" in err
+    assert str(csv) in err and "line 5" in err
     assert not out.exists()
 
 

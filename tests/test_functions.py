@@ -1,8 +1,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sbo.errors import ConfigurationError, ContractViolation
+from sbo.errors import ConfigurationError, ContractViolation, PowerIterationError
 from sbo.functions import (LeastSquares, MoreauLogSum, ScaledSqNorm,
                            ZeroFunction)
 
@@ -159,3 +162,49 @@ def test_zero_function():
     assert z.value(x) == 0.0
     assert np.array_equal(z.gradient(x), np.zeros(3))
     assert z.lipschitz == z.strong_convexity == 0.0
+
+
+# ---------------------------------------------------------------------------
+# all three smooth terms on random instances
+# ---------------------------------------------------------------------------
+
+_COORD = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _least_squares(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(arrays(np.float64, (m, n), elements=_COORD))
+    try:
+        func = LeastSquares(a, draw(arrays(np.float64, m, elements=_COORD)))
+    except PowerIterationError:  # e.g. A = 0: no Lipschitz estimate
+        assume(False)
+    return func
+
+
+@st.composite
+def _scaled_sq_norm(draw):
+    n = draw(st.integers(1, 6))
+    return ScaledSqNorm(draw(st.floats(0.1, 10.0)),
+                        center=draw(arrays(np.float64, n, elements=_COORD)))
+
+
+@st.composite
+def _moreau_log_sum(draw):
+    # sqrt(delta) <= epsilon: delta = s * epsilon^2 with s <= 1
+    epsilon = draw(st.floats(0.05, 1.0))
+    delta = draw(st.floats(0.05, 1.0)) * epsilon * epsilon
+    return MoreauLogSum(delta, epsilon, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(func=st.one_of(_least_squares(), _scaled_sq_norm(), _moreau_log_sum()),
+       data=st.data())
+def test_gradient_matches_finite_differences_on_random_instances(func, data):
+    x = data.draw(arrays(np.float64, func.dimension, elements=_COORD))
+    if isinstance(func, MoreauLogSum):
+        # central differences need the prox kink |x_i| = delta/epsilon
+        # farther away than the step
+        assume(np.abs(np.abs(x) - func.delta / func.epsilon).min() > 1e-3)
+    assert_gradient_matches_fd(func, [x])
+    assert func.gradient_unchecked(x).tobytes() == func.gradient(x).tobytes()

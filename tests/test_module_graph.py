@@ -1,0 +1,18 @@
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sbo"
+
+
+def test_no_module_imports_inside_a_function():
+    # every import sits at module level, so the module graph stays acyclic
+    # without lazy imports that hide a cycle
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} in {func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports inside function bodies: {found}"

@@ -279,6 +279,15 @@ def test_load_rejects_inconsistent_file(tmp_path):
         load_instance(path2)
 
 
+def test_load_rejects_a_file_not_in_utf8_naming_path_and_line(tmp_path):
+    path = tmp_path / "inst.txt"
+    save_instance(path, "l1_weak_sharp", {"n": 2}, None, np.array([1.0, 2.0]))
+    path.write_bytes(path.read_bytes().replace(b"n = 2", b"n = \xff"))
+    with pytest.raises(ParseError, match="line 2") as err:
+        load_instance(path)
+    assert "utf-8" in str(err.value) and str(path) in str(err.value)
+
+
 def test_build_instance_registry():
     p = build_instance(InstanceSpec("l1_weak_sharp", 5, seed=2))
     assert p.dimension == 5

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbo.errors import ConfigurationError, ContractViolation
@@ -294,12 +294,13 @@ def test_prox_fixed_points(gamma, x):
 @settings(max_examples=200, deadline=None)
 @given(radius=st.floats(1e-3, 1e3), exponent=st.floats(0.0, 300.0),
        d=_vectors(st.floats(-1.0, 1.0)).filter(lambda d: np.abs(d).max() > 1e-3))
+@example(radius=1.0, exponent=200.0, d=np.ones(8))
 def test_prox_ball_at_any_finite_scale(radius, exponent, d):
-    # past a norm of ~1.3e154 the squares overflow (numpy warns, hence the
-    # errstate); the projection must still be radius * d / ||d||, not 0
+    # past a norm of ~1.3e154 the squares overflow; the projection must
+    # still be radius * d / ||d||, not 0, and no overflow warning may escape
+    # (the suite turns warnings into errors, so no np.errstate here)
     v = 10.0 ** exponent * d
-    with np.errstate(over="ignore"):
-        got = prox_ball(radius, v)
+    got = prox_ball(radius, v)
     if 10.0 ** exponent * np.linalg.norm(d) <= radius:
         assert np.array_equal(got, v)
     else:

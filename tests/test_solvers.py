@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DiagQuadratic, quad_problem
-from sbo.bilevel import BilevelProblem, CompositeObjective
+from conftest import DiagQuadratic, GradientTurnsNan, quad_problem
+from sbo.bilevel import BilevelProblem, CompositeObjective, check_finite
 from sbo.errors import ConfigurationError, DivergenceError
 from sbo.functions import MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.prox import BallProx, L1Prox, ZeroProx
 from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                          DiminishingSchedule, FixedEtaSchedule, NcConfig,
-                         SolverConfig, _check_finite, _log_constant_weight_sum,
+                         SolverConfig, _log_constant_weight_sum,
                          schedule_eta,
                          solve_fista_baseline, solve_ipr_vfista, solve_ir_ista,
                          solve_r_vfista)
@@ -27,38 +27,38 @@ from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
 def test_schedule_diminishing_example():
     s = DiminishingSchedule()
     # L_f = 2, mu_f = 1, gamma = 0.25: eta0_u = 4, eta0_l = 4
-    assert schedule_eta(s, 0, 0.25, 2.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert schedule_eta(s, 4, 0.25, 2.0, 1.0, 1.0) == pytest.approx(0.5)
+    assert schedule_eta(s, 0, 0.25, 2.0, 1.0, 1.0, 100) == pytest.approx(1.0)
+    assert schedule_eta(s, 4, 0.25, 2.0, 1.0, 1.0, 100) == pytest.approx(0.5)
 
 
 def test_schedule_constant_ista_example():
-    s = ConstantIstaSchedule(p=1.0, big_k=100)
-    got = schedule_eta(s, 0, 0.25, 1.0, 1.0, 1.0)
+    s = ConstantIstaSchedule(p=1.0)
+    got = schedule_eta(s, 0, 0.25, 1.0, 1.0, 1.0, 100)
     assert got == pytest.approx(2.0 * math.log(100.0) / 25.0)
     assert got == pytest.approx(0.3684136149191245, abs=1e-9)
     # k-independence
-    assert schedule_eta(s, 57, 0.25, 1.0, 1.0, 1.0) == got
+    assert schedule_eta(s, 57, 0.25, 1.0, 1.0, 1.0, 100) == got
 
 
 def test_schedule_constant_vfista_example():
-    s = ConstantVfistaSchedule(p=3.0, eta_bar=1.0, big_k=100)
-    got = schedule_eta(s, 0, 0.0, 2.0, 2.0, 1.0)
+    s = ConstantVfistaSchedule(p=3.0, eta_bar=1.0)
+    got = schedule_eta(s, 0, 0.0, 2.0, 2.0, 1.0, 100)
     expected = 4.0 * (4.0 * math.log(100.0) / 100.0) ** 2
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.13572859162824702, abs=1e-12)
 
 
 def test_schedule_constant_ista_infeasible_named():
-    s = ConstantIstaSchedule(p=9.0, big_k=10)
+    s = ConstantIstaSchedule(p=9.0)
     with pytest.raises(ConfigurationError, match=r"K/ln\(K\)"):
-        schedule_eta(s, 0, 0.25, 1.0, 1.0, 1.0)
+        schedule_eta(s, 0, 0.25, 1.0, 1.0, 1.0, 10)
 
 
 def test_schedule_constant_vfista_validation():
     with pytest.raises(ConfigurationError, match="p > 2"):
-        schedule_eta(ConstantVfistaSchedule(p=2.0, big_k=100), 0, 0.0, 1, 1, 1)
+        schedule_eta(ConstantVfistaSchedule(p=2.0), 0, 0.0, 1, 1, 1, 100)
     with pytest.raises(ConfigurationError, match=r"\(K/ln\(K\)\)\^2"):
-        schedule_eta(ConstantVfistaSchedule(p=30.0, big_k=8), 0, 0.0, 1, 1, 1)
+        schedule_eta(ConstantVfistaSchedule(p=30.0), 0, 0.0, 1, 1, 1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +447,11 @@ def test_fast_finiteness_check_gives_the_full_verdict(entries):
     finite = bool(np.isfinite(x).all())
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            _check_finite(x, 0, x, "test")
+            check_finite(x, 0, x, "test")
             caught = False
         except DivergenceError:
             caught = True
     assert caught == (not finite)
-
-
-class GradientTurnsNan(DiagQuadratic):
-    """Its gradient is NaN from call number `good_calls` + 1 on."""
-
-    def __init__(self, weights, good_calls):
-        super().__init__(weights)
-        self.calls, self.good_calls = 0, good_calls
-
-    def gradient(self, x):
-        self.calls += 1
-        g = super().gradient(x)
-        return g if self.calls <= self.good_calls else np.full_like(g, np.nan)
 
 
 def test_ipr_divergence_in_the_outer_gradient_step_is_caught_at_its_step():
