@@ -45,22 +45,40 @@ def as_matrix(a) -> np.ndarray:
 def spectral_norm_sq(a: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> float:
     """Largest eigenvalue of A.T A by power iteration on v -> A.T (A v).
 
-    Starts from the normalized all-ones vector (deterministic). Stops when
-    the eigen-residual ||A.T A v - lam v|| <= tol * lam. Raises
-    PowerIterationError carrying the best estimate if max_iter is exhausted.
+    Starts from the normalized all-ones vector (deterministic); 0.0 exactly
+    for A = 0. Stops when the eigen-residual ||A.T A v - lam v|| <= tol * lam.
+    Raises PowerIterationError carrying the best estimate if max_iter is
+    exhausted, or at once if A.T A v underflows to 0 from every start (A with
+    entries below ~1e-77).
     """
     if tol <= 0:
         raise ContractViolation("spectral_norm_sq: tol must be positive")
+    if not a.any():
+        return 0.0
     m, n = a.shape
     v = np.ones(n) / np.sqrt(n)
+    restarts = 0
     lam = 0.0
     for _ in range(max_iter):
         w = a @ v
         bv = a.T @ w
         norm_bv = float(np.linalg.norm(bv))
         if norm_bv == 0.0:
-            # start vector fell in null(A); deterministic restart
-            v = np.arange(1.0, n + 1.0)
+            # v lies in null(A): restart from (1, 2, ..., n), then from
+            # A.T u with u = a_j / |a_ij| for the largest entry a_ij of A.
+            # That vector lies in range(A.T), off null(A), and is nonzero:
+            # its entry j is ||a_j||^2 / |a_ij|, at least |a_ij|
+            restarts += 1
+            if restarts == 1:
+                v = np.arange(1.0, n + 1.0)
+            elif restarts == 2:
+                i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+                v = a.T @ (a[:, j] / abs(a[i, j]))
+                v /= np.abs(v).max()
+            else:
+                raise PowerIterationError(
+                    "power iteration: A.T A v underflows to 0 from every start",
+                    best_estimate=lam)
             v /= np.linalg.norm(v)
             continue
         lam = float(v @ bv)

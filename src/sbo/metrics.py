@@ -134,14 +134,18 @@ def ls_ball_projector(svd, b: np.ndarray, radius: float,
     d = eta + np.pad(s * s, pad)
     sb = np.pad(s * (u_mat.T @ b)[:s.size], pad)
 
+    def norm(v: np.ndarray) -> float:
+        # what np.linalg.norm computes for a 1-D float vector, without its dispatch
+        return math.sqrt(v.dot(v))
+
     def project(x: np.ndarray) -> np.ndarray:
         r = sb + eta * (vt @ x)
         lo = mu = 0.0
-        if np.linalg.norm(r / d) > radius:  # the ball is active
-            mu = np.linalg.norm(r) / radius  # ||r / (d + mu)|| <= radius from here on
+        if norm(r / d) > radius:  # the ball is active
+            mu = norm(r) / radius  # ||r / (d + mu)|| <= radius from here on
             while lo < 0.5 * (lo + mu) < mu:
                 mid = 0.5 * (lo + mu)
-                lo, mu = (mid, mu) if np.linalg.norm(r / (d + mid)) > radius else (lo, mid)
+                lo, mu = (mid, mu) if norm(r / (d + mid)) > radius else (lo, mid)
         return vt.T @ (r / (d + mu))
 
     return project

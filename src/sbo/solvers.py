@@ -196,6 +196,7 @@ class RunReport:
     rate_fits: dict = field(default_factory=dict)
     wall_ns: int = 0
     metrics_ns: int = 0
+    build_ns: int = 0  # set by cli.run_from_config: the instance build's time
     schema_version: int = SCHEMA_VERSION
 
 
@@ -268,6 +269,10 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
 # weighted sum of iterates, stays finite for iterates up to ~1e8 in norm.
 WEIGHT_SUM_MAX = 1e300
 
+# Rows of the block in which the averaging solver stores its iterates until
+# it adds them to the weighted sum (see solve_ir_ista).
+AVERAGING_BLOCK = 64
+
 
 def _log_constant_weight_sum(eta: float, gamma_mu: float, big_k: int) -> float:
     """ln Gamma_K for a constant eta, where theta_k = q^(k+1) with
@@ -285,11 +290,24 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
     """Prox-gradient on the regularized surrogate with weighted averaging.
 
     Per iteration: x_{k+1} = q_step(eta_k, gamma, x_k) with weight
-    w_k = eta_k * theta_k, where theta_{k+1} = theta_k / (1 - eta_{k+1}*gamma*mu_f).
-    The loop keeps two running sums, Gamma_k = sum_j w_j and
-    S_k = sum_j w_j x_{j+1}, and forms the average x_bar = S_k / Gamma_k only
-    where it is read: at a trace point, for the callback and at the return.
-    Returns the averaged iterate; the trace reports metrics of the average.
+    w_k = eta_k * theta_k, where theta_k = theta_{k-1} / (1 - eta_k*gamma*mu_f)
+    and theta_{-1} = 1. The loop keeps two running sums, Gamma_k = sum_j w_j
+    and S_k = sum_j w_j x_{j+1}, and forms the average x_bar = S_k / Gamma_k
+    only where it is read: at a trace point, for the callback and at the
+    return. Returns the averaged iterate; the trace reports metrics of the
+    average.
+
+    A step neither checks nor accumulates its iterate: it stores x_{k+1} in
+    a row of a block of AVERAGING_BLOCK rows and w_k in a weight vector, and
+    adds w_k to Gamma_k. The block is flushed when it is full, at a trace
+    point and at the return, and after every step when there is a callback.
+    A flush tests the block for finiteness with one dot (np.isfinite settles
+    squares that overflow) and adds it to S as one product w_block^T X_block.
+    Its first non-finite row raises DivergenceError at that row's step k,
+    with the row before it (or the iterate before the block) as last_finite
+    and the trace up to k. Up to AVERAGING_BLOCK - 1 steps may run past a
+    non-finite iterate before the flush sees it, so the steps run under
+    np.errstate(over="ignore", invalid="ignore").
 
     With a constant eta, theta grows geometrically; a run whose Gamma_K
     would pass WEIGHT_SUM_MAX is refused before the first step.
@@ -344,40 +362,48 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
     clock = _Clock()
     x = np.array(problem.initial_point, copy=True)
     step = problem.step_map(gamma)
-    theta = 1.0 / (1.0 - eta0 * gamma * mu_f)
+    theta = 1.0
     gamma_sum = 0.0  # Gamma_k, the running sum of eta_j * theta_j
     w_sum = np.zeros_like(x)  # S_k, the running sum of eta_j * theta_j * x_{j+1}
-    trace_at = _trace_ks(cfg)
+    block_rows = 1 if callback is not None else AVERAGING_BLOCK
+    block = np.empty((block_rows, x.size))  # x_{j+1} of the steps not yet in S_k
+    weights = np.empty(block_rows)  # their eta_j * theta_j
     trace: list[TraceRecord] = []
-    theta_prev = theta
-    eta_k = eta0
 
-    for k in range(cfg.big_k):
-        x_next = step(eta_k, x)
-        if not math.isfinite(x_next.dot(x_next)):
-            check_finite(x_next, k, x, "averaging solver", trace)
-        w = eta_k * theta
-        w_sum += w * x_next
-        gamma_sum += w
-        theta_prev = theta
-        eta_next = eta_of(k + 1)
-        theta = theta / (1.0 - eta_next * gamma * mu_f)
-        x = x_next
-        if callback is not None:
-            callback(k + 1, x=x, x_bar=w_sum / gamma_sum, eta=eta_k, theta=theta_prev,
-                     gamma_sum=gamma_sum)
-        if (k + 1) in trace_at:
-            trace.append(_eval_record(problem, w_sum / gamma_sum, k + 1, eta_k,
-                                      theta_prev, clock))
-        eta_k = eta_next
+    k = 0
+    for k_trace in sorted(_trace_ks(cfg)):
+        while k < k_trace:  # one block of steps k .. end-1, then its flush
+            end = min(k + block_rows, k_trace)
+            x_before = x
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(end - k):
+                    eta = eta_of(k + i)
+                    x = step(eta, x)
+                    block[i] = x
+                    theta /= 1.0 - eta * gamma * mu_f
+                    w = eta * theta
+                    weights[i] = w
+                    gamma_sum += w
+                rows = block[:end - k]
+                flat = rows.reshape(-1)
+                if not math.isfinite(flat.dot(flat)):  # find the first bad row
+                    last = x_before
+                    for i, row in enumerate(rows):
+                        check_finite(row, k + i, last, "averaging solver", trace)
+                        last = row.copy()
+            w_sum += weights[:end - k].dot(rows)
+            k = end
+            if callback is not None:
+                callback(k, x=x, x_bar=w_sum / gamma_sum, eta=eta, theta=theta,
+                         gamma_sum=gamma_sum)
+        trace.append(_eval_record(problem, w_sum / gamma_sum, k, eta, theta, clock))
 
     cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched_params}
     return RunReport(
         solver="ir_ista", config=cfg_echo, x_final=w_sum / gamma_sum, trace=trace,
-        extras={"x_last": x, "Gamma_K": gamma_sum, "theta_last": theta_prev},
+        extras={"x_last": x, "Gamma_K": gamma_sum, "theta_last": theta},
         wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
     )
-
 
 
 # ---------------------------------------------------------------------------

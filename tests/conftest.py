@@ -32,16 +32,17 @@ class DiagQuadratic(SmoothFunction):
 
 
 class GradientTurnsNan(DiagQuadratic):
-    """Its gradient is NaN from call number `good_calls` + 1 on."""
+    """Its gradient is `fill` (NaN unless given) from call number
+    `good_calls` + 1 on."""
 
-    def __init__(self, weights, good_calls):
-        super().__init__(weights)
-        self.calls, self.good_calls = 0, good_calls
+    def __init__(self, weights, good_calls, fill=np.nan, center=None):
+        super().__init__(weights, center)
+        self.calls, self.good_calls, self.fill = 0, good_calls, fill
 
     def gradient(self, x):
         self.calls += 1
         g = super().gradient(x)
-        return g if self.calls <= self.good_calls else np.full_like(g, np.nan)
+        return g if self.calls <= self.good_calls else np.full_like(g, self.fill)
 
 
 def quad_problem(h_weights, h_center, f_weights, f_center,

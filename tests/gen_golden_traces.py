@@ -38,15 +38,21 @@ def golden_runs():
     return runs
 
 
-def run_trace(path: pathlib.Path, big_k: int, work: pathlib.Path) -> str:
-    """The trace.csv text of `sbo run` on the config at solver.K = big_k,
-    with output.dir moved into `work`."""
+def write_run_config(path: pathlib.Path, big_k: int, work: pathlib.Path) -> pathlib.Path:
+    """A copy of the config in `work` with solver.K = big_k and output.dir
+    set to work/out."""
     cfg = parse_kv_file(path)
     cfg["solver.K"] = str(big_k)
     cfg["output.dir"] = str(work / "out")
-    small = work / path.name
-    small.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()), encoding="utf-8")
-    if sbo_main(["run", str(small)]) != 0:
+    copy = work / path.name
+    copy.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()), encoding="utf-8")
+    return copy
+
+
+def run_trace(path: pathlib.Path, big_k: int, work: pathlib.Path) -> str:
+    """The trace.csv text of `sbo run` on the config at solver.K = big_k,
+    with output.dir moved into `work`."""
+    if sbo_main(["run", str(write_run_config(path, big_k, work))]) != 0:
         raise SystemExit(f"sbo run failed on {path.name} at K = {big_k}")
     return (work / "out" / "trace.csv").read_text(encoding="utf-8")
 

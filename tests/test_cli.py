@@ -150,6 +150,8 @@ def test_cmd_run_report_echoes_resolved_config(tmp_path):
     assert "config.gamma = " in report      # auto expanded
     assert "wall_clock_ns" in report
     assert "metrics_ns" in report
+    build_lines = [line for line in report.splitlines() if line.startswith("build_ns = ")]
+    assert len(build_lines) == 1 and int(build_lines[0].split(" = ")[1]) > 0
 
 
 def test_cmd_run_refuses_averaging_weights_that_would_overflow(tmp_path, capsys):

@@ -177,7 +177,7 @@ def _least_squares(draw):
     a = draw(arrays(np.float64, (m, n), elements=_COORD))
     try:
         func = LeastSquares(a, draw(arrays(np.float64, m, elements=_COORD)))
-    except PowerIterationError:  # e.g. A = 0: no Lipschitz estimate
+    except PowerIterationError:  # e.g. A.T A v underflows: no Lipschitz estimate
         assume(False)
     return func
 

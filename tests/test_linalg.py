@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sbo.errors import ContractViolation, ParseError, PowerIterationError
+from sbo.functions import LeastSquares
 from sbo.linalg import (as_matrix, as_vector, format_matrix, format_vector,
                         min_norm_ls, parse_matrix_lines, spectral_norm_sq)
 
@@ -44,6 +45,23 @@ def test_spectral_norm_sq_max_iter_error_carries_estimate():
     with pytest.raises(PowerIterationError) as err:
         spectral_norm_sq(a, tol=1e-15, max_iter=2)
     assert err.value.best_estimate > 0.0
+
+
+def test_spectral_norm_sq_of_a_zero_matrix_is_exactly_zero():
+    assert spectral_norm_sq(np.zeros((3, 2))) == 0.0
+    assert LeastSquares(np.zeros((3, 2)), np.ones(3)).lipschitz == 0.0
+
+
+def test_spectral_norm_sq_when_both_start_vectors_lie_in_the_null_space():
+    # A (1, 1, 1) = A (1, 2, 3) = 0; A.T A = 2 c c.T with c = (1, -2, 1)
+    a = np.array([[1.0, -2.0, 1.0], [1.0, -2.0, 1.0]])
+    assert spectral_norm_sq(a) == pytest.approx(12.0, rel=1e-8)
+
+
+def test_spectral_norm_sq_refuses_at_once_when_every_start_underflows():
+    # A.T A v = 1e-240 * v, whose squared norm underflows to 0
+    with pytest.raises(PowerIterationError, match="underflows to 0 from every start"):
+        spectral_norm_sq(np.array([[1e-120, 0.0], [0.0, 1e-121]]))
 
 
 def test_spectral_norm_sq_rejects_bad_tol():

@@ -214,6 +214,103 @@ def test_ir_ista_trace_strictly_increasing_and_theta_column():
     assert rep.trace[-1].theta == pytest.approx((4.0 + 499.0) / 3.0, rel=1e-12)
 
 
+BLOCKED_F_WEIGHTS, BLOCKED_F_CENTER = np.array([1.0, 2.0, 1.5]), np.array([1.0, -1.0, 0.5])
+
+
+def blocked_problem(nan_after=None, fill=np.nan):
+    # a 3-D problem with an l1 upper term; with nan_after, the upper
+    # gradient turns to fill after that many calls (one per step)
+    lower = CompositeObjective(DiagQuadratic(np.array([1.0, 0.5, 0.0])), ZeroProx())
+    upper = (DiagQuadratic(BLOCKED_F_WEIGHTS, BLOCKED_F_CENTER) if nan_after is None else
+             GradientTurnsNan(BLOCKED_F_WEIGHTS, nan_after, fill, BLOCKED_F_CENTER))
+    return BilevelProblem(CompositeObjective(upper, L1Prox(0.3)), lower,
+                          initial_point=np.array([2.0, -1.0, 3.0]))
+
+
+def test_ir_ista_callback_sees_the_sequential_average_bit_for_bit():
+    # with a callback every step is flushed on its own, so x_bar is the
+    # recursion S += w * x_{k+1}, Gamma += w one step at a time
+    s_sum, g_sum, steps = np.zeros(3), 0.0, []
+
+    def cb(k, **kw):
+        nonlocal s_sum, g_sum
+        w = kw["eta"] * kw["theta"]
+        s_sum = s_sum + w * kw["x"]
+        g_sum += w
+        steps.append(k)
+        assert kw["gamma_sum"] == g_sum
+        assert kw["x_bar"].tobytes() == (s_sum / g_sum).tobytes()
+
+    rep = solve_ir_ista(blocked_problem(),
+                        SolverConfig(big_k=300, schedule=DiminishingSchedule()), callback=cb)
+    assert steps == list(range(1, 301))
+    assert rep.x_final.tobytes() == (s_sum / g_sum).tobytes()
+
+
+def test_ir_ista_blocked_average_matches_the_sequential_sum():
+    # trace points every 997 steps: most flushes add 64 rows at once, whose
+    # sum BLAS may round otherwise than the sequential sum; 1e-13 relative
+    p = blocked_problem()
+    cfg = SolverConfig(big_k=5000, schedule=DiminishingSchedule(), trace_every=997)
+    rep = solve_ir_ista(p, cfg)
+    gamma = rep.config["gamma"]
+    upper, lower = p.upper.smooth, p.lower.smooth
+    mu_f = upper.strong_convexity
+    eta_of, _ = cfg.schedule.resolve(gamma, upper.lipschitz, lower.lipschitz, mu_f, 5000)
+    step = p.step_map(gamma)
+    x, theta, s_sum, g_sum = p.initial_point, 1.0, np.zeros(3), 0.0
+    for k in range(5000):
+        eta = eta_of(k)
+        x = step(eta, x)
+        theta /= 1.0 - eta * gamma * mu_f
+        s_sum += eta * theta * x
+        g_sum += eta * theta
+    assert [r.k for r in rep.trace] == [997, 1994, 2991, 3988, 4985, 5000]
+    assert rep.extras["x_last"].tobytes() == x.tobytes()
+    assert rep.extras["Gamma_K"] == g_sum
+    direct = s_sum / g_sum
+    assert np.linalg.norm(rep.x_final - direct) <= 1e-13 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+@pytest.mark.parametrize("trace_every", [30, 1000])
+def test_ir_ista_divergence_inside_a_block_is_caught_at_its_step(fill, trace_every):
+    # one upper gradient per step: step 100 is the first non-finite iterate,
+    # row 36 of the block of steps 64..127; the steps after it run on until
+    # the flush without a numpy warning (pytest turns one into an error)
+    with pytest.raises(DivergenceError, match="averaging solver: non-finite iterate "
+                                              "at step 100$") as err:
+        solve_ir_ista(blocked_problem(100, fill),
+                      SolverConfig(big_k=1000, schedule=DiminishingSchedule(),
+                                   trace_every=trace_every))
+    assert err.value.k == 100
+    assert [r.k for r in err.value.trace] == list(range(trace_every, 101, trace_every))
+    clean = solve_ir_ista(blocked_problem(),
+                          SolverConfig(big_k=100, schedule=DiminishingSchedule()))
+    assert err.value.last_finite.tobytes() == clean.extras["x_last"].tobytes()
+
+
+def test_ir_ista_divergence_at_the_first_step_of_a_block_keeps_the_iterate_before():
+    # step 64 opens the second block: last_finite is the block's previous iterate
+    with pytest.raises(DivergenceError, match="at step 64$") as err:
+        solve_ir_ista(blocked_problem(64),
+                      SolverConfig(big_k=200, schedule=DiminishingSchedule(), trace_every=200))
+    clean = solve_ir_ista(blocked_problem(),
+                          SolverConfig(big_k=64, schedule=DiminishingSchedule()))
+    assert err.value.last_finite.tobytes() == clean.extras["x_last"].tobytes()
+
+
+def test_ir_ista_finite_iterates_whose_squares_overflow_are_not_divergence():
+    # |x| ~ 1e200: the block's one-dot test overflows and np.isfinite
+    # settles it; the metric values of the trace overflow, hence the errstate
+    p = make_theta_problem()
+    p.initial_point = np.array([1e200, -1e200])
+    with np.errstate(over="ignore"):
+        rep = solve_ir_ista(p, SolverConfig(big_k=100, schedule=DiminishingSchedule(),
+                                            gamma=0.25, trace_every=100))
+    assert np.isfinite(rep.x_final).all() and np.isfinite(rep.extras["x_last"]).all()
+
+
 # ---------------------------------------------------------------------------
 # accelerated solver
 # ---------------------------------------------------------------------------
