@@ -74,8 +74,7 @@ class BilevelProblem:
 
     def __init__(self, upper: CompositeObjective, lower: CompositeObjective,
                  reference: Optional[ReferenceTruth] = None,
-                 initial_point: Optional[np.ndarray] = None,
-                 name: str = ""):
+                 initial_point: Optional[np.ndarray] = None):
         if upper.dimension != lower.dimension:
             raise ContractViolation(
                 f"upper dimension {upper.dimension} != lower dimension {lower.dimension}"
@@ -89,7 +88,6 @@ class BilevelProblem:
             np.ones(self.dimension) if initial_point is None
             else np.asarray(initial_point, dtype=float)
         )
-        self.name = name
         if self.initial_point.shape != (self.dimension,):
             raise ContractViolation("initial point has the wrong length")
 
@@ -115,8 +113,6 @@ class BilevelProblem:
     def q_eta_step(self, eta: float, gamma: float, x: np.ndarray) -> np.ndarray:
         """One prox-gradient step on the surrogate:
         prox of gamma*(omega_h + eta*omega_f) at x - gamma*(grad h + eta*grad f)."""
-        if gamma <= 0:
-            raise ContractViolation("gamma must be positive")
         if eta < 0:
             raise ContractViolation("eta must be >= 0")
         self._check_dim(x)
@@ -167,11 +163,10 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
                     iters: int) -> np.ndarray:
     """The last of `iters` accelerated prox-gradient steps from x0 on the
     surrogate at the constant weight eta (`accelerated_constants`), untraced.
-    A non-finite iterate raises DivergenceError with its step index as k."""
-    upper = problem.upper.smooth
-    if upper.strong_convexity <= 0 or upper.nonconvex:
-        raise ConfigurationError(
-            "accelerated run requires a strongly convex smooth upper part (mu_f > 0)")
+    A non-finite iterate raises DivergenceError with its step index as k.
+    The loop ignores overflow warnings: a finite iterate whose squares
+    overflow is settled by `check_finite` and by the ball projection."""
+    require_strongly_convex_upper(problem, "accelerated run")
     if not (eta > 0 and iters >= 1):
         raise ConfigurationError(
             f"accelerated run requires eta > 0 and iters >= 1; got {eta!r} and {iters!r}")
@@ -179,13 +174,23 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     problem._check_dim(x)
     gamma, _, momentum = accelerated_constants(problem, eta)
     step = problem.step_map(gamma)
-    for j in range(iters):
-        x_next = step(eta, y)
-        if not math.isfinite(x_next.dot(x_next)):
-            check_finite(x_next, j, x, "accelerated run")
-        y = x_next + momentum * (x_next - x)
-        x = x_next
+    with np.errstate(over="ignore"):
+        for j in range(iters):
+            x_next = step(eta, y)
+            if not math.isfinite(x_next.dot(x_next)):
+                check_finite(x_next, j, x, "accelerated run")
+            y = x_next + momentum * (x_next - x)
+            x = x_next
     return x
+
+
+def require_strongly_convex_upper(problem: BilevelProblem, who: str) -> None:
+    """ConfigurationError "<who> requires a strongly convex smooth upper
+    part" unless mu_f > 0 and the upper smooth part is convex."""
+    upper = problem.upper.smooth
+    if upper.strong_convexity <= 0 or upper.nonconvex:
+        raise ConfigurationError(
+            f"{who} requires a strongly convex smooth upper part (mu_f > 0)")
 
 
 def check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
@@ -201,15 +206,15 @@ def check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
 
 
 def min_norm_l1_subgradient(grad_smooth: np.ndarray, lam: float,
-                            x_star: np.ndarray, zero_tol: float = 1e-7) -> np.ndarray:
+                            x_star: np.ndarray) -> np.ndarray:
     """Minimum-norm element of grad_smooth + lam * d||.||_1 at x_star.
 
-    On coordinates where x_star is (numerically) zero the subdifferential is
-    the interval [-lam, lam]; the norm-minimizing choice per coordinate is a
-    soft threshold of the smooth gradient.
+    On coordinates where x_star is numerically zero (|x_i| <= 1e-7) the
+    subdifferential is the interval [-lam, lam]; the norm-minimizing choice
+    per coordinate is a soft threshold of the smooth gradient.
     """
     g = np.where(
-        np.abs(x_star) > zero_tol,
+        np.abs(x_star) > 1e-7,
         grad_smooth + lam * np.sign(x_star),
         np.sign(grad_smooth) * np.maximum(np.abs(grad_smooth) - lam, 0.0),
     )

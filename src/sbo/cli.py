@@ -27,7 +27,7 @@ from .errors import ConfigurationError, DivergenceError, ParseError, SboError
 from .metrics import default_fit_window, fit_rate
 from .problems import (InstanceSpec, build_instance, generate_instance_arrays,
                        parse_kv_lines, parse_value, read_text_lines, save_instance)
-from .solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
+from .solvers import (SCHEMA_VERSION, ConstantIstaSchedule, ConstantVfistaSchedule,
                       DiminishingSchedule, FixedEtaSchedule, NcConfig,
                       RunReport, SolverConfig, TraceRecord, solve_ipr_vfista,
                       solve_ir_ista, solve_r_vfista)
@@ -211,7 +211,7 @@ def attach_rate_fits(report: RunReport) -> None:
 
 
 def report_to_text(report: RunReport) -> str:
-    lines = [f"schema_version = {report.schema_version}",
+    lines = [f"schema_version = {SCHEMA_VERSION}",
              f"solver = {report.solver}"]
     for key in sorted(report.config):
         if key == "solver":
@@ -253,8 +253,8 @@ _ML, _MR, _MT, _MB = 70.0, 20.0, 20.0, 50.0
 
 
 def render_svg(xs, ys, logx: bool = False, logy: bool = False,
-               xlabel: str = "k", ylabel: str = "value") -> str:
-    """Self-contained SVG line chart of one data series."""
+               ylabel: str = "value") -> str:
+    """Self-contained SVG line chart of one data series over k."""
     pts = [(x, y) for x, y in zip(xs, ys)
            if y is not None and (not logy or y > 0) and (not logx or x > 0)]
     if len(pts) < 2:
@@ -303,7 +303,7 @@ def render_svg(xs, ys, logx: bool = False, logy: bool = False,
         f'height="{inner_h:.1f}" fill="none" stroke="#333"/>'
         + "".join(tick_lines)
         + f'<text x="{_ML + inner_w / 2:.1f}" y="{_H - 8:.1f}" font-size="13" '
-          f'text-anchor="middle">{xlabel}</text>'
+          f'text-anchor="middle">k</text>'
         + f'<text x="16" y="{_MT + inner_h / 2:.1f}" font-size="13" '
           f'text-anchor="middle" transform="rotate(-90 16 {_MT + inner_h / 2:.1f})">'
           f'{ylabel}</text>'
@@ -354,7 +354,7 @@ def cmd_run(config_path: str) -> int:
         try:
             xs = [r.k for r in report.trace]
             ys = [getattr(r, metric) for r in report.trace]
-            svg = render_svg(xs, ys, logx=True, logy=True, xlabel="k", ylabel=metric)
+            svg = render_svg(xs, ys, logx=True, logy=True, ylabel=metric)
         except ConfigurationError as exc:
             print(f"config error: cannot plot {metric!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -401,6 +401,8 @@ def _parse_suite_row(line: str, lineno: int) -> dict:
 def _selftest_samples(spec: str):
     # selftest:powerlaw:exp=-1,coeff=7[,wobble=0.01]
     parts = spec.split(":")
+    if parts[1] != "powerlaw":
+        raise ConfigurationError(f"unknown selftest kind {parts[1]!r}")
     params = {"exp": -1.0, "coeff": 1.0, "wobble": 0.0}
     if len(parts) > 2 and parts[2]:
         for item in parts[2].split(","):
@@ -480,8 +482,7 @@ def cmd_plot(csv_path: str, metric: str, out_svg: str, logx: bool, logy: bool) -
         if metric not in cols:
             raise ConfigurationError(
                 f"no column {metric!r} in {csv_path}; have {list(cols)}")
-        svg = render_svg(cols["k"], cols[metric], logx=logx, logy=logy,
-                         xlabel="k", ylabel=metric)
+        svg = render_svg(cols["k"], cols[metric], logx=logx, logy=logy, ylabel=metric)
     except (SboError, OSError) as exc:
         print(f"plot error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

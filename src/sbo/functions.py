@@ -6,13 +6,11 @@ re-estimated per call.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ContractViolation
 from .linalg import as_matrix, as_vector, lipschitz_from_matrix
-from .prox import prox_logsum
+from .prox import _check_logsum_params, prox_logsum
 
 
 class SmoothFunction:
@@ -35,11 +33,15 @@ class SmoothFunction:
         raise NotImplementedError
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """`gradient_unchecked` after the length check, as a new array."""
+        self._check_dim(x)
+        g = self.gradient_unchecked(x)
+        return np.array(g, copy=True) if g is x else g
 
     def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
         """`gradient` without the length check, for a loop that checked its
-        iterate once. The result may share memory with x: read it only."""
+        iterate once. The result may share memory with x: read it only. A
+        subclass defines this or `gradient`."""
         return self.gradient(x)
 
     def _check_dim(self, x: np.ndarray) -> None:
@@ -62,8 +64,7 @@ class ZeroFunction(SmoothFunction):
         self._check_dim(x)
         return 0.0
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
+    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
         return np.zeros(self.dimension)
 
 
@@ -84,10 +85,6 @@ class LeastSquares(SmoothFunction):
         self._check_dim(x)
         r = self.a @ x - self.b
         return 0.5 * float(r @ r)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
-        return self.gradient_unchecked(x)
 
     def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
         # ndarray.dot makes the same BLAS gemv calls as @, with less dispatch
@@ -118,11 +115,6 @@ class ScaledSqNorm(SmoothFunction):
         d = x - self.center
         return 0.5 * self.weight * float(d @ d)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
-        g = self.gradient_unchecked(x)
-        return np.array(g, copy=True) if g is x else g
-
     def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
         d = x if self._zero_center else x - self.center
         return d if self.weight == 1.0 else self.weight * d
@@ -138,13 +130,7 @@ class MoreauLogSum(SmoothFunction):
     nonconvex = True
 
     def __init__(self, delta: float, epsilon: float, dimension: int):
-        if delta <= 0:
-            raise ConfigurationError("MoreauLogSum requires delta > 0")
-        if math.sqrt(delta) > epsilon:
-            raise ConfigurationError(
-                f"MoreauLogSum requires sqrt(delta) <= epsilon; got "
-                f"sqrt({delta}) = {math.sqrt(delta):.6g} > {epsilon}"
-            )
+        _check_logsum_params(delta, epsilon)
         self.delta = float(delta)
         self.epsilon = float(epsilon)
         self.dimension = int(dimension)
@@ -163,10 +149,6 @@ class MoreauLogSum(SmoothFunction):
         p = self._prox_point(x)
         d = x - p
         return self.penalty(p) + float(d @ d) / (2.0 * self.delta)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
-        return self.gradient_unchecked(x)
 
     def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
         return (x - self._prox_point(x)) / self.delta

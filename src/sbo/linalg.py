@@ -9,6 +9,8 @@ module boundaries (no NaN/Inf is admitted into solver state).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolation, ParseError, PowerIterationError
@@ -42,24 +44,29 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def spectral_norm_sq(a: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> float:
+def spectral_norm_sq(a: np.ndarray) -> float:
     """Largest eigenvalue of A.T A by power iteration on v -> A.T (A v).
 
     Starts from the normalized all-ones vector (deterministic); 0.0 exactly
-    for A = 0. Stops when the eigen-residual ||A.T A v - lam v|| <= tol * lam.
-    Raises PowerIterationError carrying the best estimate if max_iter is
-    exhausted, or at once if A.T A v underflows to 0 from every start (A with
-    entries below ~1e-77).
+    for A = 0. Stops when the eigen-residual ||A.T A v - lam v|| <= 1e-8 * lam
+    and raises PowerIterationError carrying the best estimate after 5000
+    steps. The iteration runs on A * 2^-e, where 2^e is the power of two
+    just above max |a_ij|, and scales lam back by 2^2e. Scaling by a power
+    of two is exact in binary floating point, so the result is bit for bit
+    that of the unscaled iteration wherever that one stays in the normal
+    range, and no start underflows or overflows for tiny or huge entries. A
+    lam_max beyond the float range raises PowerIterationError at once.
     """
-    if tol <= 0:
-        raise ContractViolation("spectral_norm_sq: tol must be positive")
-    if not a.any():
+    scale = float(np.abs(a).max())
+    if scale == 0.0:
         return 0.0
+    e = math.frexp(scale)[1]
+    a = np.ldexp(a, -e)
     m, n = a.shape
     v = np.ones(n) / np.sqrt(n)
     restarts = 0
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(5000):
         w = a @ v
         bv = a.T @ w
         norm_bv = float(np.linalg.norm(bv))
@@ -71,30 +78,37 @@ def spectral_norm_sq(a: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> 
             restarts += 1
             if restarts == 1:
                 v = np.arange(1.0, n + 1.0)
-            elif restarts == 2:
+            else:
                 i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
                 v = a.T @ (a[:, j] / abs(a[i, j]))
                 v /= np.abs(v).max()
-            else:
-                raise PowerIterationError(
-                    "power iteration: A.T A v underflows to 0 from every start",
-                    best_estimate=lam)
             v /= np.linalg.norm(v)
             continue
         lam = float(v @ bv)
         residual = float(np.linalg.norm(bv - lam * v))
-        if residual <= tol * max(lam, np.finfo(float).tiny):
-            return lam
+        if residual <= 1e-8 * max(lam, np.finfo(float).tiny):
+            return _unscaled(lam, e)
         v = bv / norm_bv
     raise PowerIterationError(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations",
-        best_estimate=lam,
+        "power iteration did not reach tol=1e-08 within 5000 iterations",
+        best_estimate=_unscaled(lam, e),
     )
 
 
-def lipschitz_from_matrix(a: np.ndarray, tol: float = 1e-8, max_iter: int = 5000) -> float:
+def _unscaled(lam: float, e: int) -> float:
+    """lam * 2^2e, the estimate for A from the one for A * 2^-e."""
+    try:
+        return math.ldexp(lam, 2 * e)
+    except OverflowError:
+        log10 = math.log10(lam) + 2 * e * math.log10(2.0)
+        raise PowerIterationError(
+            f"power iteration: lambda_max(A.T A) overflows, at about 10^{log10:.1f}",
+            best_estimate=math.inf) from None
+
+
+def lipschitz_from_matrix(a: np.ndarray) -> float:
     """Safe Lipschitz constant for x -> A.T(Ax - b): inflated lambda_max(A.T A)."""
-    return LIPSCHITZ_SAFETY * spectral_norm_sq(a, tol=tol, max_iter=max_iter)
+    return LIPSCHITZ_SAFETY * spectral_norm_sq(a)
 
 
 def min_norm_ls(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -203,8 +203,7 @@ def inverse_problem(which: str, n: int):
 # Tiny constant weights of the surrogate problems whose minimizers give
 # reference values; ReferenceTruth.notes records each one.
 F_STAR_WEIGHT = 1e-9     # f_star of rank_deficient_ls with lam > 0
-H_STAR_WEIGHT = 1e-6     # h_star of the nonconvex instances
-PROJECTOR_WEIGHT = 1e-6  # the nonconvex instances' approximate projector
+PROJECTOR_WEIGHT = 1e-6  # the nonconvex instances' projector and h_star
 
 
 def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
@@ -219,7 +218,10 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
     f_star is analytic. With lam > 0 and f_star_budget > 0, f_star is
     manufactured by f_star_budget steps of `bilevel.accelerated_run` from the
     min-norm point at the tiny weight F_STAR_WEIGHT, and its tolerance is
-    derived from that weight.
+    derived from that weight. That tolerance bounds only the bias of the
+    weight, not the truncation at f_star_budget steps: at seed 7, n = 50,
+    rank 25, lam = 0.1, f_star moves by 1.0e-3 from 100k to 200k steps,
+    against an f_star_tol of 2.8e-5.
     """
     if rank is None:
         rank = n // 2
@@ -251,8 +253,7 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
         weak_sharp=WeakSharp(alpha=0.5 * sigma[-1] ** 2, order=2.0),
         projector=project, projector_kind="exact",
     )
-    problem = BilevelProblem(upper, lower, reference=ref,
-                             initial_point=np.ones(n), name="rank_deficient_ls")
+    problem = BilevelProblem(upper, lower, reference=ref, initial_point=np.ones(n))
 
     if lam == 0.0:
         ref.x_star = x_dag
@@ -293,8 +294,7 @@ def gen_l1_weak_sharp(n: int, c: np.ndarray) -> BilevelProblem:
         projector=lambda x: np.zeros(n), projector_kind="exact",
         subgradient=SubgradientAtOpt(-c, float(np.linalg.norm(c))),
     )
-    return BilevelProblem(upper, lower, reference=ref,
-                          initial_point=np.ones(n), name="l1_weak_sharp")
+    return BilevelProblem(upper, lower, reference=ref, initial_point=np.ones(n))
 
 
 def gen_sec61_inverse(which: str, n: int, mu_f: float = 1.0,
@@ -314,36 +314,33 @@ def gen_sec61_inverse(which: str, n: int, mu_f: float = 1.0,
     residual = a @ x_dag - b
     h_at_dag = 0.5 * float(residual @ residual)
     ref = ReferenceTruth(h_star=0.0, h_star_tol=max(1e-10, h_at_dag))
-    return BilevelProblem(upper, lower, reference=ref,
-                          initial_point=np.ones(n), name=f"sec61_{which}")
+    return BilevelProblem(upper, lower, reference=ref, initial_point=np.ones(n))
 
 
 def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
                        epsilon: float = 1e-1) -> BilevelProblem:
     """Smooth nonconvex selection: upper objective the Moreau envelope of the
     log-sum penalty, lower level 0.5*||Ax - b||^2 restricted to the unit
-    ball. Feasible start x0 = ones/sqrt(n). The lower optimal value and the
-    documented approximate projector onto the solution set both come from
-    the closed-form tiny-weight minimizer `metrics.ls_ball_projector`: h_star
-    at weight H_STAR_WEIGHT anchored at x0, the projector at PROJECTOR_WEIGHT.
+    ball. Feasible start x0 = ones/sqrt(n). The documented approximate
+    projector onto the solution set is the closed-form tiny-weight minimizer
+    `metrics.ls_ball_projector` at PROJECTOR_WEIGHT, and h_star is the lower
+    value at its image of x0.
     """
     a, b = inverse_problem(which, n)
     lower = CompositeObjective(LeastSquares(a, b), BallProx(1.0))
     upper = CompositeObjective(MoreauLogSum(delta, epsilon, n), ZeroProx())
     x0 = np.ones(n) / math.sqrt(n)
-    svd = np.linalg.svd(a)
-    x_ref = ls_ball_projector(svd, b, 1.0, H_STAR_WEIGHT)(x0)
+    projector = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)
+    x_ref = projector(x0)
     # the tiny-weight optimum overshoots h* by at most eta * 0.5*dist(x0, X*)^2
-    bias = H_STAR_WEIGHT * 0.5 * float((x_ref - x0) @ (x_ref - x0))
+    bias = PROJECTOR_WEIGHT * 0.5 * float((x_ref - x0) @ (x_ref - x0))
     ref = ReferenceTruth(
         h_star=lower.value(x_ref), h_star_tol=bias + 1e-10,
-        projector=ls_ball_projector(svd, b, 1.0, PROJECTOR_WEIGHT),
-        projector_kind="approximate",
-        notes={"h_star_method": "closed_form", "h_star_eta": H_STAR_WEIGHT,
+        projector=projector, projector_kind="approximate",
+        notes={"h_star_method": "closed_form", "h_star_eta": PROJECTOR_WEIGHT,
                "projector_method": "closed_form", "projector_eta": PROJECTOR_WEIGHT},
     )
-    return BilevelProblem(upper, lower, reference=ref, initial_point=x0,
-                          name=f"nonconvex_sec6_{which}")
+    return BilevelProblem(upper, lower, reference=ref, initial_point=x0)
 
 
 # ---------------------------------------------------------------------------

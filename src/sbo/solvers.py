@@ -26,7 +26,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .bilevel import (BilevelProblem, CompositeObjective, accelerated_constants,
-                      accelerated_run, check_finite, projection_problem)
+                      accelerated_run, check_finite, projection_problem,
+                      require_strongly_convex_upper)
 from .errors import ConfigurationError, DivergenceError
 from . import metrics as _metrics
 
@@ -197,7 +198,6 @@ class RunReport:
     wall_ns: int = 0
     metrics_ns: int = 0
     build_ns: int = 0  # set by cli.run_from_config: the instance build's time
-    schema_version: int = SCHEMA_VERSION
 
 
 def geometric_trace_ks(big_k: int, n_points: int = 200) -> list[int]:
@@ -232,9 +232,12 @@ class _Clock:
 
 def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
                  clock: _Clock, gamma_hat: Optional[float] = None,
-                 with_dist: bool = False, with_residual: bool = False) -> TraceRecord:
+                 with_dist: bool = False) -> TraceRecord:
     """The trace record of x at step k; its elapsed_ns is the solver time
-    so far, and the time the record takes goes to clock.metrics_ns."""
+    so far, and the time the record takes goes to clock.metrics_ns. The
+    projector columns are evaluated where the reference has a projector:
+    residual_sq when gamma_hat is given, dist_lower with with_dist or when
+    the projector is exact."""
     start = time.perf_counter_ns()
     ref = problem.reference
     f_bar = problem.upper.value(x)
@@ -248,9 +251,9 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
             dist_xsq = float(d @ d)
         if with_dist or ref.projector_kind == "exact":
             dist_lower = _metrics.dist_to_lower_set(problem, x)
-        if with_residual and ref.projector is not None and gamma_hat is not None:
+        if gamma_hat is not None:
             g = _metrics.residual_norm(problem, x, gamma_hat)
-            residual_sq = g * g
+            residual_sq = None if g is None else g * g
     record = TraceRecord(
         k=k, eta=eta, theta=theta, f_bar=f_bar, h_bar=h_bar, infeas=infeas,
         subopt=subopt, dist_xstar_sq=dist_xsq, dist_lower=dist_lower,
@@ -312,12 +315,9 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
     With a constant eta, theta grows geometrically; a run whose Gamma_K
     would pass WEIGHT_SUM_MAX is refused before the first step.
     """
+    require_strongly_convex_upper(problem, "averaging solver")
     upper, lower = problem.upper.smooth, problem.lower.smooth
     mu_f, l_f, l_h = upper.strong_convexity, upper.lipschitz, lower.lipschitz
-    if mu_f <= 0 or upper.nonconvex:
-        raise ConfigurationError(
-            "averaging solver requires a strongly convex smooth upper part (mu_f > 0)"
-        )
     if isinstance(cfg.schedule, ConstantVfistaSchedule):
         raise ConfigurationError(
             "the accelerated constant schedule belongs to the accelerated solver"
@@ -420,12 +420,9 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
     averaging). This is `bilevel.accelerated_run` with a trace and a
     callback.
     """
+    require_strongly_convex_upper(problem, "accelerated solver")
     upper, lower = problem.upper.smooth, problem.lower.smooth
     mu_f, l_f, l_h = upper.strong_convexity, upper.lipschitz, lower.lipschitz
-    if mu_f <= 0 or upper.nonconvex:
-        raise ConfigurationError(
-            "accelerated solver requires a strongly convex smooth upper part (mu_f > 0)"
-        )
     if not isinstance(cfg.schedule, (ConstantVfistaSchedule, FixedEtaSchedule)):
         raise ConfigurationError(
             "accelerated solver takes the accelerated constant schedule or an explicit eta"
@@ -444,19 +441,23 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
     clock = _Clock()
     x = y = problem.initial_point  # the loop writes no array in place
     step = problem.step_map(gamma)
-    trace_at = _trace_ks(cfg)
     trace: list[TraceRecord] = []
 
-    for k in range(cfg.big_k):
-        x_next = step(eta, y)
-        if not math.isfinite(x_next.dot(x_next)):
-            check_finite(x_next, k, x, "accelerated solver", trace)
-        y = x_next + momentum * (x_next - x)
-        x = x_next
-        if callback is not None:
-            callback(k + 1, x=x, y=y, eta=eta)
-        if (k + 1) in trace_at:
-            trace.append(_eval_record(problem, x, k + 1, eta, None, clock))
+    k = 0
+    for k_trace in sorted(_trace_ks(cfg)):
+        while k < k_trace:  # the steps up to the next callback or trace point
+            end = k + 1 if callback is not None else k_trace
+            with np.errstate(over="ignore"):  # as in bilevel.accelerated_run
+                for j in range(k, end):
+                    x_next = step(eta, y)
+                    if not math.isfinite(x_next.dot(x_next)):
+                        check_finite(x_next, j, x, "accelerated solver", trace)
+                    y = x_next + momentum * (x_next - x)
+                    x = x_next
+            k = end
+            if callback is not None:
+                callback(k, x=x, y=y, eta=eta)
+        trace.append(_eval_record(problem, x, k, eta, None, clock))
 
     cfg_echo = {
         "solver": "r_vfista", "K": cfg.big_k, "gamma": gamma, "kappa": kappa,
@@ -529,18 +530,14 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
             f"{MAX_TOTAL_INNER}; lower K or a"
         )
 
-    ref = problem.reference
-    projector = ref.projector if ref is not None else None
     window_start = big_k // 2
-    dist_ks = set(geometric_trace_ks(big_k, DIST_POINTS)) | {big_k}
+    dist_ks = set(geometric_trace_ks(big_k, DIST_POINTS))
 
     clock = _Clock()
     xhat = np.array(problem.initial_point, copy=True)
-    trace: list[TraceRecord] = [
-        _eval_record(problem, xhat, 0, None, None, clock, gamma_hat=gamma_hat,
-                     with_dist=projector is not None, with_residual=False)
-    ]
-    best = {"residual_sq": math.inf, "k": -1, "x": xhat.copy()}
+    trace: list[TraceRecord] = [_eval_record(problem, xhat, 0, None, None, clock,
+                                             with_dist=True)]
+    best = {"residual_sq": math.inf, "k": -1, "x": xhat}
 
     for k in range(big_k):
         grad_f = upper.gradient(xhat)
@@ -556,15 +553,14 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
             raise DivergenceError(
                 f"outer solver: non-finite inner iterate {exc.k} at step {k}", k=k,
                 last_finite=xhat, trace=trace) from None
-        want_residual = projector is not None and k >= window_start
-        want_dist = projector is not None and (k + 1) in dist_ks
         rec = _eval_record(
-            problem, xhat, k + 1, eta_k, None, clock, gamma_hat=gamma_hat,
-            with_dist=want_dist, with_residual=want_residual,
+            problem, xhat, k + 1, eta_k, None, clock,
+            gamma_hat=gamma_hat if k >= window_start else None,
+            with_dist=(k + 1) in dist_ks,
         )
         trace.append(rec)
-        if want_residual and rec.residual_sq < best["residual_sq"]:
-            best = {"residual_sq": rec.residual_sq, "k": k, "x": xhat.copy()}
+        if rec.residual_sq is not None and rec.residual_sq < best["residual_sq"]:
+            best = {"residual_sq": rec.residual_sq, "k": k, "x": xhat}
         if callback is not None:
             callback(k + 1, x_hat=xhat, z=z, eta=eta_k, j_budget=j_budget)
 

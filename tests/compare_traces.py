@@ -1,13 +1,17 @@
-"""Compares the trace of every shipped config between this checkout and another.
+"""Compares the trace and report of every shipped config between this
+checkout and another.
 
 Each configs/*.cfg is run through `sbo run` at solver.K = 20 and at its
 shipped solver.K, once on this checkout's src/ and once on the other
 checkout's src/, each in a subprocess. For each run the script prints
-"identical" when the two trace.csv files are byte-identical, and otherwise
-the worst relative difference |a - b| / max(|a|, |b|) of every numeric
-column that differs (elapsed_ns is ignored), plus any field that is empty
-on one side only or a differing row count. Use it to show that a change
-keeps the traces, or to bound how far it moves them.
+"identical" when the two trace.csv files are byte-identical and so are the
+two report.txt files but for their timing footer (wall_clock_ns,
+metrics_ns, build_ns). Otherwise it prints the worst relative difference
+|a - b| / max(|a|, |b|) of every numeric trace column that differs
+(elapsed_ns is ignored), any field that is empty on one side only or a
+differing row count, and every report key that differs, with its worst
+relative difference when both values are numbers. Use it to show that a
+change keeps the traces and reports, or to bound how far it moves them.
 
 pytest does not collect this file. Run from the repository root:
 
@@ -29,19 +33,31 @@ from gen_golden_traces import CONFIGS, SHORT_K, write_run_config  # noqa: E402
 from sbo.cli import parse_kv_file  # noqa: E402
 
 IGNORED_COLUMNS = ("elapsed_ns",)
+IGNORED_REPORT_KEYS = ("wall_clock_ns", "metrics_ns", "build_ns")
 
 
-def run_trace_in(checkout: pathlib.Path, path: pathlib.Path, big_k: int,
-                 work: pathlib.Path) -> str:
-    """The trace.csv text of `sbo run` on the config at solver.K = big_k,
-    run by the sbo package under checkout/src in a subprocess."""
+def run_in(checkout: pathlib.Path, path: pathlib.Path, big_k: int,
+           work: pathlib.Path) -> tuple[str, str]:
+    """The trace.csv and report.txt texts of `sbo run` on the config at
+    solver.K = big_k, run by the sbo package under checkout/src in a
+    subprocess."""
     config = write_run_config(path, big_k, work)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run([sys.executable, "-m", "sbo.cli", "run", str(config)],
                           env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"exit {done.returncode} in {checkout}: {done.stderr.strip()}")
-    return (work / "out" / "trace.csv").read_text(encoding="utf-8")
+    return tuple((work / "out" / name).read_text(encoding="utf-8")
+                 for name in ("trace.csv", "report.txt"))
+
+
+def _relative_difference(a: str, b: str) -> float | None:
+    """|x - y| / max(|x|, |y|) of two numeric texts, None if one is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    return abs(x - y) / max(abs(x), abs(y))
 
 
 def trace_differences(mine: str, other: str) -> list[str]:
@@ -64,10 +80,28 @@ def trace_differences(mine: str, other: str) -> list[str]:
             if "" in (a, b):
                 findings.append(f"{name}: {a!r} vs {b!r} in row k = {mine_row.split(',')[0]}")
                 continue
-            x, y = float(a), float(b)
-            worst[name] = max(worst[name], abs(x - y) / max(abs(x), abs(y)))
+            worst[name] = max(worst[name], _relative_difference(a, b))
     findings += [f"{name}: max rel diff {diff:.2e}" for name, diff in worst.items() if diff]
     return findings or ["differs only in ignored columns"]
+
+
+def report_differences(mine: str, other: str) -> list[str]:
+    """What differs between two report.txt texts, one line per "key = value"
+    line that differs; the timing footer is ignored."""
+    def values(text: str) -> dict[str, str]:
+        pairs = (line.partition(" = ") for line in text.splitlines())
+        return {key: value for key, _, value in pairs if key not in IGNORED_REPORT_KEYS}
+
+    mine_values, other_values = values(mine), values(other)
+    findings = []
+    for key in sorted(mine_values.keys() | other_values.keys()):
+        a, b = mine_values.get(key), other_values.get(key)
+        if a == b:
+            continue
+        diff = None if None in (a, b) else _relative_difference(a, b)
+        findings.append(f"report {key}: " + (f"rel diff {diff:.2e}" if diff is not None
+                                             else f"{a!r} vs {b!r}"))
+    return findings
 
 
 def main(argv: list[str]) -> int:
@@ -82,9 +116,11 @@ def main(argv: list[str]) -> int:
             label = f"{path.stem} K={big_k}"
             try:
                 with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-                    findings = trace_differences(
-                        run_trace_in(ROOT, path, big_k, pathlib.Path(a)),
-                        run_trace_in(other, path, big_k, pathlib.Path(b)))
+                    (mine_trace, mine_report), (other_trace, other_report) = (
+                        run_in(ROOT, path, big_k, pathlib.Path(a)),
+                        run_in(other, path, big_k, pathlib.Path(b)))
+                findings = (trace_differences(mine_trace, other_trace)
+                            + report_differences(mine_report, other_report))
             except RuntimeError as exc:
                 print(f"{label}: FAILED: {exc}")
                 failed = True

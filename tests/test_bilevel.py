@@ -8,7 +8,7 @@ from sbo.bilevel import (BilevelProblem, CompositeObjective, accelerated_constan
                          accelerated_run, min_norm_l1_subgradient,
                          projection_problem)
 from sbo.errors import ConfigurationError, ContractViolation, DivergenceError
-from sbo.functions import MoreauLogSum, ScaledSqNorm, ZeroFunction
+from sbo.functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.problems import (gen_l1_weak_sharp, gen_nonconvex_sec6,
                           gen_rank_deficient_ls, gen_sec61_inverse)
 from sbo.prox import BallProx, L1Prox, ZeroProx
@@ -243,6 +243,23 @@ def test_accelerated_run_divergence_names_its_step():
             accelerated_run(p, 0.5, np.ones(2), 10)
     assert err.value.k == 3
     assert np.isfinite(err.value.last_finite).all()
+
+
+def _ball_problem_started_at_1e160():
+    # a finite start whose squares overflow; the ball projection takes it
+    lower = CompositeObjective(LeastSquares(np.eye(4), np.zeros(4)), BallProx(1.0))
+    upper = CompositeObjective(ScaledSqNorm(1.0, dimension=4), ZeroProx())
+    return BilevelProblem(upper, lower, initial_point=np.full(4, 1e160))
+
+
+def test_accelerated_loops_take_a_start_whose_squares_overflow_without_warning():
+    # pytest turns warnings into errors: an overflow warning would fail this
+    p = _ball_problem_started_at_1e160()
+    x = accelerated_run(p, 0.5, p.initial_point, 3)
+    assert np.linalg.norm(x) <= 1.0 + 1e-12
+    rep = solve_r_vfista(p, SolverConfig(big_k=3, schedule=FixedEtaSchedule(0.5)))
+    assert np.linalg.norm(rep.x_final) <= 1.0 + 1e-12
+    assert rep.x_final.tobytes() == x.tobytes()
 
 
 def test_step_map_checks_gamma_once():

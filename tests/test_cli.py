@@ -389,6 +389,22 @@ def test_cmd_rates_row_that_cannot_run_fails_and_later_rows_run(tmp_path,
     assert lines[2].startswith("PASS after:")
 
 
+def test_cmd_rates_unknown_selftest_kind_fails_and_later_rows_run(tmp_path, capsys):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "label=misspelled config=selftest:powrlaw:exp=-1,coeff=7 "
+        "metric=value slope=-1 tol=0.01\n"
+        "label=other config=selftest:whatever metric=value slope=-1 tol=0.01\n"
+        "label=after config=selftest:powerlaw:exp=-1,coeff=7 "
+        "metric=value slope=-1 tol=0.01\n")
+    assert main(["rates", str(suite)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL misspelled: unknown selftest kind 'powrlaw'",
+        "FAIL other: unknown selftest kind 'whatever'",
+        "PASS after: metric=value slope=-1.0000 expected=-1.000+/-0.010 r2=1.0000 n=1000",
+    ]
+
+
 def test_cmd_rates_suite_not_in_utf8_exits_2(tmp_path, capsys):
     suite = tmp_path / "suite.txt"
     suite.write_bytes(b"label=\xff config=selftest:powerlaw metric=value "

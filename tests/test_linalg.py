@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,25 +27,25 @@ def test_spectral_norm_sq_vs_dense_eigensolver():
     rng = np.random.default_rng(42)
     a = rng.standard_normal((8, 8))
     expected = float(np.linalg.eigvalsh(a.T @ a).max())
-    got = spectral_norm_sq(a, tol=1e-10)
+    got = spectral_norm_sq(a)
     assert got == pytest.approx(expected, rel=1e-8)
 
 
 def test_spectral_norm_sq_sign_and_scale_invariance():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((6, 6))
-    base = spectral_norm_sq(a, tol=1e-10)
-    assert spectral_norm_sq(-a, tol=1e-10) == pytest.approx(base, rel=1e-8)
-    assert spectral_norm_sq(2.5 * a, tol=1e-10) == pytest.approx(
+    base = spectral_norm_sq(a)
+    assert spectral_norm_sq(-a) == pytest.approx(base, rel=1e-8)
+    assert spectral_norm_sq(2.5 * a) == pytest.approx(
         2.5**2 * base, rel=1e-8)
 
 
 def test_spectral_norm_sq_max_iter_error_carries_estimate():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((12, 12))
-    with pytest.raises(PowerIterationError) as err:
-        spectral_norm_sq(a, tol=1e-15, max_iter=2)
-    assert err.value.best_estimate > 0.0
+    # eigenvalues 1 and 0.9998: the residual shrinks by 0.9998 per step and
+    # is still above 1e-8 after the 5000-step cap
+    with pytest.raises(PowerIterationError, match="within 5000 iterations") as err:
+        spectral_norm_sq(np.diag([1.0, 0.9999]))
+    assert err.value.best_estimate == pytest.approx(0.99998, rel=1e-5)
 
 
 def test_spectral_norm_sq_of_a_zero_matrix_is_exactly_zero():
@@ -58,15 +59,32 @@ def test_spectral_norm_sq_when_both_start_vectors_lie_in_the_null_space():
     assert spectral_norm_sq(a) == pytest.approx(12.0, rel=1e-8)
 
 
-def test_spectral_norm_sq_refuses_at_once_when_every_start_underflows():
-    # A.T A v = 1e-240 * v, whose squared norm underflows to 0
-    with pytest.raises(PowerIterationError, match="underflows to 0 from every start"):
-        spectral_norm_sq(np.array([[1e-120, 0.0], [0.0, 1e-121]]))
+def test_spectral_norm_sq_of_tiny_entries():
+    # unscaled, A.T A v = 1e-240 * v and its squared norm underflow to 0
+    assert spectral_norm_sq(np.array([[1e-120, 0.0], [0.0, 1e-121]])) == pytest.approx(
+        1e-240, rel=1e-12)
+    assert spectral_norm_sq(np.array([[4.77e-113]])) == pytest.approx(
+        4.77e-113**2, rel=1e-12)
 
 
-def test_spectral_norm_sq_rejects_bad_tol():
-    with pytest.raises(ContractViolation):
-        spectral_norm_sq(np.eye(2), tol=0.0)
+def test_spectral_norm_sq_of_huge_entries():
+    # unscaled, the squares of A v overflow although lambda_max = 1e300 does not
+    assert spectral_norm_sq(1e150 * np.eye(2)) == pytest.approx(1e300, rel=1e-12)
+
+
+def test_spectral_norm_sq_refuses_at_once_when_lambda_max_overflows():
+    start = time.perf_counter()
+    with pytest.raises(PowerIterationError, match="overflows, at about 10\\^320.0"):
+        spectral_norm_sq(np.array([[1e160]]))
+    assert time.perf_counter() - start < 0.05  # not 5000 steps
+
+
+def test_spectral_norm_sq_scaling_by_powers_of_two_is_exact():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((7, 5))
+    base = spectral_norm_sq(a)
+    for e in (-300, -40, 40, 300):
+        assert spectral_norm_sq(np.ldexp(a, e)) == math.ldexp(base, 2 * e)
 
 
 def test_min_norm_ls_identity_and_rank_deficient():
