@@ -20,8 +20,7 @@ from .problems import (InstanceSpec, build_instance, gen_baart, gen_foxgood,
                        load_instance, save_instance)
 from .solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                       DiminishingSchedule, FixedEtaSchedule, NcConfig,
-                      RunReport, SolverConfig, TraceRecord, schedule_eta,
-                      solve_fista_baseline, solve_ipr_vfista, solve_ir_ista,
-                      solve_r_vfista)
+                      RunReport, SolverConfig, TraceRecord, solve_fista_baseline,
+                      solve_ipr_vfista, solve_ir_ista, solve_r_vfista)
 
 __version__ = "0.1.0"

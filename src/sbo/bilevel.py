@@ -99,17 +99,6 @@ class BilevelProblem:
             raise ContractViolation("eta must be >= 0")
         return self.lower.value(x) + eta * self.upper.value(x)
 
-    def regularized_smooth_value(self, eta: float, x: np.ndarray) -> float:
-        """Smooth part only: h(x) + eta * f(x)."""
-        return self.lower.smooth.value(x) + eta * self.upper.smooth.value(x)
-
-    def regularized_gradient(self, eta: float, x: np.ndarray) -> np.ndarray:
-        """Gradient of the smooth part of the surrogate."""
-        if eta < 0:
-            raise ContractViolation("eta must be >= 0")
-        self._check_dim(x)
-        return self.lower.smooth.gradient(x) + eta * self.upper.smooth.gradient(x)
-
     def q_eta_step(self, eta: float, gamma: float, x: np.ndarray) -> np.ndarray:
         """One prox-gradient step on the surrogate:
         prox of gamma*(omega_h + eta*omega_f) at x - gamma*(grad h + eta*grad f)."""
@@ -203,19 +192,3 @@ def check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
             f"{solver}: non-finite {what} at step {k}", k=k, last_finite=last,
             trace=trace,
         )
-
-
-def min_norm_l1_subgradient(grad_smooth: np.ndarray, lam: float,
-                            x_star: np.ndarray) -> np.ndarray:
-    """Minimum-norm element of grad_smooth + lam * d||.||_1 at x_star.
-
-    On coordinates where x_star is numerically zero (|x_i| <= 1e-7) the
-    subdifferential is the interval [-lam, lam]; the norm-minimizing choice
-    per coordinate is a soft threshold of the smooth gradient.
-    """
-    g = np.where(
-        np.abs(x_star) > 1e-7,
-        grad_smooth + lam * np.sign(x_star),
-        np.sign(grad_smooth) * np.maximum(np.abs(grad_smooth) - lam, 0.0),
-    )
-    return g

@@ -254,9 +254,11 @@ _ML, _MR, _MT, _MB = 70.0, 20.0, 20.0, 50.0
 
 def render_svg(xs, ys, logx: bool = False, logy: bool = False,
                ylabel: str = "value") -> str:
-    """Self-contained SVG line chart of one data series over k."""
+    """Self-contained SVG line chart of one data series over k; points with
+    a missing or non-finite coordinate are skipped."""
     pts = [(x, y) for x, y in zip(xs, ys)
-           if y is not None and (not logy or y > 0) and (not logx or x > 0)]
+           if None not in (x, y) and math.isfinite(x) and math.isfinite(y)
+           and (not logy or y > 0) and (not logx or x > 0)]
     if len(pts) < 2:
         raise ConfigurationError("plot needs at least 2 plottable points")
     tx = (lambda v: math.log10(v)) if logx else (lambda v: v)

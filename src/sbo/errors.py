@@ -38,8 +38,9 @@ class DivergenceError(SboError, RuntimeError):
 
 
 class PowerIterationError(SboError, RuntimeError):
-    """Power iteration exhausted max_iter before reaching tolerance.
-    Carries the best eigenvalue estimate found so far."""
+    """lambda_max(A.T A), or the Lipschitz constant inflated from it, lies
+    beyond the float range. Carries the estimate (inf if lambda_max itself
+    overflows)."""
 
     def __init__(self, message: str, best_estimate: float):
         super().__init__(message)

@@ -69,7 +69,8 @@ class ZeroFunction(SmoothFunction):
 
 
 class LeastSquares(SmoothFunction):
-    """0.5 * ||A x - b||_2^2. L is computed once via power iteration."""
+    """0.5 * ||A x - b||_2^2. L is computed once, by `lipschitz_from_matrix`;
+    PowerIterationError if it lies beyond the float range."""
 
     def __init__(self, a, b):
         self.a = as_matrix(a)

@@ -48,14 +48,15 @@ def spectral_norm_sq(a: np.ndarray) -> float:
     """Largest eigenvalue of A.T A by power iteration on v -> A.T (A v).
 
     Starts from the normalized all-ones vector (deterministic); 0.0 exactly
-    for A = 0. Stops when the eigen-residual ||A.T A v - lam v|| <= 1e-8 * lam
-    and raises PowerIterationError carrying the best estimate after 5000
-    steps. The iteration runs on A * 2^-e, where 2^e is the power of two
-    just above max |a_ij|, and scales lam back by 2^2e. Scaling by a power
-    of two is exact in binary floating point, so the result is bit for bit
-    that of the unscaled iteration wherever that one stays in the normal
-    range, and no start underflows or overflows for tiny or huge entries. A
-    lam_max beyond the float range raises PowerIterationError at once.
+    for A = 0. Stops when the eigen-residual ||A.T A v - lam v|| <= 1e-8 * lam.
+    If the top two singular values are so close that 5000 steps do not
+    reach that, lam is the top eigenvalue of the scaled A.T A from the dense
+    symmetric eigensolver. The iteration runs on A * 2^-e, where 2^e is the
+    power of two just above max |a_ij|, and scales lam back by 2^2e. Scaling
+    by a power of two is exact in binary floating point, so the result is
+    bit for bit that of the unscaled iteration wherever that one stays in
+    the normal range, and no start underflows or overflows for tiny or huge
+    entries. A lam_max beyond the float range raises PowerIterationError.
     """
     scale = float(np.abs(a).max())
     if scale == 0.0:
@@ -65,7 +66,6 @@ def spectral_norm_sq(a: np.ndarray) -> float:
     m, n = a.shape
     v = np.ones(n) / np.sqrt(n)
     restarts = 0
-    lam = 0.0
     for _ in range(5000):
         w = a @ v
         bv = a.T @ w
@@ -89,10 +89,7 @@ def spectral_norm_sq(a: np.ndarray) -> float:
         if residual <= 1e-8 * max(lam, np.finfo(float).tiny):
             return _unscaled(lam, e)
         v = bv / norm_bv
-    raise PowerIterationError(
-        "power iteration did not reach tol=1e-08 within 5000 iterations",
-        best_estimate=_unscaled(lam, e),
-    )
+    return _unscaled(float(np.linalg.eigvalsh(a.T @ a)[-1]), e)
 
 
 def _unscaled(lam: float, e: int) -> float:
@@ -107,8 +104,15 @@ def _unscaled(lam: float, e: int) -> float:
 
 
 def lipschitz_from_matrix(a: np.ndarray) -> float:
-    """Safe Lipschitz constant for x -> A.T(Ax - b): inflated lambda_max(A.T A)."""
-    return LIPSCHITZ_SAFETY * spectral_norm_sq(a)
+    """Safe Lipschitz constant for x -> A.T(Ax - b): inflated lambda_max(A.T A).
+    PowerIterationError when the inflated value overflows."""
+    lam = spectral_norm_sq(a)
+    lipschitz = LIPSCHITZ_SAFETY * lam
+    if lipschitz == math.inf:
+        raise PowerIterationError(
+            f"Lipschitz constant {LIPSCHITZ_SAFETY} * lambda_max(A.T A) overflows; "
+            f"lambda_max = {lam:.6g}", best_estimate=lam)
+    return lipschitz
 
 
 def min_norm_ls(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ definitions; a seeded rank-deficient least-squares family with fully known
 reference truth; a weak-sharp l1 lower-level construction; and the smooth
 nonconvex configuration (Moreau-smoothed log-sum penalty over a
 ball-constrained least-squares solution set). Plus the instance text format.
+This is the module that builds reference truth: each generator attaches its
+instance's, and `metrics` only reads it.
 
 Every generator is a pure function of (name, n, seed, params): rebuilding an
 instance is bit-for-bit reproducible.
@@ -17,17 +19,15 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, get_args
+from typing import Callable, Optional, get_args
 
 import numpy as np
 
 from .bilevel import (BilevelProblem, CompositeObjective, ReferenceTruth,
-                      SubgradientAtOpt, WeakSharp, accelerated_run,
-                      min_norm_l1_subgradient)
+                      SubgradientAtOpt, WeakSharp, accelerated_run)
 from .errors import ConfigurationError, ParseError
 from .functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from .linalg import format_matrix, format_vector, min_norm_ls, parse_matrix_lines
-from .metrics import ls_ball_projector
 from .prox import BallProx, L1Prox, ZeroProx
 
 
@@ -206,6 +206,21 @@ F_STAR_WEIGHT = 1e-9     # f_star of rank_deficient_ls with lam > 0
 PROJECTOR_WEIGHT = 1e-6  # the nonconvex instances' projector and h_star
 
 
+def min_norm_l1_subgradient(grad_smooth: np.ndarray, lam: float,
+                            x_star: np.ndarray) -> np.ndarray:
+    """Minimum-norm element of grad_smooth + lam * d||.||_1 at x_star.
+
+    On coordinates where x_star is numerically zero (|x_i| <= 1e-7) the
+    subdifferential is the interval [-lam, lam]; the norm-minimizing choice
+    per coordinate is a soft threshold of the smooth gradient.
+    """
+    return np.where(
+        np.abs(x_star) > 1e-7,
+        grad_smooth + lam * np.sign(x_star),
+        np.sign(grad_smooth) * np.maximum(np.abs(grad_smooth) - lam, 0.0),
+    )
+
+
 def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
                           mu_f: float = 1.0, lam: float = 0.1,
                           f_star_budget: int = 0) -> BilevelProblem:
@@ -317,13 +332,46 @@ def gen_sec61_inverse(which: str, n: int, mu_f: float = 1.0,
     return BilevelProblem(upper, lower, reference=ref, initial_point=np.ones(n))
 
 
+def ls_ball_projector(svd, b: np.ndarray, radius: float,
+                      eta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact tiny-weight projector for the lower level 0.5*||A u - b||^2 on
+    the ball ||u|| <= radius, from svd = np.linalg.svd(A) (one factorization
+    serves every weight): x -> the exact minimizer of
+    0.5*||A u - b||^2 + (eta/2)*||u - x||^2 over the ball, the point the
+    `ipr_vfista` inner loop approaches by iteration. That is
+    V r / (s^2 + eta + mu) with r = s U^T b + eta V^T x, where the ball
+    multiplier mu is 0 if this point lies in the ball and otherwise the root
+    of the decreasing ||r / (s^2 + eta + mu)|| = radius (More & Sorensen,
+    "Computing a trust region step", 1983), bisected to machine precision."""
+    u_mat, s, vt = svd
+    pad = (0, vt.shape[0] - s.size)  # zero singular values of a wide A
+    d = eta + np.pad(s * s, pad)
+    sb = np.pad(s * (u_mat.T @ b)[:s.size], pad)
+
+    def norm(v: np.ndarray) -> float:
+        # what np.linalg.norm computes for a 1-D float vector, without its dispatch
+        return math.sqrt(v.dot(v))
+
+    def project(x: np.ndarray) -> np.ndarray:
+        r = sb + eta * (vt @ x)
+        lo = mu = 0.0
+        if norm(r / d) > radius:  # the ball is active
+            mu = norm(r) / radius  # ||r / (d + mu)|| <= radius from here on
+            while lo < 0.5 * (lo + mu) < mu:
+                mid = 0.5 * (lo + mu)
+                lo, mu = (mid, mu) if norm(r / (d + mid)) > radius else (lo, mid)
+        return vt.T @ (r / (d + mu))
+
+    return project
+
+
 def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
                        epsilon: float = 1e-1) -> BilevelProblem:
     """Smooth nonconvex selection: upper objective the Moreau envelope of the
     log-sum penalty, lower level 0.5*||Ax - b||^2 restricted to the unit
     ball. Feasible start x0 = ones/sqrt(n). The documented approximate
     projector onto the solution set is the closed-form tiny-weight minimizer
-    `metrics.ls_ball_projector` at PROJECTOR_WEIGHT, and h_star is the lower
+    `ls_ball_projector` at PROJECTOR_WEIGHT, and h_star is the lower
     value at its image of x0.
     """
     a, b = inverse_problem(which, n)

@@ -132,14 +132,6 @@ Schedule = Union[
 ]
 
 
-def schedule_eta(schedule: Schedule, k: int, gamma: float, l_f: float,
-                 l_h: float, mu_f: float, big_k: int) -> float:
-    """Evaluate a schedule's eta_k in a run of K = big_k steps after
-    validating its feasibility conditions."""
-    eta_fn, _ = schedule.resolve(gamma, l_f, l_h, mu_f, big_k)
-    return eta_fn(k)
-
-
 # ---------------------------------------------------------------------------
 # Configurations, trace records, reports
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import GradientTurnsNan, quad_problem
 from sbo.bilevel import (BilevelProblem, CompositeObjective, accelerated_constants,
-                         accelerated_run, min_norm_l1_subgradient,
-                         projection_problem)
+                         accelerated_run, projection_problem)
 from sbo.errors import ConfigurationError, ContractViolation, DivergenceError
 from sbo.functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.problems import (gen_l1_weak_sharp, gen_nonconvex_sec6,
-                          gen_rank_deficient_ls, gen_sec61_inverse)
+                          gen_rank_deficient_ls, gen_sec61_inverse,
+                          min_norm_l1_subgradient)
 from sbo.prox import BallProx, L1Prox, ZeroProx
 from sbo.solvers import FixedEtaSchedule, SolverConfig, solve_r_vfista
 
@@ -44,33 +44,6 @@ def test_regularized_value_term_by_term_oracle():
         direct = (p.lower.smooth.value(x) + eta * p.upper.smooth.value(x)
                   + p.lower.nonsmooth.value(x) + eta * p.upper.nonsmooth.value(x))
         assert p.regularized_value(eta, x) == pytest.approx(direct, abs=1e-12)
-
-
-def test_regularized_gradient_eta_zero_and_stationary():
-    p = make_1d_problem()
-    x = np.array([0.7])
-    assert np.allclose(p.regularized_gradient(0.0, x), p.lower.smooth.gradient(x))
-    # both gradients vanish at their own centers only; a joint zero: take
-    # f and h centered at the same point
-    q = quad_problem([1.0], [0.5], [2.0], [0.5])
-    assert np.allclose(q.regularized_gradient(1.7, np.array([0.5])), [0.0])
-
-
-def test_regularized_gradient_finite_difference():
-    rng = np.random.default_rng(1)
-    p = quad_problem(rng.uniform(0.5, 2, 5), rng.standard_normal(5),
-                     rng.uniform(0.5, 2, 5), rng.standard_normal(5))
-    for _ in range(10):
-        eta = rng.uniform(0.1, 2)
-        x = rng.standard_normal(5)
-        g = p.regularized_gradient(eta, x)
-        fd = np.empty(5)
-        for i in range(5):
-            e = np.zeros(5)
-            e[i] = 1e-6
-            fd[i] = (p.regularized_smooth_value(eta, x + e)
-                     - p.regularized_smooth_value(eta, x - e)) / 2e-6
-        assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
 
 def test_q_eta_step_hand_case():
@@ -108,7 +81,7 @@ def test_q_eta_step_sufficient_decrease():
 def test_dimension_checks_everywhere():
     p = make_1d_problem()
     with pytest.raises(ContractViolation):
-        p.regularized_gradient(1.0, np.ones(2))
+        p.q_eta_step(1.0, 0.5, np.ones(2))
     with pytest.raises(ContractViolation):
         p.q_eta_step(1.0, -0.5, np.ones(1))
     with pytest.raises(ContractViolation):

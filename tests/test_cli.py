@@ -567,6 +567,26 @@ def test_cmd_plot_missing_or_empty_column_exits_2(tmp_path, capsys):
     assert main(["plot", str(csv), "--metric", "subopt", "--out", str(out)]) == 2
 
 
+def test_cmd_plot_skips_non_finite_values(tmp_path):
+    csv = tmp_path / "t.csv"
+    _write_trace(csv, [(1, 1.0), (2, float("nan")), (3, float("inf")), (4, 0.25),
+                       (5, float("-inf"))])
+    out = tmp_path / "p.svg"
+    assert main(["plot", str(csv), "--metric", "infeas", "--out", str(out)]) == 0
+    points = re.search(r'points="([^"]+)"', out.read_text()).group(1).split()
+    assert len(points) == 2
+    assert all(np.isfinite(float(c)) for p in points for c in p.split(","))
+
+
+def test_cmd_plot_with_fewer_than_two_finite_values_exits_2(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    _write_trace(csv, [(1, 1.0), (2, float("nan")), (3, float("inf"))])
+    out = tmp_path / "p.svg"
+    assert main(["plot", str(csv), "--metric", "infeas", "--out", str(out)]) == 2
+    assert "at least 2 plottable points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_log_log_power_law_is_straight(tmp_path):
     ks = [int(k) for k in np.round(np.geomspace(1, 10**4, 40))]
     svg = render_svg(ks, [1.0 / k for k in ks], logx=True, logy=True)

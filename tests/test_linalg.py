@@ -40,12 +40,14 @@ def test_spectral_norm_sq_sign_and_scale_invariance():
         2.5**2 * base, rel=1e-8)
 
 
-def test_spectral_norm_sq_max_iter_error_carries_estimate():
-    # eigenvalues 1 and 0.9998: the residual shrinks by 0.9998 per step and
-    # is still above 1e-8 after the 5000-step cap
-    with pytest.raises(PowerIterationError, match="within 5000 iterations") as err:
-        spectral_norm_sq(np.diag([1.0, 0.9999]))
-    assert err.value.best_estimate == pytest.approx(0.99998, rel=1e-5)
+def test_spectral_norm_sq_when_the_top_two_singular_values_are_close():
+    # eigenvalues 1 and 1 - g: the residual shrinks by 1 - g per step and is
+    # still above 1e-8 after the 5000-step cap, where the dense
+    # eigensolver answers
+    for g in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        a = np.diag([1.0, math.sqrt(1.0 - g)])
+        assert abs(spectral_norm_sq(a) - 1.0) <= 1e-15
+        assert LeastSquares(a, np.ones(2)).lipschitz == pytest.approx(1.01, rel=1e-15)
 
 
 def test_spectral_norm_sq_of_a_zero_matrix_is_exactly_zero():
@@ -77,6 +79,13 @@ def test_spectral_norm_sq_refuses_at_once_when_lambda_max_overflows():
     with pytest.raises(PowerIterationError, match="overflows, at about 10\\^320.0"):
         spectral_norm_sq(np.array([[1e160]]))
     assert time.perf_counter() - start < 0.05  # not 5000 steps
+
+
+def test_lipschitz_refuses_an_inflation_that_overflows():
+    # lambda_max = 1.7956e308 is finite, 1.01 times it is not
+    with pytest.raises(PowerIterationError, match="Lipschitz constant 1.01") as err:
+        LeastSquares(np.array([[1.34e154]]), np.array([1.0]))
+    assert err.value.best_estimate == pytest.approx(1.34e154**2, rel=1e-15)
 
 
 def test_spectral_norm_sq_scaling_by_powers_of_two_is_exact():

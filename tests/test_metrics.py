@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quad_problem
-from sbo.bilevel import BilevelProblem, CompositeObjective
+from sbo.bilevel import CompositeObjective, accelerated_run, projection_problem
 from sbo.errors import ConfigurationError
-from sbo.functions import LeastSquares, ScaledSqNorm
-from sbo.metrics import (approximate_projector, dist_to_lower_set,
-                         empirical_growth_alpha, fit_rate, infeasibility,
-                         ls_ball_projector, residual_norm, suboptimality)
-from sbo.problems import PROJECTOR_WEIGHT, gen_l1_weak_sharp, inverse_problem
-from sbo.prox import BallProx, ZeroProx
+from sbo.functions import LeastSquares
+from sbo.metrics import (dist_to_lower_set, fit_rate, infeasibility, residual_norm,
+                         suboptimality)
+from sbo.problems import (PROJECTOR_WEIGHT, gen_l1_weak_sharp, inverse_problem,
+                          ls_ball_projector)
+from sbo.prox import BallProx
 from sbo.solvers import DiminishingSchedule, SolverConfig, solve_ir_ista
 
 
@@ -129,12 +129,14 @@ def test_residual_zero_iff_stationary(rd_instance):
 
 
 def test_approximate_projector_matches_exact(rd_instance):
+    # the iterative projector: the accelerated run on the pair
+    # (lower, 0.5*||u - x||^2) at a tiny constant weight
     proj_exact = rd_instance.reference.projector
-    proj_approx = approximate_projector(rd_instance, eta=1e-7, budget=60_000)
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.standard_normal(rd_instance.dimension)
-        assert np.linalg.norm(proj_approx(x) - proj_exact(x)) <= 1e-2
+        approx = accelerated_run(projection_problem(rd_instance.lower, x), 1e-7, x, 60_000)
+        assert np.linalg.norm(approx - proj_exact(x)) <= 1e-2
 
 
 def _ls_ball_query(which, n, eta, scale, active, seed):
@@ -148,10 +150,8 @@ def _ls_ball_query(which, n, eta, scale, active, seed):
 
 
 def _iterative_ls_ball(a, b, radius, eta, x):
-    n = x.size
-    problem = BilevelProblem(CompositeObjective(ScaledSqNorm(1.0, dimension=n), ZeroProx()),
-                             CompositeObjective(LeastSquares(a, b), BallProx(radius)))
-    return approximate_projector(problem, eta=eta, budget=50_000)(x)
+    lower = CompositeObjective(LeastSquares(a, b), BallProx(radius))
+    return accelerated_run(projection_problem(lower, x), eta, x, 50_000)
 
 
 def _assert_kkt(a, b, radius, eta, x, u, active):
@@ -205,14 +205,6 @@ def test_ls_ball_projector_matches_iterative_at_instance_weight(which, n):
     u = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)(x)
     _assert_kkt(a, b, 1.0, PROJECTOR_WEIGHT, x, u, active=True)
     assert np.linalg.norm(u - _iterative_ls_ball(a, b, 1.0, PROJECTOR_WEIGHT, x)) <= 1e-12
-
-
-def test_empirical_growth_alpha(rd_instance):
-    rng = np.random.default_rng(5)
-    pts = [rng.standard_normal(rd_instance.dimension) for _ in range(30)]
-    alpha_hat = empirical_growth_alpha(rd_instance, pts)
-    # never below the certified constant (up to float slack)
-    assert alpha_hat >= rd_instance.reference.weak_sharp.alpha - 1e-12
 
 
 # ---------------------------------------------------------------------------

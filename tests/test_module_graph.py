@@ -16,3 +16,18 @@ def test_no_module_imports_inside_a_function():
                           for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside function bodies: {found}"
+
+
+def _sbo_imports(name: str) -> set:
+    """The sbo modules that src/sbo/<name>.py imports; the package imports
+    its own modules relatively."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    return {node.module or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_problems_builds_reference_truth_and_metrics_only_reads_it():
+    assert _sbo_imports("metrics") == {"errors"}
+    assert "metrics" not in _sbo_imports("problems")
+    assert _sbo_imports("problems") >= {"bilevel", "linalg"}  # the helper sees imports

@@ -14,7 +14,6 @@ from sbo.prox import BallProx, L1Prox, ZeroProx
 from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                          DiminishingSchedule, FixedEtaSchedule, NcConfig,
                          SolverConfig, _log_constant_weight_sum,
-                         schedule_eta,
                          solve_fista_baseline, solve_ipr_vfista, solve_ir_ista,
                          solve_r_vfista)
 
@@ -27,22 +26,22 @@ from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
 def test_schedule_diminishing_example():
     s = DiminishingSchedule()
     # L_f = 2, mu_f = 1, gamma = 0.25: eta0_u = 4, eta0_l = 4
-    assert schedule_eta(s, 0, 0.25, 2.0, 1.0, 1.0, 100) == pytest.approx(1.0)
-    assert schedule_eta(s, 4, 0.25, 2.0, 1.0, 1.0, 100) == pytest.approx(0.5)
+    assert s.resolve(0.25, 2.0, 1.0, 1.0, 100)[0](0) == pytest.approx(1.0)
+    assert s.resolve(0.25, 2.0, 1.0, 1.0, 100)[0](4) == pytest.approx(0.5)
 
 
 def test_schedule_constant_ista_example():
     s = ConstantIstaSchedule(p=1.0)
-    got = schedule_eta(s, 0, 0.25, 1.0, 1.0, 1.0, 100)
+    got = s.resolve(0.25, 1.0, 1.0, 1.0, 100)[0](0)
     assert got == pytest.approx(2.0 * math.log(100.0) / 25.0)
     assert got == pytest.approx(0.3684136149191245, abs=1e-9)
     # k-independence
-    assert schedule_eta(s, 57, 0.25, 1.0, 1.0, 1.0, 100) == got
+    assert s.resolve(0.25, 1.0, 1.0, 1.0, 100)[0](57) == got
 
 
 def test_schedule_constant_vfista_example():
     s = ConstantVfistaSchedule(p=3.0, eta_bar=1.0)
-    got = schedule_eta(s, 0, 0.0, 2.0, 2.0, 1.0, 100)
+    got = s.resolve(0.0, 2.0, 2.0, 1.0, 100)[0](0)
     expected = 4.0 * (4.0 * math.log(100.0) / 100.0) ** 2
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.13572859162824702, abs=1e-12)
@@ -51,14 +50,14 @@ def test_schedule_constant_vfista_example():
 def test_schedule_constant_ista_infeasible_named():
     s = ConstantIstaSchedule(p=9.0)
     with pytest.raises(ConfigurationError, match=r"K/ln\(K\)"):
-        schedule_eta(s, 0, 0.25, 1.0, 1.0, 1.0, 10)
+        s.resolve(0.25, 1.0, 1.0, 1.0, 10)
 
 
 def test_schedule_constant_vfista_validation():
     with pytest.raises(ConfigurationError, match="p > 2"):
-        schedule_eta(ConstantVfistaSchedule(p=2.0), 0, 0.0, 1, 1, 1, 100)
+        ConstantVfistaSchedule(p=2.0).resolve(0.0, 1, 1, 1, 100)
     with pytest.raises(ConfigurationError, match=r"\(K/ln\(K\)\)\^2"):
-        schedule_eta(ConstantVfistaSchedule(p=30.0), 0, 0.0, 1, 1, 1, 8)
+        ConstantVfistaSchedule(p=30.0).resolve(0.0, 1, 1, 1, 8)
 
 
 # ---------------------------------------------------------------------------
