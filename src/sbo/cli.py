@@ -116,21 +116,18 @@ def run_from_config(cfg: dict) -> RunReport:
     solver = keys.get("solver.name", kind=str, required=True)
     big_k = keys.get("solver.K", kind=int, required=True)
     if solver == "ipr_vfista":
-        nc = NcConfig(
-            big_k=big_k,
-            a=keys.get("solver.a", "2", kind=int),
-            eta_bar=keys.get("solver.eta_bar", "1.0"),
-            allow_large_step=keys.get("solver.allow_large_step", "0", kind=bool),
-        )
+        nc = NcConfig(big_k=big_k, allow_large_step=keys.get(
+            "solver.allow_large_step", "0", kind=bool))
     elif solver in ("ir_ista", "r_ista_const", "r_vfista"):
-        gamma = keys.get("solver.gamma", "auto", keyword="auto")
+        # the accelerated solver's gamma is fixed by its eta
+        gamma = ("auto" if solver == "r_vfista"
+                 else keys.get("solver.gamma", "auto", keyword="auto"))
         trace_every = keys.get("solver.trace_every", kind=int)
         eta = keys.get("solver.eta", keyword="weak_sharp")
         if eta is None and solver == "r_ista_const":
             schedule = ConstantIstaSchedule(p=keys.get("solver.p", "1"))
         elif eta is None and solver == "r_vfista":
-            schedule = ConstantVfistaSchedule(
-                p=keys.get("solver.p", "3"), eta_bar=keys.get("solver.eta_bar", "1.0"))
+            schedule = ConstantVfistaSchedule(p=keys.get("solver.p", "3"))
         else:  # replaced by the fixed schedule below when eta is set
             schedule = DiminishingSchedule()
     else:
@@ -252,6 +249,26 @@ _W, _H = 640.0, 480.0
 _ML, _MR, _MT, _MB = 70.0, 20.0, 20.0, 50.0
 
 
+def _axis(values, log: bool) -> tuple:
+    """Halves of the plotted coordinates (log10 of the values on a log axis),
+    their range and five ticks as (half, label). Halving is exact, so the
+    quotients keep their bits, and the span of two halves cannot overflow."""
+    halves = [(math.log10(v) if log else v) / 2 for v in values]
+    lo, hi = min(halves), max(halves)
+    if hi == lo:
+        hi = lo + 0.5
+        if hi == lo:  # 0.5 is below half an ulp of lo: widen by one ulp toward 0
+            lo, hi = sorted((lo, math.nextafter(lo, 0.0)))
+    ticks = []
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        t = min(lo + frac * (hi - lo), hi)
+        try:
+            ticks.append((t, f"{10 ** (2 * t) if log else 2 * t:.3g}"))
+        except OverflowError:  # 10^(2t) rounds past the float range at the top
+            ticks.append((t, f"{sys.float_info.max:.3g}"))
+    return halves, lo, hi, ticks
+
+
 def render_svg(xs, ys, logx: bool = False, logy: bool = False,
                ylabel: str = "value") -> str:
     """Self-contained SVG line chart of one data series over k; points with
@@ -261,16 +278,8 @@ def render_svg(xs, ys, logx: bool = False, logy: bool = False,
            and (not logy or y > 0) and (not logx or x > 0)]
     if len(pts) < 2:
         raise ConfigurationError("plot needs at least 2 plottable points")
-    tx = (lambda v: math.log10(v)) if logx else (lambda v: v)
-    ty = (lambda v: math.log10(v)) if logy else (lambda v: v)
-    px = [tx(x) for x, _ in pts]
-    py = [ty(y) for _, y in pts]
-    x0, x1 = min(px), max(px)
-    y0, y1 = min(py), max(py)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    px, x0, x1, x_ticks = _axis([x for x, _ in pts], logx)
+    py, y0, y1, y_ticks = _axis([y for _, y in pts], logy)
     inner_w = _W - _ML - _MR
     inner_h = _H - _MT - _MB
 
@@ -282,11 +291,8 @@ def render_svg(xs, ys, logx: bool = False, logy: bool = False,
 
     coords = " ".join(f"{sx(a):.3f},{sy(b):.3f}" for a, b in zip(px, py))
     tick_lines = []
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        vx, vy = x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
+    for (vx, lx), (vy, ly) in zip(x_ticks, y_ticks):
         gx, gy = sx(vx), sy(vy)
-        lx = f"{10**vx:.3g}" if logx else f"{vx:.3g}"
-        ly = f"{10**vy:.3g}" if logy else f"{vy:.3g}"
         tick_lines.append(
             f'<line x1="{gx:.3f}" y1="{_H - _MB:.3f}" x2="{gx:.3f}" '
             f'y2="{_H - _MB + 6:.3f}" stroke="#333"/>'
@@ -339,30 +345,38 @@ def cmd_run(config_path: str) -> int:
         return EXIT_CONFIG
     except DivergenceError as exc:
         # keep whatever was traced up to the last finite record
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trace.csv").write_text(trace_to_csv(exc.trace), encoding="utf-8")
-        (out_dir / "report.txt").write_text(
-            f"diverged_at_step = {exc.k}\nerror = {exc}\n", encoding="utf-8")
         print(f"runtime divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    report.config.update(
-        {k: v for k, v in cfg.items() if k.startswith("instance.")})
-    attach_rate_fits(report)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.csv").write_text(
-        trace_to_csv(report.trace, include_timings=timings), encoding="utf-8")
-    (out_dir / "report.txt").write_text(report_to_text(report), encoding="utf-8")
-    for metric in plots:
-        try:
-            xs = [r.k for r in report.trace]
-            ys = [getattr(r, metric) for r in report.trace]
-            svg = render_svg(xs, ys, logx=True, logy=True, ylabel=metric)
-        except ConfigurationError as exc:
-            print(f"config error: cannot plot {metric!r}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        (out_dir / f"plot_{metric}.svg").write_text(svg, encoding="utf-8")
-    print(f"ok: wrote {out_dir / 'trace.csv'}")
-    return EXIT_OK
+        rc, files = EXIT_DIVERGED, {
+            "trace.csv": trace_to_csv(exc.trace),
+            "report.txt": f"diverged_at_step = {exc.k}\nerror = {exc}\n"}
+    else:
+        report.config.update(
+            {k: v for k, v in cfg.items() if k.startswith("instance.")})
+        attach_rate_fits(report)
+        rc, files = EXIT_OK, {
+            "trace.csv": trace_to_csv(report.trace, include_timings=timings),
+            "report.txt": report_to_text(report)}
+        xs = [r.k for r in report.trace]
+        for metric in plots:
+            try:
+                files[f"plot_{metric}.svg"] = render_svg(
+                    xs, [getattr(r, metric) for r in report.trace], logx=True, logy=True,
+                    ylabel=metric)
+            except ConfigurationError as exc:
+                print(f"config error: cannot plot {metric!r}: {exc}", file=sys.stderr)
+                rc = EXIT_CONFIG
+                break
+    try:  # the directory is made only now, so a refused config leaves none
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"config error: cannot write to output.dir {str(out_dir)!r}: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    if rc == EXIT_OK:
+        print(f"ok: wrote {out_dir / 'trace.csv'}")
+    return rc
 
 
 # The keys a suite row may have, with the kind of each numeric one.
@@ -485,10 +499,10 @@ def cmd_plot(csv_path: str, metric: str, out_svg: str, logx: bool, logy: bool) -
             raise ConfigurationError(
                 f"no column {metric!r} in {csv_path}; have {list(cols)}")
         svg = render_svg(cols["k"], cols[metric], logx=logx, logy=logy, ylabel=metric)
+        Path(out_svg).write_text(svg, encoding="utf-8")
     except (SboError, OSError) as exc:
         print(f"plot error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    Path(out_svg).write_text(svg, encoding="utf-8")
     print(f"ok: wrote {out_svg}")
     return EXIT_OK
 

@@ -49,41 +49,29 @@ def spectral_norm_sq(a: np.ndarray) -> float:
 
     Starts from the normalized all-ones vector (deterministic); 0.0 exactly
     for A = 0. Stops when the eigen-residual ||A.T A v - lam v|| <= 1e-8 * lam.
-    If the top two singular values are so close that 5000 steps do not
-    reach that, lam is the top eigenvalue of the scaled A.T A from the dense
-    symmetric eigensolver. The iteration runs on A * 2^-e, where 2^e is the
-    power of two just above max |a_ij|, and scales lam back by 2^2e. Scaling
-    by a power of two is exact in binary floating point, so the result is
-    bit for bit that of the unscaled iteration wherever that one stays in
-    the normal range, and no start underflows or overflows for tiny or huge
-    entries. A lam_max beyond the float range raises PowerIterationError.
+    If the start lies in null(A), or the top two singular values are so
+    close that 5000 steps do not reach that residual, lam is the top
+    eigenvalue of the scaled A.T A from the dense symmetric eigensolver.
+    The iteration runs on A * 2^-e, where 2^e is the power of two just above
+    max |a_ij|, and scales lam back by 2^2e. Scaling by a power of two is
+    exact in binary floating point, so the result is bit for bit that of the
+    unscaled iteration wherever that one stays in the normal range, and no
+    start underflows or overflows for tiny or huge entries. A lam_max beyond
+    the float range raises PowerIterationError.
     """
     scale = float(np.abs(a).max())
     if scale == 0.0:
         return 0.0
     e = math.frexp(scale)[1]
     a = np.ldexp(a, -e)
-    m, n = a.shape
+    n = a.shape[1]
     v = np.ones(n) / np.sqrt(n)
-    restarts = 0
     for _ in range(5000):
         w = a @ v
         bv = a.T @ w
         norm_bv = float(np.linalg.norm(bv))
         if norm_bv == 0.0:
-            # v lies in null(A): restart from (1, 2, ..., n), then from
-            # A.T u with u = a_j / |a_ij| for the largest entry a_ij of A.
-            # That vector lies in range(A.T), off null(A), and is nonzero:
-            # its entry j is ||a_j||^2 / |a_ij|, at least |a_ij|
-            restarts += 1
-            if restarts == 1:
-                v = np.arange(1.0, n + 1.0)
-            else:
-                i, j = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-                v = a.T @ (a[:, j] / abs(a[i, j]))
-                v /= np.abs(v).max()
-            v /= np.linalg.norm(v)
-            continue
+            break
         lam = float(v @ bv)
         residual = float(np.linalg.norm(bv - lam * v))
         if residual <= 1e-8 * max(lam, np.finfo(float).tiny):

@@ -78,10 +78,11 @@ def fit_rate(samples: Sequence, window: tuple, min_samples: int = 5) -> RateFit:
     for k, v in samples:
         if v is not None and v > 0 and k_lo <= k <= k_hi and k > 0:
             pts.append((math.log(k), math.log(v)))
-    if len(pts) < min_samples:
+    distinct_k = len({lk for lk, _ in pts})
+    if len(pts) < min_samples or distinct_k < 2:
         raise ConfigurationError(
-            f"rate fit needs at least {min_samples} positive samples in "
-            f"window [{k_lo}, {k_hi}]; found {len(pts)}"
+            f"rate fit needs at least {min_samples} positive samples, at two or more "
+            f"k, in window [{k_lo}, {k_hi}]; found {len(pts)} at {distinct_k} k"
         )
     lx = np.array([p[0] for p in pts])
     ly = np.array([p[1] for p in pts])

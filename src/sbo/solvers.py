@@ -33,6 +33,11 @@ from . import metrics as _metrics
 
 SCHEMA_VERSION = 1
 
+# The bound eta_bar in the weights of `solve_r_vfista` and `solve_ipr_vfista`,
+# and the exponent a of the inner budgets J_k = (k+1)^a of `solve_ipr_vfista`.
+ETA_BAR = 1.0
+INNER_BUDGET_EXPONENT = 2
+
 
 # ---------------------------------------------------------------------------
 # Regularization schedules.
@@ -85,33 +90,30 @@ class ConstantIstaSchedule:
 @dataclass
 class ConstantVfistaSchedule:
     """Constant eta = ((L_h + eta_bar*L_f)/mu_f) * ((p+1)*ln(K)/K)^2 for the
-    accelerated solver; feasible only when
+    accelerated solver, with eta_bar = ETA_BAR; feasible only when
     (K/ln(K))^2 >= (L_h + eta_bar*L_f)*(p+1)^2 / (mu_f*eta_bar)."""
 
     p: float
-    eta_bar: float = 1.0
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
         if self.p <= 2:
             raise ConfigurationError("accelerated constant schedule requires p > 2")
-        if self.eta_bar <= 0:
-            raise ConfigurationError("accelerated constant schedule requires eta_bar > 0")
         if big_k <= 1:
             raise ConfigurationError("accelerated constant schedule requires K > 1")
         lhs = (big_k / math.log(big_k)) ** 2
-        rhs = (l_h + self.eta_bar * l_f) * (self.p + 1.0) ** 2 / (mu_f * self.eta_bar)
+        rhs = (l_h + ETA_BAR * l_f) * (self.p + 1.0) ** 2 / (mu_f * ETA_BAR)
         if lhs < rhs:
             raise ConfigurationError(
                 "accelerated constant-regularization feasibility violated: requires "
                 f"(K/ln(K))^2 >= (L_h + eta_bar*L_f)*(p+1)^2/(mu_f*eta_bar); "
                 f"got {lhs:.6g} < {rhs:.6g}"
             )
-        eta = ((l_h + self.eta_bar * l_f) / mu_f) * (
+        eta = ((l_h + ETA_BAR * l_f) / mu_f) * (
             (self.p + 1.0) * math.log(big_k) / big_k
         ) ** 2
         return (lambda k: eta,
                 {"schedule": "constant_vfista", "p": self.p,
-                 "eta_bar": self.eta_bar, "K": big_k, "eta": eta})
+                 "eta_bar": ETA_BAR, "K": big_k, "eta": eta})
 
 
 @dataclass
@@ -144,8 +146,8 @@ class SolverConfig:
     gamma may be the string "auto": the averaging solver then uses 0.5/L_h
     (the hypothesis under which the diminishing/constant schedules are
     derived; 1/(2*L_f) if L_h == 0) for scheduled runs and 1/(L_h + eta*L_f)
-    for fixed-eta runs, while the accelerated solver always uses exactly
-    1/(L_h + eta*L_f).
+    for fixed-eta runs. The accelerated solver always uses exactly
+    1/(L_h + eta*L_f) and takes no other gamma than "auto".
     """
 
     big_k: int
@@ -156,11 +158,10 @@ class SolverConfig:
 
 @dataclass
 class NcConfig:
-    """Configuration of the inexactly projected outer-loop solver."""
+    """Configuration of the inexactly projected outer-loop solver; its inner
+    budgets and weights are fixed by INNER_BUDGET_EXPONENT and ETA_BAR."""
 
     big_k: int
-    a: int = 2
-    eta_bar: float = 1.0
     allow_large_step: bool = False
 
 
@@ -424,7 +425,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
     eta_of, sched_params = cfg.schedule.resolve(0.0, l_f, l_h, mu_f, cfg.big_k)
     eta = eta_of(0)
     gamma, kappa, momentum = accelerated_constants(problem, eta)
-    if cfg.gamma != "auto" and not math.isclose(float(cfg.gamma), gamma, rel_tol=1e-12):
+    if cfg.gamma != "auto":
         raise ConfigurationError(
             "accelerated solver uses gamma = 1/(L_h + eta*L_f) exactly; "
             f"leave gamma = 'auto' (would be {gamma:.6g})"
@@ -469,7 +470,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
 # Number of outer indices at which the projector-based dist_lower column is
 # evaluated (log-spaced, plus K).
 DIST_POINTS = 12
-# Cap on the inner iterations sum_k (k+1)^a of one run.
+# Cap on the inner iterations sum_{k<K} (k+1)^a of one run.
 MAX_TOTAL_INNER = 2_000_000
 # Each inner run starts from the outer iterate clipped to this box.
 INNER_START_BOX = 10.0
@@ -479,9 +480,9 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
                      callback: Optional[Callable] = None) -> RunReport:
     """Outer gradient steps z_k = xhat_k - gamma_hat * grad f(xhat_k), each
     followed by an inexact projection of z_k onto the lower solution set:
-    J_k = (k+1)^a inner iterations of the accelerated solver applied to the
-    pair (lower objective, 0.5*||. - z_k||^2) with the published weight
-    eta_k = 16*(L_h + eta_bar) * (ln J_k / J_k)^2.
+    J_k = (k+1)^INNER_BUDGET_EXPONENT inner iterations of the accelerated
+    solver on the pair (lower objective, 0.5*||. - z_k||^2) with the
+    published weight eta_k = 16*(L_h + ETA_BAR) * (ln J_k / J_k)^2.
 
     The report's extras carry the minimum of the squared residual-map norm
     over the window k in [floor(K/2), K-1] plus its index and iterate. A
@@ -499,10 +500,6 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         )
     if cfg.big_k < 1:
         raise ConfigurationError("K must be >= 1")
-    if cfg.a < 2 or int(cfg.a) != cfg.a:
-        raise ConfigurationError("inner-budget exponent requires integer a >= 2")
-    if cfg.eta_bar <= 0:
-        raise ConfigurationError("eta_bar must be positive")
 
     l_f, l_h = upper.lipschitz, lower.lipschitz
     big_k = cfg.big_k
@@ -514,12 +511,11 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
             f"(gamma_hat = {gamma_hat:.6g} > {1.0 / (2.0 * l_f):.6g}). "
             "Set allow_large_step to run anyway."
         )
-    a = int(cfg.a)
-    total_inner = sum((k + 1) ** a for k in range(big_k))
+    total_inner = big_k * (big_k + 1) * (2 * big_k + 1) // 6  # sum_{k<K} (k+1)^a, a = 2
     if total_inner > MAX_TOTAL_INNER:
         raise ConfigurationError(
             f"inner budget sum_k (k+1)^a = {total_inner} exceeds the cap "
-            f"{MAX_TOTAL_INNER}; lower K or a"
+            f"{MAX_TOTAL_INNER}; lower K"
         )
 
     window_start = big_k // 2
@@ -535,9 +531,9 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         grad_f = upper.gradient(xhat)
         z = xhat - gamma_hat * grad_f
         check_finite(z, k, xhat, "outer solver", trace, what="gradient step z")
-        j_budget = (k + 1) ** a
+        j_budget = (k + 1) ** INNER_BUDGET_EXPONENT
         ln_j = max(math.log(j_budget), math.log(2.0))  # J_0 = 1 would give eta = 0
-        eta_k = 16.0 * (l_h + cfg.eta_bar) * (ln_j / j_budget) ** 2
+        eta_k = 16.0 * (l_h + ETA_BAR) * (ln_j / j_budget) ** 2
         try:
             xhat = accelerated_run(projection_problem(problem.lower, z), eta_k,
                                    np.clip(xhat, -INNER_START_BOX, INNER_START_BOX), j_budget)
@@ -557,8 +553,8 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
             callback(k + 1, x_hat=xhat, z=z, eta=eta_k, j_budget=j_budget)
 
     cfg_echo = {
-        "solver": "ipr_vfista", "K": big_k, "a": a, "eta_bar": cfg.eta_bar,
-        "gamma_hat": gamma_hat, "total_inner": total_inner,
+        "solver": "ipr_vfista", "K": big_k, "a": INNER_BUDGET_EXPONENT,
+        "eta_bar": ETA_BAR, "gamma_hat": gamma_hat, "total_inner": total_inner,
         "allow_large_step": cfg.allow_large_step,
     }
     extras = {"total_inner": total_inner}

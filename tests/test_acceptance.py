@@ -224,7 +224,7 @@ def test_06_accelerated_rate(acceptance_instance):
         rep = solve_r_vfista(
             acceptance_instance,
             SolverConfig(big_k=big_k,
-                         schedule=ConstantVfistaSchedule(p=3.0, eta_bar=1.0)))
+                         schedule=ConstantVfistaSchedule(p=3.0)))
         pts.append((big_k, rep.trace[-1].infeas))
     fit = fit_rate(pts, (100, 10_000))
     ok = -2.3 <= fit.slope <= -1.7
@@ -299,7 +299,7 @@ def test_08_nonconvex_rates(nonconvex_instance):
     for big_k in (16, 32, 64):
         rep = solve_ipr_vfista(
             nonconvex_instance,
-            NcConfig(big_k=big_k, a=2, eta_bar=1.0, allow_large_step=True))
+            NcConfig(big_k=big_k, allow_large_step=True))
         res_pts.append((big_k, rep.extras["best_residual_sq"]))
         dist_pts.append((big_k, rep.trace[-1].dist_lower))
     res_fit = fit_rate(res_pts, (16, 64), min_samples=3)

@@ -1,5 +1,7 @@
 import re
 import string
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sbo.cli as cli_mod
 from sbo.cli import (CSV_HEADER, main, parse_kv_file, read_trace_csv,
                      render_svg, trace_to_csv)
 from sbo.errors import ParseError
@@ -170,7 +173,6 @@ def test_cmd_run_refuses_averaging_weights_that_would_overflow(tmp_path, capsys)
 
 def test_cmd_run_divergence_exits_3_with_partial_trace(tmp_path, capsys,
                                                        monkeypatch):
-    import sbo.cli as cli_mod
     from conftest import quad_problem
     from test_solvers import LyingQuadratic
     from sbo.bilevel import BilevelProblem, CompositeObjective
@@ -198,9 +200,9 @@ def test_cmd_run_divergence_exits_3_with_partial_trace(tmp_path, capsys,
     assert len(lines) >= 2  # records traced before the divergence are kept
 
 
-def test_cmd_run_ipr_divergence_at_outer_step_2_exits_3(tmp_path, capsys,
-                                                       monkeypatch):
-    import sbo.cli as cli_mod
+def _ipr_config_diverging_at_outer_step_2(path, monkeypatch, **overrides):
+    """An ipr_vfista config at K = 4 whose instance is replaced by one whose
+    upper gradient turns NaN at its third call, outer step 2."""
     from conftest import DiagQuadratic, GradientTurnsNan
     from sbo.bilevel import BilevelProblem, CompositeObjective
     from sbo.prox import ZeroProx
@@ -212,9 +214,15 @@ def test_cmd_run_ipr_divergence_at_outer_step_2_exits_3(tmp_path, capsys,
         return BilevelProblem(upper, lower, initial_point=np.ones(2))
 
     monkeypatch.setattr(cli_mod, "build_instance", fake_instance)
-    cfg = write_config(tmp_path / "d.cfg", **{"solver.name": "ipr_vfista",
-                                              "solver.K": "4"})
+    cfg = write_config(path, **{"solver.name": "ipr_vfista", "solver.K": "4",
+                                **overrides})
     cfg.write_text(cfg.read_text().replace("solver.eta = weak_sharp\n", ""))
+    return cfg
+
+
+def test_cmd_run_ipr_divergence_at_outer_step_2_exits_3(tmp_path, capsys,
+                                                       monkeypatch):
+    cfg = _ipr_config_diverging_at_outer_step_2(tmp_path / "d.cfg", monkeypatch)
     assert main(["run", str(cfg)]) == 3
     assert "at step 2" in capsys.readouterr().err
     report = (tmp_path / "out" / "report.txt").read_text()
@@ -224,12 +232,42 @@ def test_cmd_run_ipr_divergence_at_outer_step_2_exits_3(tmp_path, capsys,
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
 
+@pytest.mark.parametrize("diverges", [False, True], ids=["solved", "diverged"])
+def test_cmd_run_output_dir_that_cannot_be_made_exits_2_naming_it(
+        tmp_path, capsys, monkeypatch, diverges):
+    # output.dir lies under a regular file; it is made only after the run
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    if diverges:
+        cfg = _ipr_config_diverging_at_outer_step_2(
+            tmp_path / "c.cfg", monkeypatch, **{"output.dir": str(out)})
+    else:
+        cfg = write_config(tmp_path / "c.cfg", **{"output.dir": str(out)})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write to output.dir {str(out)!r}" in err
+
+
+def test_cmd_run_refuses_a_huge_ipr_k_at_once(tmp_path, capsys):
+    # the inner budget K(K+1)(2K+1)/6 is about 3.3e35 here
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("instance.name = nonconvex_phillips\ninstance.n = 8\n"
+                   "solver.name = ipr_vfista\nsolver.K = 1000000000000\n"
+                   f"output.dir = {tmp_path / 'out'}\n")
+    start = time.perf_counter()
+    assert main(["run", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the cap 2000000; lower K" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key,value", [("solver.gamma", "nan"),
                                        ("solver.eta", "inf"),
                                        ("solver.eta", "-inf")])
 def test_cmd_run_non_finite_number_exits_2_naming_key(tmp_path, capsys,
                                                       key, value):
-    cfg = write_config(tmp_path / "nf.cfg", **{key: value})
+    # on ir_ista, which reads solver.gamma as well as solver.eta
+    cfg = write_config(tmp_path / "nf.cfg", **{"solver.name": "ir_ista", key: value})
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert key in err and "finite" in err
@@ -274,6 +312,13 @@ NONCONVEX = {"instance.name": "nonconvex_phillips", "instance.n": "8",
      "instance key 'projector_budget'"),
     ({"solver.name": "ipr_vfista", "solver.box_lower": "-10"}, "'solver.box_lower'"),
     ({"solver.name": "ipr_vfista", "solver.box_upper": "10"}, "'solver.box_upper'"),
+    ({"solver.name": "ipr_vfista", "solver.a": "2"}, "unknown config key 'solver.a'"),
+    ({"solver.name": "ipr_vfista", "solver.eta_bar": "1"},
+     "unknown config key 'solver.eta_bar'"),
+    ({"solver.name": "r_vfista", "solver.eta_bar": "1"},
+     "unknown config key 'solver.eta_bar'"),
+    ({"solver.name": "r_vfista", "solver.gamma": "auto"},
+     "unknown config key 'solver.gamma'"),
 ])
 def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
                                                      overrides, named):
@@ -501,6 +546,18 @@ def test_cmd_rates_runs_configs(tmp_path, capsys):
     assert rc == 0, out
 
 
+def test_cmd_rates_finals_row_at_one_k_fails_naming_the_reason(tmp_path, capsys):
+    _rank_deficient_config(tmp_path / "rd.cfg")
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "label=one-k config=rd.cfg metric=infeas slope=-1 tol=5 mode=finals "
+        "ks=100,100,100 min_samples=3\n")
+    assert main(["rates", str(suite)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL one-k: rate fit needs at least 3 positive samples, at two or more k, "
+        "in window [100, 100]; found 3 at 1 k"]
+
+
 def test_cmd_rates_bad_suite_exits_2(tmp_path, capsys):
     suite = tmp_path / "suite.txt"
     suite.write_text("label=x config=y\n")  # missing metric/slope/tol
@@ -578,6 +635,15 @@ def test_cmd_plot_skips_non_finite_values(tmp_path):
     assert all(np.isfinite(float(c)) for p in points for c in p.split(","))
 
 
+def test_cmd_plot_out_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    _write_trace(csv, [(1, 1.0), (10, 0.1)])
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "p.svg"
+    assert main(["plot", str(csv), "--metric", "infeas", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
 def test_cmd_plot_with_fewer_than_two_finite_values_exits_2(tmp_path, capsys):
     csv = tmp_path / "t.csv"
     _write_trace(csv, [(1, 1.0), (2, float("nan")), (3, float("inf"))])
@@ -585,6 +651,23 @@ def test_cmd_plot_with_fewer_than_two_finite_values_exits_2(tmp_path, capsys):
     assert main(["plot", str(csv), "--metric", "infeas", "--out", str(out)]) == 2
     assert "at least 2 plottable points" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ys,logy", [
+    ([-1.7e308, 1.7e308], False),                 # the span overflows
+    ([1e300, 1e300], False),                      # 1e300 + 1 == 1e300
+    ([sys.float_info.max, 1e-300], True),         # 10^log10(max) overflows
+    ([sys.float_info.max, sys.float_info.max], False),
+])
+def test_render_svg_stays_finite_at_the_ends_of_the_float_range(ys, logy):
+    svg = render_svg([1, 2], ys, logy=logy)
+    assert "nan" not in svg and "inf" not in svg
+    points = re.search(r'points="([^"]+)"', svg).group(1).split()
+    assert len(points) == 2
+    labels = re.findall(r'text-anchor="end">([^<]+)<', svg)
+    # three digits: a label of float max reads 1.8e+308, which float() rounds to inf
+    assert len(labels) == 5
+    assert all(re.fullmatch(r"-?\d+(\.\d+)?(e[-+]\d+)?", v) for v in labels)
 
 
 def test_plot_log_log_power_law_is_straight(tmp_path):

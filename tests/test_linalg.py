@@ -61,6 +61,11 @@ def test_spectral_norm_sq_when_both_start_vectors_lie_in_the_null_space():
     assert spectral_norm_sq(a) == pytest.approx(12.0, rel=1e-8)
 
 
+def test_spectral_norm_sq_when_the_start_vector_lies_in_the_null_space():
+    # A (1, 1) = 0; A.T A has eigenvalues 0 and 2
+    assert spectral_norm_sq(np.array([[1.0, -1.0]])) == pytest.approx(2.0, abs=1e-15)
+
+
 def test_spectral_norm_sq_of_tiny_entries():
     # unscaled, A.T A v = 1e-240 * v and its squared norm underflow to 0
     assert spectral_norm_sq(np.array([[1e-120, 0.0], [0.0, 1e-121]])) == pytest.approx(

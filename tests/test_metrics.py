@@ -246,6 +246,12 @@ def test_fit_rate_requires_positive_samples():
     assert fit.slope == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_fit_rate_refuses_samples_at_one_k():
+    # np.polyfit would fit a rank-deficient line through them
+    with pytest.raises(ConfigurationError, match="at two or more k"):
+        fit_rate([(100, 0.5), (100, 0.4), (100, 0.3)], (1, 1000), min_samples=3)
+
+
 def test_fit_rate_skips_none_and_nonpositive_samples():
     samples = [(k, 1.0 / k) for k in range(1, 50)]
     samples += [(60, None), (70, -2.0)]

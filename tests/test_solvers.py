@@ -40,7 +40,7 @@ def test_schedule_constant_ista_example():
 
 
 def test_schedule_constant_vfista_example():
-    s = ConstantVfistaSchedule(p=3.0, eta_bar=1.0)
+    s = ConstantVfistaSchedule(p=3.0)
     got = s.resolve(0.0, 2.0, 2.0, 1.0, 100)[0](0)
     expected = 4.0 * (4.0 * math.log(100.0) / 100.0) ** 2
     assert got == pytest.approx(expected, rel=1e-12)
@@ -467,7 +467,7 @@ def test_ipr_budget_sequence_and_eta_values():
     p = BilevelProblem(upper, lower, initial_point=np.zeros(2))
     seen = []
     rep = solve_ipr_vfista(
-        p, NcConfig(big_k=4, a=2, eta_bar=1.0),
+        p, NcConfig(big_k=4),
         callback=lambda k, **kw: seen.append((kw["j_budget"], kw["eta"])))
     assert [j for j, _ in seen] == [1, 4, 9, 16]
     assert rep.extras["total_inner"] == 30
@@ -482,7 +482,7 @@ def test_ipr_stationary_fixed_point():
     lower = CompositeObjective(DiagQuadratic(np.array([1.0, 1.0])), ZeroProx())
     upper = CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx())
     p = BilevelProblem(upper, lower, initial_point=np.zeros(2))
-    rep = solve_ipr_vfista(p, NcConfig(big_k=4, a=2))
+    rep = solve_ipr_vfista(p, NcConfig(big_k=4))
     assert np.linalg.norm(rep.x_final) <= 1e-10
 
 
@@ -491,7 +491,7 @@ def test_ipr_iterates_stay_in_lower_domain():
     upper = CompositeObjective(ScaledSqNorm(1.0, center=np.array([0.0, 3.0])),
                                ZeroProx())
     p = BilevelProblem(upper, lower, initial_point=np.array([0.5, 0.0]))
-    rep = solve_ipr_vfista(p, NcConfig(big_k=6, a=2))
+    rep = solve_ipr_vfista(p, NcConfig(big_k=6))
     for r in rep.trace:
         assert r.h_bar < math.inf
     assert np.linalg.norm(rep.x_final) <= 1.0 + 1e-9
@@ -510,9 +510,9 @@ def test_ipr_rejects_upper_nonsmooth_and_small_k():
     upper_steep = CompositeObjective(MoreauLogSum(1e-2, 1e-1, 1), ZeroProx())
     p = BilevelProblem(upper_steep, lower, initial_point=np.zeros(1))
     with pytest.raises(ConfigurationError, match=r"K >= 4\*L_f\^2"):
-        solve_ipr_vfista(p, NcConfig(big_k=16, a=2))
+        solve_ipr_vfista(p, NcConfig(big_k=16))
     # explicit escape hatch runs
-    rep = solve_ipr_vfista(p, NcConfig(big_k=16, a=2, allow_large_step=True))
+    rep = solve_ipr_vfista(p, NcConfig(big_k=16, allow_large_step=True))
     assert rep.config["allow_large_step"]
 
 
@@ -521,18 +521,8 @@ def test_ipr_inner_budget_cap():
     upper = CompositeObjective(ScaledSqNorm(1.0, dimension=1), ZeroProx())
     p = BilevelProblem(upper, lower, initial_point=np.zeros(1))
     # sum_{k=1}^{200} k^2 = 2,686,700 inner iterations exceed the 2M cap
-    with pytest.raises(ConfigurationError, match="cap 2000000; lower K or a$"):
-        solve_ipr_vfista(p, NcConfig(big_k=200, a=2))
-
-
-def test_ipr_validates_a_and_eta_bar():
-    lower = CompositeObjective(DiagQuadratic(np.array([1.0])), ZeroProx())
-    upper = CompositeObjective(ScaledSqNorm(1.0, dimension=1), ZeroProx())
-    p = BilevelProblem(upper, lower, initial_point=np.zeros(1))
-    with pytest.raises(ConfigurationError, match="a >= 2"):
-        solve_ipr_vfista(p, NcConfig(big_k=4, a=1))
-    with pytest.raises(ConfigurationError, match="eta_bar"):
-        solve_ipr_vfista(p, NcConfig(big_k=4, eta_bar=0.0))
+    with pytest.raises(ConfigurationError, match="cap 2000000; lower K$"):
+        solve_ipr_vfista(p, NcConfig(big_k=200))
 
 
 @settings(max_examples=300, deadline=None)
@@ -556,7 +546,7 @@ def test_ipr_divergence_in_the_outer_gradient_step_is_caught_at_its_step():
     upper = CompositeObjective(GradientTurnsNan(np.array([1.0, 1.0]), 2), ZeroProx())
     p = BilevelProblem(upper, lower, initial_point=np.ones(2))
     with pytest.raises(DivergenceError, match="gradient step z at step 2") as err:
-        solve_ipr_vfista(p, NcConfig(big_k=4, a=2))
+        solve_ipr_vfista(p, NcConfig(big_k=4))
     assert err.value.k == 2
     assert [r.k for r in err.value.trace] == [0, 1, 2]
     assert np.isfinite(err.value.last_finite).all()
@@ -570,7 +560,7 @@ def test_ipr_divergence_inside_the_inner_loop_names_the_inner_step():
     p = BilevelProblem(upper, lower, initial_point=np.ones(2))
     with np.errstate(invalid="ignore"):
         with pytest.raises(DivergenceError, match="inner iterate 1 at step 2") as err:
-            solve_ipr_vfista(p, NcConfig(big_k=4, a=2))
+            solve_ipr_vfista(p, NcConfig(big_k=4))
     assert err.value.k == 2
     assert [r.k for r in err.value.trace] == [0, 1, 2]
     assert np.isfinite(err.value.last_finite).all()
