@@ -42,6 +42,9 @@ class SmoothFunction:
         """`gradient` without the length check, for a loop that checked its
         iterate once. The result may share memory with x: read it only. A
         subclass defines this or `gradient`."""
+        if type(self).gradient is SmoothFunction.gradient:  # else each calls the other
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither gradient nor gradient_unchecked")
         return self.gradient(x)
 
     def _check_dim(self, x: np.ndarray) -> None:

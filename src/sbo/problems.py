@@ -401,6 +401,9 @@ def _gen_l1_weak_sharp_seeded(n: int, seed: int = 0) -> BilevelProblem:
     return gen_l1_weak_sharp(n, np.random.default_rng(seed).standard_normal(n))
 
 
+# The instance keys that must be positive; the other ones must be >= 0.
+_POSITIVE_KEYS = ("n", "rank", "mu_f", "delta", "epsilon")
+
 # name -> (generator, fixed arguments). Every other generator parameter but
 # n is an instance key: its annotation is the key's kind and its default the
 # default.
@@ -414,7 +417,8 @@ _INSTANCES = {
 
 def build_instance(spec: InstanceSpec) -> BilevelProblem:
     """Build a bilevel problem from a named instance specification. Only the
-    keys present are parsed; any key the instance does not take is refused."""
+    keys present are parsed; any key the instance does not take, a value out
+    of its range and an n too large to allocate are refused, naming the key."""
     try:
         generator, fixed = _INSTANCES[spec.name]
     except KeyError:
@@ -426,14 +430,21 @@ def build_instance(spec: InstanceSpec) -> BilevelProblem:
     params = dict(spec.params)
     if spec.seed is not None:
         params["seed"] = spec.seed
-    kwargs = dict(fixed)
+    values = {"n": spec.n}
     for key, text in params.items():
         if key not in kinds:
             raise ConfigurationError(
                 f"unknown instance key {key!r} for {spec.name}; it takes "
                 f"{', '.join(sorted(kinds))}")
-        kwargs[key] = parse_value(f"instance key {key!r}", text, kinds[key])
-    return generator(n=spec.n, **kwargs)
+        values[key] = parse_value(f"instance key {key!r}", text, kinds[key])
+    for key, value in values.items():
+        if value < 0 or value == 0 and key in _POSITIVE_KEYS:
+            must = "positive" if key in _POSITIVE_KEYS else "non-negative"
+            raise ConfigurationError(f"instance key {key!r} must be {must}; got {value!r}")
+    try:
+        return generator(**fixed, **values)
+    except MemoryError as exc:
+        raise ConfigurationError(f"instance.n = {spec.n} is too large: {exc}") from None
 
 
 def read_text_lines(path) -> list[str]:

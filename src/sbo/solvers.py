@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -281,22 +281,20 @@ def _log_constant_weight_sum(eta: float, gamma_mu: float, big_k: int) -> float:
     return math.log(eta) + ka + math.log(-math.expm1(-ka)) - math.log(-math.expm1(-a))
 
 
-def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
-                  callback: Optional[Callable] = None) -> RunReport:
+def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     """Prox-gradient on the regularized surrogate with weighted averaging.
 
     Per iteration: x_{k+1} = q_step(eta_k, gamma, x_k) with weight
     w_k = eta_k * theta_k, where theta_k = theta_{k-1} / (1 - eta_k*gamma*mu_f)
     and theta_{-1} = 1. The loop keeps two running sums, Gamma_k = sum_j w_j
     and S_k = sum_j w_j x_{j+1}, and forms the average x_bar = S_k / Gamma_k
-    only where it is read: at a trace point, for the callback and at the
-    return. Returns the averaged iterate; the trace reports metrics of the
-    average.
+    only where it is read: at a trace point and at the return. Returns the
+    averaged iterate; the trace reports metrics of the average.
 
     A step neither checks nor accumulates its iterate: it stores x_{k+1} in
     a row of a block of AVERAGING_BLOCK rows and w_k in a weight vector, and
     adds w_k to Gamma_k. The block is flushed when it is full, at a trace
-    point and at the return, and after every step when there is a callback.
+    point and at the return.
     A flush tests the block for finiteness with one dot (np.isfinite settles
     squares that overflow) and adds it to S as one product w_block^T X_block.
     Its first non-finite row raises DivergenceError at that row's step k,
@@ -358,15 +356,14 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
     theta = 1.0
     gamma_sum = 0.0  # Gamma_k, the running sum of eta_j * theta_j
     w_sum = np.zeros_like(x)  # S_k, the running sum of eta_j * theta_j * x_{j+1}
-    block_rows = 1 if callback is not None else AVERAGING_BLOCK
-    block = np.empty((block_rows, x.size))  # x_{j+1} of the steps not yet in S_k
-    weights = np.empty(block_rows)  # their eta_j * theta_j
+    block = np.empty((AVERAGING_BLOCK, x.size))  # x_{j+1} of the steps not yet in S_k
+    weights = np.empty(AVERAGING_BLOCK)  # their eta_j * theta_j
     trace: list[TraceRecord] = []
 
     k = 0
     for k_trace in sorted(_trace_ks(cfg)):
         while k < k_trace:  # one block of steps k .. end-1, then its flush
-            end = min(k + block_rows, k_trace)
+            end = min(k + AVERAGING_BLOCK, k_trace)
             x_before = x
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(end - k):
@@ -386,9 +383,6 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
                         last = row.copy()
             w_sum += weights[:end - k].dot(rows)
             k = end
-            if callback is not None:
-                callback(k, x=x, x_bar=w_sum / gamma_sum, eta=eta, theta=theta,
-                         gamma_sum=gamma_sum)
         trace.append(_eval_record(problem, w_sum / gamma_sum, k, eta, theta, clock))
 
     cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched_params}
@@ -404,14 +398,12 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
-def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
-                   callback: Optional[Callable] = None) -> RunReport:
+def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     """Accelerated prox-gradient on the surrogate with constant weight eta,
     stepsize exactly 1/(L_h + eta*L_f), and momentum factor
     (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f)
     (`bilevel.accelerated_constants`). Returns the last iterate (no
-    averaging). This is `bilevel.accelerated_run` with a trace and a
-    callback.
+    averaging). This is `bilevel.accelerated_run` with a trace.
     """
     require_strongly_convex_upper(problem, "accelerated solver")
     upper, lower = problem.upper.smooth, problem.lower.smooth
@@ -437,19 +429,15 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig,
     trace: list[TraceRecord] = []
 
     k = 0
-    for k_trace in sorted(_trace_ks(cfg)):
-        while k < k_trace:  # the steps up to the next callback or trace point
-            end = k + 1 if callback is not None else k_trace
-            with np.errstate(over="ignore"):  # as in bilevel.accelerated_run
-                for j in range(k, end):
-                    x_next = step(eta, y)
-                    if not math.isfinite(x_next.dot(x_next)):
-                        check_finite(x_next, j, x, "accelerated solver", trace)
-                    y = x_next + momentum * (x_next - x)
-                    x = x_next
-            k = end
-            if callback is not None:
-                callback(k, x=x, y=y, eta=eta)
+    for k_trace in sorted(_trace_ks(cfg)):  # the steps up to the next trace point
+        with np.errstate(over="ignore"):  # as in bilevel.accelerated_run
+            for j in range(k, k_trace):
+                x_next = step(eta, y)
+                if not math.isfinite(x_next.dot(x_next)):
+                    check_finite(x_next, j, x, "accelerated solver", trace)
+                y = x_next + momentum * (x_next - x)
+                x = x_next
+        k = k_trace
         trace.append(_eval_record(problem, x, k, eta, None, clock))
 
     cfg_echo = {
@@ -476,8 +464,7 @@ MAX_TOTAL_INNER = 2_000_000
 INNER_START_BOX = 10.0
 
 
-def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
-                     callback: Optional[Callable] = None) -> RunReport:
+def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
     """Outer gradient steps z_k = xhat_k - gamma_hat * grad f(xhat_k), each
     followed by an inexact projection of z_k onto the lower solution set:
     J_k = (k+1)^INNER_BUDGET_EXPONENT inner iterations of the accelerated
@@ -549,8 +536,6 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig,
         trace.append(rec)
         if rec.residual_sq is not None and rec.residual_sq < best["residual_sq"]:
             best = {"residual_sq": rec.residual_sq, "k": k, "x": xhat}
-        if callback is not None:
-            callback(k + 1, x_hat=xhat, z=z, eta=eta_k, j_budget=j_budget)
 
     cfg_echo = {
         "solver": "ipr_vfista", "K": big_k, "a": INNER_BUDGET_EXPONENT,

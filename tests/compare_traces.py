@@ -1,17 +1,20 @@
-"""Compares the trace and report of every shipped config between this
-checkout and another.
+"""Compares the trace, report and plots of every shipped config between
+this checkout and another.
 
 Each configs/*.cfg is run through `sbo run` at solver.K = 20 and at its
 shipped solver.K, once on this checkout's src/ and once on the other
-checkout's src/, each in a subprocess. For each run the script prints
-"identical" when the two trace.csv files are byte-identical and so are the
-two report.txt files but for their timing footer (wall_clock_ns,
-metrics_ns, build_ns). Otherwise it prints the worst relative difference
-|a - b| / max(|a|, |b|) of every numeric trace column that differs
-(elapsed_ns is ignored), any field that is empty on one side only or a
-differing row count, and every report key that differs, with its worst
-relative difference when both values are numbers. Use it to show that a
-change keeps the traces and reports, or to bound how far it moves them.
+checkout's src/, each in a subprocess (both with this checkout's configs,
+so both render the same output.plots). For each run the script prints
+"identical" when the two trace.csv files are byte-identical, so is every
+plot_*.svg, and so are the two report.txt files but for their timing
+footer (wall_clock_ns, metrics_ns, build_ns). Otherwise it prints the
+worst relative difference |a - b| / max(|a|, |b|) of every numeric trace
+column that differs (elapsed_ns is ignored), any field that is empty on
+one side only or a differing row count, every report key that differs,
+with its worst relative difference when both values are numbers, and
+every plot that differs or is written on one side only. Use it to show
+that a change keeps the traces, reports and plots, or to bound how far it
+moves them.
 
 pytest does not collect this file. Run from the repository root:
 
@@ -37,18 +40,18 @@ IGNORED_REPORT_KEYS = ("wall_clock_ns", "metrics_ns", "build_ns")
 
 
 def run_in(checkout: pathlib.Path, path: pathlib.Path, big_k: int,
-           work: pathlib.Path) -> tuple[str, str]:
-    """The trace.csv and report.txt texts of `sbo run` on the config at
-    solver.K = big_k, run by the sbo package under checkout/src in a
-    subprocess."""
+           work: pathlib.Path) -> dict[str, str]:
+    """The texts of the files `sbo run` writes (trace.csv, report.txt and
+    every plot_*.svg) by name, on the config at solver.K = big_k, run by the
+    sbo package under checkout/src in a subprocess."""
     config = write_run_config(path, big_k, work)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run([sys.executable, "-m", "sbo.cli", "run", str(config)],
                           env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"exit {done.returncode} in {checkout}: {done.stderr.strip()}")
-    return tuple((work / "out" / name).read_text(encoding="utf-8")
-                 for name in ("trace.csv", "report.txt"))
+    return {out.name: out.read_text(encoding="utf-8")
+            for out in (work / "out").iterdir()}
 
 
 def _relative_difference(a: str, b: str) -> float | None:
@@ -104,6 +107,15 @@ def report_differences(mine: str, other: str) -> list[str]:
     return findings
 
 
+def plot_differences(mine: dict[str, str], other: dict[str, str]) -> list[str]:
+    """The plot_*.svg files that differ between two runs' outputs, or that
+    one run wrote and the other did not."""
+    names = sorted(name for name in mine.keys() | other.keys() if name.startswith("plot_"))
+    return [f"{name}: " + ("differs" if name in mine and name in other
+                           else "written on one side only")
+            for name in names if mine.get(name) != other.get(name)]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -116,11 +128,11 @@ def main(argv: list[str]) -> int:
             label = f"{path.stem} K={big_k}"
             try:
                 with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-                    (mine_trace, mine_report), (other_trace, other_report) = (
-                        run_in(ROOT, path, big_k, pathlib.Path(a)),
-                        run_in(other, path, big_k, pathlib.Path(b)))
-                findings = (trace_differences(mine_trace, other_trace)
-                            + report_differences(mine_report, other_report))
+                    mine = run_in(ROOT, path, big_k, pathlib.Path(a))
+                    theirs = run_in(other, path, big_k, pathlib.Path(b))
+                findings = (trace_differences(mine["trace.csv"], theirs["trace.csv"])
+                            + report_differences(mine["report.txt"], theirs["report.txt"])
+                            + plot_differences(mine, theirs))
             except RuntimeError as exc:
                 print(f"{label}: FAILED: {exc}")
                 failed = True

@@ -58,19 +58,16 @@ def test_01_weight_identities():
         l_f = max(wf)
         mu_f = min(wf)
         eta0_l = 2.0 * l_f / mu_f
-        thetas, xs, ws = [], [], []
-
-        def cb(k, **kw):
-            thetas.append(kw["theta"])
-            xs.append(kw["x"].copy())
-            ws.append(kw["eta"] * kw["theta"])
-
         rep = solve_ir_ista(
             p, SolverConfig(big_k=1000, schedule=DiminishingSchedule(),
-                            gamma=gamma), callback=cb)
-        for k, theta in enumerate(thetas):
+                            gamma=gamma, trace_every=1))
+        x, xs, ws = p.initial_point, [], []
+        for k, r in enumerate(rep.trace):
             expected = (eta0_l + k) / (eta0_l - 1.0)
-            checks.append(abs(theta - expected) <= 1e-9 * expected)
+            checks.append(abs(r.theta - expected) <= 1e-9 * expected)
+            x = p.q_eta_step(r.eta, gamma, x)
+            xs.append(x)
+            ws.append(r.eta * r.theta)
         wsum_expected = 1000.0 / (gamma * (2.0 * l_f - mu_f))
         checks.append(abs(rep.extras["Gamma_K"] - wsum_expected)
                       <= 1e-9 * wsum_expected)
@@ -261,22 +258,19 @@ def test_07_weak_sharp_linear_rate():
     kappa = (l_h + eta * l_f) / (eta * mu_f)
     big_k = int(math.ceil(20.0 * math.sqrt(kappa) * math.log(1e10)))
 
-    dists = []
     rep = solve_r_vfista(
-        p, SolverConfig(big_k=big_k, schedule=FixedEtaSchedule(eta)),
-        callback=lambda k, **kw: dists.append(
-            (k, float((kw["x"] - ref.x_star) @ (kw["x"] - ref.x_star)))))
+        p, SolverConfig(big_k=big_k, schedule=FixedEtaSchedule(eta), trace_every=1))
+    dists = [(r.k, r.dist_xstar_sq) for r in rep.trace]
     factor = contraction_factor(dists, big_k // 2, big_k)
     bound = (1.0 - 1.0 / math.sqrt(kappa)) + 0.05
     final_sq = float((rep.x_final - ref.x_star) @ (rep.x_final - ref.x_star))
     acc_ok = factor <= bound and final_sq <= 1e-10
 
-    # same instance under the constant-weight averaging solver
-    dists_avg = []
+    # same instance under the constant-weight averaging solver, whose
+    # records are taken at the average
     rep2 = solve_ir_ista(
-        p, SolverConfig(big_k=big_k, schedule=FixedEtaSchedule(eta)),
-        callback=lambda k, **kw: dists_avg.append(
-            (k, float((kw["x_bar"] - ref.x_star) @ (kw["x_bar"] - ref.x_star)))))
+        p, SolverConfig(big_k=big_k, schedule=FixedEtaSchedule(eta), trace_every=1))
+    dists_avg = [(r.k, r.dist_xstar_sq) for r in rep2.trace]
     gamma2 = rep2.config["gamma"]
     bound2 = (1.0 - eta * gamma2 * mu_f) + 0.05
     factor2 = contraction_factor(dists_avg, big_k // 2, big_k)

@@ -319,6 +319,14 @@ NONCONVEX = {"instance.name": "nonconvex_phillips", "instance.n": "8",
      "unknown config key 'solver.eta_bar'"),
     ({"solver.name": "r_vfista", "solver.gamma": "auto"},
      "unknown config key 'solver.gamma'"),
+    ({"instance.lam": "-1"}, "instance key 'lam'"),
+    ({"instance.name": "sec61_phillips", "instance.n": "8", "instance.rank": None,
+      "instance.lam": "-1"}, "instance key 'lam'"),
+    ({"instance.f_star_budget": "-5"}, "instance key 'f_star_budget'"),
+    ({"instance.mu_f": "0"}, "instance key 'mu_f'"),
+    ({"instance.seed": "-1"}, "instance key 'seed'"),
+    ({"instance.name": "l1_weak_sharp", "instance.n": "-3", "instance.rank": None},
+     "instance key 'n'"),
 ])
 def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
                                                      overrides, named):
@@ -715,6 +723,18 @@ def test_cmd_gen_roundtrip(tmp_path):
     ws = build_instance(InstanceSpec("l1_weak_sharp", 6, seed=2))
     assert a is None and params == {"n": "6", "seed": "2"}
     assert np.array_equal(b, ws.upper.smooth.center)
+
+
+def test_cmd_run_and_gen_refuse_an_instance_too_large_to_allocate(tmp_path, capsys):
+    # the first array is n x n, 8 EB: numpy refuses it before touching memory
+    cfg = write_config(tmp_path / "huge.cfg", **{"instance.name": "rank_deficient_ls",
+                                                   "instance.n": "1000000000"})
+    assert main(["run", str(cfg)]) == 2
+    assert "instance.n = 1000000000 is too large" in capsys.readouterr().err
+    assert main(["gen", "rank_deficient_ls:n=1000000000",
+                 "--out", str(tmp_path / "x.txt")]) == 2
+    assert "instance.n = 1000000000 is too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "x.txt").exists()
 
 
 def test_cmd_gen_rejects_bad_spec(tmp_path, capsys):

@@ -5,9 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import DiagQuadratic
 from sbo.errors import ConfigurationError, ContractViolation
 from sbo.functions import (LeastSquares, MoreauLogSum, ScaledSqNorm,
-                           ZeroFunction)
+                           SmoothFunction, ZeroFunction)
 
 
 def central_diff(fn, x, h=1e-6):
@@ -162,6 +163,19 @@ def test_zero_function():
     assert z.value(x) == 0.0
     assert np.array_equal(z.gradient(x), np.zeros(3))
     assert z.lipschitz == z.strong_convexity == 0.0
+
+
+def test_smooth_function_without_a_gradient_is_refused_naming_the_class():
+    # each of gradient and gradient_unchecked falls back to the other
+    class NoGradient(SmoothFunction):
+        dimension = 2
+
+    for grad in (NoGradient().gradient, NoGradient().gradient_unchecked):
+        with pytest.raises(NotImplementedError, match="^NoGradient defines neither"):
+            grad(np.ones(2))
+    # a subclass that defines only gradient serves gradient_unchecked too
+    assert np.array_equal(DiagQuadratic([1.0, 2.0]).gradient_unchecked(np.ones(2)),
+                          [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from sbo.problems import (InstanceSpec, baart_solution, build_instance,
                           foxgood_solution, gen_baart, gen_foxgood,
                           gen_l1_weak_sharp, gen_phillips,
                           gen_rank_deficient_ls, gen_sec61_inverse,
-                          load_instance, phillips_solution, save_instance)
+                          load_instance, parse_value, phillips_solution,
+                          save_instance)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -349,3 +350,47 @@ def test_build_instance_takes_integral_numbers_for_integer_keys():
         p = build_instance(InstanceSpec("rank_deficient_ls", 8, seed=1,
                                         params={"rank": rank, "lam": 0}))
         assert np.linalg.matrix_rank(p.lower.smooth.a) == 2
+
+
+# parse_value reads every config, instance and suite key; its refusals
+# start with `what`, the name of the key
+_WHAT = st.text(min_size=1)
+
+
+def _refusal(what, text, kind):
+    with pytest.raises(ConfigurationError) as err:
+        parse_value(what, text, kind)
+    assert str(err.value).startswith(f"{what} must be ")
+    return str(err.value)
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False), what=_WHAT)
+def test_parse_value_round_trips_finite_floats(x, what):
+    for text in (repr(x), str(x), x):
+        got = parse_value(what, text)
+        assert got == x and math.copysign(1.0, got) == math.copysign(1.0, x)
+
+
+@given(i=st.integers(), what=_WHAT)
+def test_parse_value_round_trips_ints_and_takes_only_0_and_1_as_flags(i, what):
+    exact_float = [float(i)] if abs(i) <= 2 ** 53 else []
+    for text in [repr(i), str(i), i, *exact_float]:
+        assert parse_value(what, text, int) == i
+        if i in (0, 1):
+            assert parse_value(what, text, bool) is bool(i)
+        else:
+            assert "0 or 1" in _refusal(what, text, bool)
+
+
+@given(text=st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999",
+                             math.nan, math.inf, -math.inf]),
+       kind=st.sampled_from([float, int, bool]), what=_WHAT)
+def test_parse_value_refuses_non_finite_values(text, kind, what):
+    _refusal(what, text, kind)
+
+
+@given(x=st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != int(x)),
+       kind=st.sampled_from([int, bool]), what=_WHAT)
+def test_parse_value_refuses_non_integral_values_for_ints_and_flags(x, kind, what):
+    for text in (repr(x), str(x), x):
+        _refusal(what, text, kind)

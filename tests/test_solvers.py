@@ -73,26 +73,20 @@ def make_theta_problem():
 
 def test_ir_ista_first_step_hand_value():
     p = quad_problem([1.0], [0.0], [1.0], [2.0], x0=np.array([3.0]))
-    seen = {}
-
-    def cb(k, **kw):
-        if k == 1:
-            seen.update(kw)
-
-    solve_ir_ista(p, SolverConfig(big_k=2, schedule=DiminishingSchedule(),
-                                  gamma=0.25), callback=cb)
+    rep = solve_ir_ista(p, SolverConfig(big_k=1, schedule=DiminishingSchedule(),
+                                        gamma=0.25))
     # eta_0 = (1/0.25)/2 = 2; x1 = 3 - 0.25*(3 + 2*(3-2)) = 1.75
-    assert seen["eta"] == pytest.approx(2.0)
-    assert seen["x"][0] == pytest.approx(1.75)
-    assert seen["x_bar"][0] == pytest.approx(1.75)  # first average = x1
+    assert rep.trace[0].eta == pytest.approx(2.0)
+    assert rep.extras["x_last"][0] == pytest.approx(1.75)
+    assert rep.x_final[0] == pytest.approx(1.75)  # first average = x1
 
 
 def test_ir_ista_theta_trajectory():
     p = make_theta_problem()
-    thetas = []
-    solve_ir_ista(p, SolverConfig(big_k=11, schedule=DiminishingSchedule(),
-                                  gamma=0.25),
-                  callback=lambda k, **kw: thetas.append(kw["theta"]))
+    rep = solve_ir_ista(p, SolverConfig(big_k=11, schedule=DiminishingSchedule(),
+                                        gamma=0.25, trace_every=1))
+    thetas = [r.theta for r in rep.trace]
+    assert len(thetas) == 11
     for k, theta in enumerate(thetas):
         assert theta == pytest.approx((4.0 + k) / 3.0, rel=1e-12)
 
@@ -108,14 +102,9 @@ def test_ir_ista_weight_sum_identity():
 def test_ir_ista_theta_product_identity():
     p = make_theta_problem()
     gamma, mu = 0.25, 1.0
-    etas, thetas = [], []
-
-    def cb(k, **kw):
-        etas.append(kw["eta"])
-        thetas.append(kw["theta"])
-
-    solve_ir_ista(p, SolverConfig(big_k=101, schedule=DiminishingSchedule(),
-                                  gamma=gamma), callback=cb)
+    rep = solve_ir_ista(p, SolverConfig(big_k=101, schedule=DiminishingSchedule(),
+                                        gamma=gamma, trace_every=1))
+    etas, thetas = [r.eta for r in rep.trace], [r.theta for r in rep.trace]
     prod = 1.0
     for k in range(101):
         prod *= 1.0 - etas[k] * gamma * mu
@@ -126,14 +115,14 @@ def test_ir_ista_theta_product_identity():
 def test_ir_ista_averaging_identity_direct_sum():
     p = quad_problem([1.0, 0.5], [0.2, -0.1], [1.0, 1.0], [1.0, -1.0],
                      omega_f=L1Prox(0.3), x0=np.array([2.0, 2.0]))
-    xs, ws = [], []
-
-    def cb(k, **kw):
-        xs.append(kw["x"].copy())
-        ws.append(kw["eta"] * kw["theta"])
-
-    rep = solve_ir_ista(p, SolverConfig(big_k=10_000, schedule=DiminishingSchedule()),
-                        callback=cb)
+    rep = solve_ir_ista(p, SolverConfig(big_k=10_000, schedule=DiminishingSchedule(),
+                                        trace_every=1))
+    gamma = rep.config["gamma"]
+    x, xs, ws = p.initial_point, [], []
+    for r in rep.trace:
+        x = p.q_eta_step(r.eta, gamma, x)
+        xs.append(x)
+        ws.append(r.eta * r.theta)
     direct = sum(w * x for w, x in zip(ws, xs)) / sum(ws)
     assert np.linalg.norm(rep.x_final - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -226,23 +215,22 @@ def blocked_problem(nan_after=None, fill=np.nan):
                           initial_point=np.array([2.0, -1.0, 3.0]))
 
 
-def test_ir_ista_callback_sees_the_sequential_average_bit_for_bit():
-    # with a callback every step is flushed on its own, so x_bar is the
+def test_ir_ista_trace_every_step_sees_the_sequential_average_bit_for_bit():
+    # with trace_every = 1 every step is flushed on its own, so x_bar is the
     # recursion S += w * x_{k+1}, Gamma += w one step at a time
-    s_sum, g_sum, steps = np.zeros(3), 0.0, []
-
-    def cb(k, **kw):
-        nonlocal s_sum, g_sum
-        w = kw["eta"] * kw["theta"]
-        s_sum = s_sum + w * kw["x"]
+    p = blocked_problem()
+    rep = solve_ir_ista(p, SolverConfig(big_k=300, schedule=DiminishingSchedule(),
+                                        trace_every=1))
+    gamma = rep.config["gamma"]
+    x, s_sum, g_sum = p.initial_point, np.zeros(3), 0.0
+    for r in rep.trace:
+        x = p.q_eta_step(r.eta, gamma, x)
+        w = r.eta * r.theta
+        s_sum = s_sum + w * x
         g_sum += w
-        steps.append(k)
-        assert kw["gamma_sum"] == g_sum
-        assert kw["x_bar"].tobytes() == (s_sum / g_sum).tobytes()
-
-    rep = solve_ir_ista(blocked_problem(),
-                        SolverConfig(big_k=300, schedule=DiminishingSchedule()), callback=cb)
-    assert steps == list(range(1, 301))
+        assert r.f_bar == p.upper.value(s_sum / g_sum)
+    assert [r.k for r in rep.trace] == list(range(1, 301))
+    assert rep.extras["Gamma_K"] == g_sum
     assert rep.x_final.tobytes() == (s_sum / g_sum).tobytes()
 
 
@@ -317,19 +305,12 @@ def test_ir_ista_finite_iterates_whose_squares_overflow_are_not_divergence():
 
 def test_r_vfista_hand_iteration():
     p = quad_problem([1.0], [0.0], [1.0], [2.0], x0=np.array([3.0]))
-    seen = {}
-
-    def cb(k, **kw):
-        if k == 1:
-            seen.update(kw)
-
-    rep = solve_r_vfista(p, SolverConfig(big_k=2, schedule=FixedEtaSchedule(1.0)),
-                         callback=cb)
+    rep = solve_r_vfista(p, SolverConfig(big_k=1, schedule=FixedEtaSchedule(1.0)))
     assert rep.config["gamma"] == pytest.approx(0.5)
     assert rep.config["kappa"] == pytest.approx(2.0)
     assert rep.config["momentum"] == pytest.approx(0.1715728752538097, abs=1e-12)
-    assert seen["x"][0] == pytest.approx(1.0)
-    assert seen["y"][0] == pytest.approx(0.6568542494923801, abs=1e-12)
+    assert rep.x_final[0] == pytest.approx(1.0)
+    assert rep.extras["y_last"][0] == pytest.approx(0.6568542494923801, abs=1e-12)
 
 
 def test_r_vfista_momentum_third_at_kappa_four():
@@ -357,11 +338,12 @@ def test_r_vfista_surrogate_geometric_contraction_bound():
     rate = 1.0 - 1.0 / math.sqrt(kappa)
     x0 = np.array([4.0, -3.0])
     init = g_bar(x0) - g_star + 0.5 * eta * 2.0 * float((x0 - x_eta) @ (x0 - x_eta))
-    gaps = []
-    solve_r_vfista(p, SolverConfig(big_k=200, schedule=FixedEtaSchedule(eta)),
-                   callback=lambda k, **kw: gaps.append((k, g_bar(kw["x"]) - g_star)))
-    for k, gap in gaps:
-        assert gap <= rate**k * init * (1.0 + 1e-9) + 1e-12
+    rep = solve_r_vfista(p, SolverConfig(big_k=200, schedule=FixedEtaSchedule(eta),
+                                         trace_every=1))
+    assert len(rep.trace) == 200
+    for r in rep.trace:  # h_bar + eta * f_bar is g_bar(x_k) bit for bit
+        gap = r.h_bar + eta * r.f_bar - g_star
+        assert gap <= rate**r.k * init * (1.0 + 1e-9) + 1e-12
 
 
 def test_r_vfista_rejects_gamma_override_and_wrong_schedule():
@@ -465,16 +447,15 @@ def test_ipr_budget_sequence_and_eta_values():
     lower = CompositeObjective(DiagQuadratic(np.array([2.0, 2.0])), ZeroProx())
     upper = CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx())
     p = BilevelProblem(upper, lower, initial_point=np.zeros(2))
-    seen = []
-    rep = solve_ipr_vfista(
-        p, NcConfig(big_k=4),
-        callback=lambda k, **kw: seen.append((kw["j_budget"], kw["eta"])))
-    assert [j for j, _ in seen] == [1, 4, 9, 16]
-    assert rep.extras["total_inner"] == 30
+    rep = solve_ipr_vfista(p, NcConfig(big_k=4))
+    etas = [r.eta for r in rep.trace[1:]]  # the record at k = 0 precedes any step
+    assert rep.extras["total_inner"] == 30  # J_k = 1, 4, 9, 16
     # J_0 = 1: ln floored at ln 2
-    assert seen[0][1] == pytest.approx(48.0 * math.log(2.0) ** 2, rel=1e-12)
-    assert seen[1][1] == pytest.approx(48.0 * (math.log(4.0) / 4.0) ** 2, rel=1e-12)
-    assert seen[1][1] == pytest.approx(5.765436167018416, abs=1e-12)
+    assert etas[0] == pytest.approx(48.0 * math.log(2.0) ** 2, rel=1e-12)
+    assert etas[1] == pytest.approx(48.0 * (math.log(4.0) / 4.0) ** 2, rel=1e-12)
+    assert etas[1] == pytest.approx(5.765436167018416, abs=1e-12)
+    for j, eta in zip((9, 16), etas[2:], strict=True):
+        assert eta == pytest.approx(48.0 * (math.log(j) / j) ** 2, rel=1e-12)
 
 
 def test_ipr_stationary_fixed_point():
