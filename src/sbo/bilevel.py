@@ -111,13 +111,16 @@ class BilevelProblem:
         """The step kernel every solver iterates: step(eta, y) is
         `q_eta_step(eta, gamma, y)`, the one home of its arithmetic. gamma is
         checked here, once; step trusts y to have length `dimension` and
-        eta >= 0, and returns a new array."""
+        eta >= 0, and returns a new array. Its scalars meet numpy as 0-d
+        arrays (eta's its own): a ufunc takes them faster than Python floats."""
         prox = self.combined_prox.bind(gamma)
         grad_h = self.lower.smooth.gradient_unchecked
         grad_f = self.upper.smooth.gradient_unchecked
+        gamma_op, eta_op = np.array(gamma, dtype=float), np.empty(())
 
         def step(eta: float, y: np.ndarray) -> np.ndarray:
-            return prox(eta, y - gamma * (grad_h(y) + eta * grad_f(y)))
+            eta_op[()] = eta
+            return prox(eta, y - gamma_op * (grad_h(y) + eta_op * grad_f(y)))
 
         return step
 
@@ -162,7 +165,7 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     x = y = np.asarray(x0, dtype=float)
     problem._check_dim(x)
     gamma, _, momentum = accelerated_constants(problem, eta)
-    step = problem.step_map(gamma)
+    step, momentum = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
     with np.errstate(over="ignore"):
         for j in range(iters):
             x_next = step(eta, y)
@@ -183,12 +186,13 @@ def require_strongly_convex_upper(problem: BilevelProblem, who: str) -> None:
 
 
 def check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
-                 trace: Optional[list] = None, what: str = "iterate") -> None:
+                 trace: Optional[list] = None, what: str = "iterate",
+                 config: Optional[dict] = None) -> None:
     """DivergenceError "<solver>: non-finite <what> at step k" unless x is finite."""
     # x.dot(x) is finite only if every entry is; the full test settles the
     # rare finite x whose squares overflow
     if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
         raise DivergenceError(
             f"{solver}: non-finite {what} at step {k}", k=k, last_finite=last,
-            trace=trace,
+            trace=trace, config=config,
         )

@@ -207,13 +207,21 @@ def attach_rate_fits(report: RunReport) -> None:
             continue
 
 
+def _record_values(record: TraceRecord) -> dict:
+    """The values a trace record has, by column, but its wall time."""
+    return {name: getattr(record, name) for name in TRACE_COLUMNS[:-1]
+            if getattr(record, name) is not None}
+
+
+def _config_lines(config: dict) -> list[str]:
+    """The `config.<key> = value` lines of a resolved config, by key."""
+    return [f"config.{key} = {_fmt(config[key])}" for key in sorted(config)
+            if key != "solver"]
+
+
 def report_to_text(report: RunReport) -> str:
     lines = [f"schema_version = {SCHEMA_VERSION}",
-             f"solver = {report.solver}"]
-    for key in sorted(report.config):
-        if key == "solver":
-            continue
-        lines.append(f"config.{key} = {_fmt(report.config[key])}")
+             f"solver = {report.solver}", *_config_lines(report.config)]
     x = report.x_final
     lines.append(f"final.norm = {_fmt(float(np.linalg.norm(x)))}")
     if report.trace:
@@ -339,19 +347,28 @@ def cmd_run(config_path: str) -> int:
                 raise ConfigurationError(
                     f"config key 'output.plots': no trace column {metric!r}; "
                     f"have {', '.join(TRACE_COLUMNS)}")
+        instance_keys = {k: v for k, v in cfg.items() if k.startswith("instance.")}
         report = run_from_config(cfg)
     except (OSError, ValueError) as exc:  # every sbo input error is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
-        # keep whatever was traced up to the last finite record
+        # keep whatever was traced, and say what ran: the resolved config
+        # and the last record whose values are all finite
         print(f"runtime divergence: {exc}", file=sys.stderr)
+        config = {**exc.config, **instance_keys}
+        lines = [f"diverged_at_step = {exc.k}", f"error = {exc}"]
+        if "solver" in config:
+            lines.append(f"solver = {config['solver']}")
+        finite = [values for values in map(_record_values, exc.trace)
+                  if all(map(math.isfinite, values.values()))]
+        lines += _config_lines(config) + [
+            f"last_finite.{name} = {_fmt(value)}"
+            for name, value in (finite[-1] if finite else {}).items()]
         rc, files = EXIT_DIVERGED, {
-            "trace.csv": trace_to_csv(exc.trace),
-            "report.txt": f"diverged_at_step = {exc.k}\nerror = {exc}\n"}
+            "trace.csv": trace_to_csv(exc.trace), "report.txt": "\n".join(lines) + "\n"}
     else:
-        report.config.update(
-            {k: v for k, v in cfg.items() if k.startswith("instance.")})
+        report.config.update(instance_keys)
         attach_rate_fits(report)
         rc, files = EXIT_OK, {
             "trace.csv": trace_to_csv(report.trace, include_timings=timings),

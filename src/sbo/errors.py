@@ -27,14 +27,16 @@ class ParseError(SboError, ValueError):
 
 class DivergenceError(SboError, RuntimeError):
     """A solver iterate left the finite-float range. Carries the index of
-    the failing step, the last finite iterate and the trace recorded up to
-    the last finite record."""
+    the failing step, the last finite iterate, the trace recorded up to
+    the last finite record and the solver's resolved configuration (empty
+    when the raiser has none)."""
 
-    def __init__(self, message: str, k: int, last_finite, trace=None):
+    def __init__(self, message: str, k: int, last_finite, trace=None, config=None):
         super().__init__(message)
         self.k = k
         self.last_finite = last_finite
         self.trace = trace or []
+        self.config = config or {}
 
 
 class PowerIterationError(SboError, RuntimeError):

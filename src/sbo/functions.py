@@ -113,6 +113,7 @@ class ScaledSqNorm(SmoothFunction):
         self.lipschitz = self.weight
         self.strong_convexity = self.weight
         self._zero_center = not self.center.any()
+        self._weight_op = np.array(self.weight)  # 0-d: see BilevelProblem.step_map
 
     def value(self, x: np.ndarray) -> float:
         self._check_dim(x)
@@ -121,7 +122,7 @@ class ScaledSqNorm(SmoothFunction):
 
     def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
         d = x if self._zero_center else x - self.center
-        return d if self.weight == 1.0 else self.weight * d
+        return d if self.weight == 1.0 else self._weight_op * d
 
 
 class MoreauLogSum(SmoothFunction):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, get_args
@@ -63,6 +64,19 @@ _GL_ORDER = 24  # fixed-order Gauss-Legendre panels; integrands are analytic
                 # per cell, so this is accurate to ~1e-15
 
 
+def _refuse_beyond_memory(n: int, floats: int) -> None:
+    """ConfigurationError naming instance.n if an array of `floats` float64
+    values, a generator's largest, would pass physical memory. The Fredholm
+    generators call it before their first n-sized allocation: numpy refuses
+    only arrays past the address space, and a process that touches one past
+    physical memory is killed."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * floats > memory:
+        raise ConfigurationError(
+            f"instance.n = {n} is too large: its largest array takes "
+            f"{8 * floats:.3g} bytes, past the {memory:.3g} bytes of physical memory")
+
+
 def _gl_nodes(a: np.ndarray, b: np.ndarray):
     """Gauss-Legendre nodes/weights mapped onto the intervals [a_i, b_i]."""
     x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -81,6 +95,7 @@ def gen_phillips(n: int):
     """
     if n < 4 or n % 4 != 0:
         raise ConfigurationError(f"phillips requires n >= 4 divisible by 4, got {n}")
+    _refuse_beyond_memory(n, n * n)
     h = 12.0 / n
     c = math.pi / 3.0
 
@@ -132,6 +147,7 @@ def gen_baart(n: int):
     """
     if n < 4 or n % 2 != 0:
         raise ConfigurationError(f"baart requires even n >= 4, got {n}")
+    _refuse_beyond_memory(n, n * n * _GL_ORDER)  # the quadrature's n x n x Q
     hs = 0.5 * math.pi / n
     ht = math.pi / n
     s_left = hs * np.arange(n)
@@ -166,6 +182,7 @@ def gen_foxgood(n: int):
     """
     if n < 4:
         raise ConfigurationError(f"foxgood requires n >= 4, got {n}")
+    _refuse_beyond_memory(n, n * n)
     h = 1.0 / n
     t = h * (np.arange(1, n + 1) - 0.5)
     a = h * np.sqrt(t[:, None] ** 2 + t[None, :] ** 2)

@@ -20,15 +20,15 @@ def prox_l1(threshold: float, x: np.ndarray) -> np.ndarray:
     """Soft threshold: sign(x_i) * max(|x_i| - threshold, 0)."""
     if threshold < 0:
         raise ContractViolation("prox_l1: threshold must be >= 0")
-    return _soft_threshold(threshold, x)
+    return _soft_threshold(threshold, -threshold, x)
 
 
-def _soft_threshold(t: float, v: np.ndarray) -> np.ndarray:
-    """v - clip(v, -t, t). For finite, infinite and NaN entries this is bit
-    for bit sign(v)*max(|v| - t, 0): outside [-t, t] both round the same
-    v -/+ t once, inside both give zero, but this form gives +0.0 where
-    that one gives -0.0."""
-    return v - np.maximum(np.minimum(v, t), -t)
+def _soft_threshold(t, neg_t, v: np.ndarray) -> np.ndarray:
+    """v - clip(v, -t, t) with neg_t = -t. For finite, infinite and NaN entries
+    this is bit for bit sign(v)*max(|v| - t, 0): outside [-t, t] both round
+    the same v -/+ t once, inside both give zero, but this form gives +0.0
+    where that one gives -0.0."""
+    return v - np.maximum(np.minimum(v, t), neg_t)
 
 
 def prox_ball(radius: float, x: np.ndarray) -> np.ndarray:
@@ -36,15 +36,15 @@ def prox_ball(radius: float, x: np.ndarray) -> np.ndarray:
     if radius <= 0:
         raise ContractViolation("prox_ball: radius must be positive")
     with np.errstate(over="ignore"):  # squares past the float range take the rescaled path
-        p = _project_ball(radius, x)
+        p = _project_ball(radius, x, np.empty(()))
     return np.array(x, copy=True) if p is x else p
 
 
-def _project_ball(radius: float, v: np.ndarray) -> np.ndarray:
-    """The projection, returning v itself when it lies in the ball. The
-    norm is sqrt(v.dot(v)), which is what np.linalg.norm computes for a
-    vector. When the squares overflow (a finite v with norm past ~1.3e154),
-    the norm is taken of v / max|v| instead."""
+def _project_ball(radius: float, v: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """The projection, returning v itself when it lies in the ball. The norm
+    is sqrt(v.dot(v)), as np.linalg.norm computes it; radius/norm goes into
+    the 0-d `ratio`. When the squares overflow (a finite v with norm past
+    ~1.3e154), the norm is taken of v / max|v| instead."""
     norm = math.sqrt(v.dot(v))
     if norm <= radius:
         return v
@@ -54,7 +54,8 @@ def _project_ball(radius: float, v: np.ndarray) -> np.ndarray:
             u = v / scale
             unit_norm = math.sqrt(u.dot(u))
             return v if scale * unit_norm <= radius else (radius / unit_norm) * u
-    return (radius / norm) * v
+    ratio[()] = radius / norm
+    return ratio * v
 
 
 def prox_box(lower: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -98,7 +99,8 @@ def _check_logsum_params(delta: float, epsilon: float) -> None:
 # scaled prox map prox_{gamma * g}. The `kind` tag drives combinability.
 # `prox` never returns its argument; `prox_owned` takes a vector the caller
 # hands over (a temporary of the step kernel) and may return it, unchecked,
-# where that saves a copy or a check in the kernel's loop.
+# where that saves a copy or a check in the kernel's loop (`CombinedProx.bind`
+# applies l1 terms, and a lower ball, itself).
 # ---------------------------------------------------------------------------
 
 
@@ -133,9 +135,6 @@ class L1Prox:
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         return prox_l1(gamma * self.weight, x)
 
-    def prox_owned(self, gamma: float, v: np.ndarray) -> np.ndarray:
-        return _soft_threshold(gamma * self.weight, v)
-
 
 class BallProx:
     """Indicator of the Euclidean ball of given radius."""
@@ -159,7 +158,7 @@ class BallProx:
         return prox_ball(self.radius, x)
 
     def prox_owned(self, gamma: float, v: np.ndarray) -> np.ndarray:
-        return v if gamma == 0.0 else _project_ball(self.radius, v)
+        return v if gamma == 0.0 else _project_ball(self.radius, v, np.empty(()))
 
 
 class BoxProx:
@@ -247,9 +246,25 @@ class CombinedProx:
         if gamma <= 0:
             raise ContractViolation("combined prox requires gamma > 0")
         h, f = self.omega_h, self.omega_f
+        t, neg_t = np.empty(()), np.empty(())  # this closure's own 0-d operands
+        if self.tag == "lower-only" and h.kind == "ball":
+            return lambda eta, v: _project_ball(h.radius, v, t)
+        if self.tag == "lower-only" and h.kind == "l1":
+            t[()], neg_t[()] = gamma * h.weight, -(gamma * h.weight)
+            return lambda eta, v: _soft_threshold(t, neg_t, v)
         if self.tag == "lower-only":
             return lambda eta, v: h.prox_owned(gamma, v)
-        if self.tag == "upper-only":
+        if self.tag == "upper-only" and f.kind != "l1":
             return lambda eta, v: v if eta == 0.0 else f.prox_owned(gamma * eta, v)
-        # l1-l1: weights merge
-        return lambda eta, v: _soft_threshold(gamma * (h.weight + eta * f.weight), v)
+        if self.tag == "upper-only":
+            def prox(eta, v):
+                t[()] = s = gamma * eta * f.weight
+                neg_t[()] = -s
+                return v if eta == 0.0 else _soft_threshold(t, neg_t, v)
+            return prox
+
+        def prox(eta, v):  # l1-l1: weights merge
+            t[()] = s = gamma * (h.weight + eta * f.weight)
+            neg_t[()] = -s
+            return _soft_threshold(t, neg_t, v)
+        return prox

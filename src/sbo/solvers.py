@@ -350,6 +350,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
                 "step); lower K, p or eta"
             )
 
+    cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched_params}
     clock = _Clock()
     x = np.array(problem.initial_point, copy=True)
     step = problem.step_map(gamma)
@@ -379,13 +380,13 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
                 if not math.isfinite(flat.dot(flat)):  # find the first bad row
                     last = x_before
                     for i, row in enumerate(rows):
-                        check_finite(row, k + i, last, "averaging solver", trace)
+                        check_finite(row, k + i, last, "averaging solver", trace,
+                                     config=cfg_echo)
                         last = row.copy()
             w_sum += weights[:end - k].dot(rows)
             k = end
         trace.append(_eval_record(problem, w_sum / gamma_sum, k, eta, theta, clock))
 
-    cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched_params}
     return RunReport(
         solver="ir_ista", config=cfg_echo, x_final=w_sum / gamma_sum, trace=trace,
         extras={"x_last": x, "Gamma_K": gamma_sum, "theta_last": theta},
@@ -422,10 +423,14 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
             "accelerated solver uses gamma = 1/(L_h + eta*L_f) exactly; "
             f"leave gamma = 'auto' (would be {gamma:.6g})"
         )
+    cfg_echo = {
+        "solver": "r_vfista", "K": cfg.big_k, "gamma": gamma, "kappa": kappa,
+        "momentum": momentum, **sched_params,
+    }
 
     clock = _Clock()
     x = y = problem.initial_point  # the loop writes no array in place
-    step = problem.step_map(gamma)
+    step, momentum_op = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
     trace: list[TraceRecord] = []
 
     k = 0
@@ -434,16 +439,13 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
             for j in range(k, k_trace):
                 x_next = step(eta, y)
                 if not math.isfinite(x_next.dot(x_next)):
-                    check_finite(x_next, j, x, "accelerated solver", trace)
-                y = x_next + momentum * (x_next - x)
+                    check_finite(x_next, j, x, "accelerated solver", trace,
+                                 config=cfg_echo)
+                y = x_next + momentum_op * (x_next - x)
                 x = x_next
         k = k_trace
         trace.append(_eval_record(problem, x, k, eta, None, clock))
 
-    cfg_echo = {
-        "solver": "r_vfista", "K": cfg.big_k, "gamma": gamma, "kappa": kappa,
-        "momentum": momentum, **sched_params,
-    }
     return RunReport(
         solver="r_vfista", config=cfg_echo, x_final=x, trace=trace,
         extras={"y_last": y},
@@ -507,6 +509,11 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
 
     window_start = big_k // 2
     dist_ks = set(geometric_trace_ks(big_k, DIST_POINTS))
+    cfg_echo = {
+        "solver": "ipr_vfista", "K": big_k, "a": INNER_BUDGET_EXPONENT,
+        "eta_bar": ETA_BAR, "gamma_hat": gamma_hat, "total_inner": total_inner,
+        "allow_large_step": cfg.allow_large_step,
+    }
 
     clock = _Clock()
     xhat = np.array(problem.initial_point, copy=True)
@@ -517,7 +524,8 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
     for k in range(big_k):
         grad_f = upper.gradient(xhat)
         z = xhat - gamma_hat * grad_f
-        check_finite(z, k, xhat, "outer solver", trace, what="gradient step z")
+        check_finite(z, k, xhat, "outer solver", trace, what="gradient step z",
+                     config=cfg_echo)
         j_budget = (k + 1) ** INNER_BUDGET_EXPONENT
         ln_j = max(math.log(j_budget), math.log(2.0))  # J_0 = 1 would give eta = 0
         eta_k = 16.0 * (l_h + ETA_BAR) * (ln_j / j_budget) ** 2
@@ -527,7 +535,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         except DivergenceError as exc:
             raise DivergenceError(
                 f"outer solver: non-finite inner iterate {exc.k} at step {k}", k=k,
-                last_finite=xhat, trace=trace) from None
+                last_finite=xhat, trace=trace, config=cfg_echo) from None
         rec = _eval_record(
             problem, xhat, k + 1, eta_k, None, clock,
             gamma_hat=gamma_hat if k >= window_start else None,
@@ -537,11 +545,6 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         if rec.residual_sq is not None and rec.residual_sq < best["residual_sq"]:
             best = {"residual_sq": rec.residual_sq, "k": k, "x": xhat}
 
-    cfg_echo = {
-        "solver": "ipr_vfista", "K": big_k, "a": INNER_BUDGET_EXPONENT,
-        "eta_bar": ETA_BAR, "gamma_hat": gamma_hat, "total_inner": total_inner,
-        "allow_large_step": cfg.allow_large_step,
-    }
     extras = {"total_inner": total_inner}
     if best["k"] >= 0:
         extras.update(

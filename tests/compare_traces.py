@@ -2,9 +2,11 @@
 this checkout and another.
 
 Each configs/*.cfg is run through `sbo run` at solver.K = 20 and at its
-shipped solver.K, once on this checkout's src/ and once on the other
-checkout's src/, each in a subprocess (both with this checkout's configs,
-so both render the same output.plots). For each run the script prints
+shipped solver.K, and so is MANUFACTURE_RUN, the one run that reaches the
+f_star manufacture of rank_deficient_ls (no shipped config sets
+f_star_budget). Each run goes once on this checkout's src/ and once on the
+other checkout's src/, each in a subprocess (both with this checkout's
+configs, so both render the same output.plots). For each run the script prints
 "identical" when the two trace.csv files are byte-identical, so is every
 plot_*.svg, and so are the two report.txt files but for their timing
 footer (wall_clock_ns, metrics_ns, build_ns). Otherwise it prints the
@@ -32,19 +34,41 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from gen_golden_traces import CONFIGS, SHORT_K, write_run_config  # noqa: E402
+from gen_golden_traces import CONFIGS, SHORT_K  # noqa: E402
 from sbo.cli import parse_kv_file  # noqa: E402
 
 IGNORED_COLUMNS = ("elapsed_ns",)
 IGNORED_REPORT_KEYS = ("wall_clock_ns", "metrics_ns", "build_ns")
 
+# A short ir_ista run on an instance whose f_star and x_star are made by
+# 20000 accelerated steps, so that its subopt and dist_xstar_sq columns
+# compare the manufacture.
+MANUFACTURE_RUN = {
+    "instance.name": "rank_deficient_ls", "instance.n": "20", "instance.rank": "10",
+    "instance.lam": "0.1", "instance.f_star_budget": "20000",
+    "solver.name": "ir_ista", "solver.K": "1000",
+}
 
-def run_in(checkout: pathlib.Path, path: pathlib.Path, big_k: int,
-           work: pathlib.Path) -> dict[str, str]:
+
+def runs() -> list[tuple[str, dict]]:
+    """(label, config) of every compared run."""
+    out = []
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        cfg = parse_kv_file(path)
+        for big_k in sorted({SHORT_K, int(cfg["solver.K"])}):
+            out.append((f"{path.stem} K={big_k}", {**cfg, "solver.K": str(big_k)}))
+    out.append(("rank_deficient_ls f_star manufacture", MANUFACTURE_RUN))
+    return out
+
+
+def run_in(checkout: pathlib.Path, cfg: dict, work: pathlib.Path) -> dict[str, str]:
     """The texts of the files `sbo run` writes (trace.csv, report.txt and
-    every plot_*.svg) by name, on the config at solver.K = big_k, run by the
-    sbo package under checkout/src in a subprocess."""
-    config = write_run_config(path, big_k, work)
+    every plot_*.svg) by name, on the config with output.dir moved into
+    work, run by the sbo package under checkout/src in a subprocess."""
+    config = work / "run.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in
+                              {**cfg, "output.dir": work / "out"}.items()),
+                      encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run([sys.executable, "-m", "sbo.cli", "run", str(config)],
                           env=env, capture_output=True, text=True)
@@ -122,22 +146,19 @@ def main(argv: list[str]) -> int:
         return 2
     other = pathlib.Path(argv[0]).resolve()
     failed = False
-    for path in sorted(CONFIGS.glob("*.cfg")):
-        shipped_k = int(parse_kv_file(path)["solver.K"])
-        for big_k in sorted({SHORT_K, shipped_k}):
-            label = f"{path.stem} K={big_k}"
-            try:
-                with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-                    mine = run_in(ROOT, path, big_k, pathlib.Path(a))
-                    theirs = run_in(other, path, big_k, pathlib.Path(b))
-                findings = (trace_differences(mine["trace.csv"], theirs["trace.csv"])
-                            + report_differences(mine["report.txt"], theirs["report.txt"])
-                            + plot_differences(mine, theirs))
-            except RuntimeError as exc:
-                print(f"{label}: FAILED: {exc}")
-                failed = True
-                continue
-            print(f"{label}: " + ("identical" if not findings else "; ".join(findings)))
+    for label, cfg in runs():
+        try:
+            with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+                mine = run_in(ROOT, cfg, pathlib.Path(a))
+                theirs = run_in(other, cfg, pathlib.Path(b))
+            findings = (trace_differences(mine["trace.csv"], theirs["trace.csv"])
+                        + report_differences(mine["report.txt"], theirs["report.txt"])
+                        + plot_differences(mine, theirs))
+        except RuntimeError as exc:
+            print(f"{label}: FAILED: {exc}")
+            failed = True
+            continue
+        print(f"{label}: " + ("identical" if not findings else "; ".join(findings)))
     return 1 if failed else 0
 
 

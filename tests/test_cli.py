@@ -198,6 +198,12 @@ def test_cmd_run_divergence_exits_3_with_partial_trace(tmp_path, capsys,
     lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) >= 2  # records traced before the divergence are kept
+    # the values overflow before the iterate does: the report echoes the
+    # last record whose values are all finite, not the last one kept
+    finite_ks = [row.split(",")[0] for row in lines[1:]
+                 if "inf" not in row and "nan" not in row]
+    assert f"last_finite.k = {finite_ks[-1]}\n" in report
+    assert finite_ks[-1] != lines[-1].split(",")[0]
 
 
 def _ipr_config_diverging_at_outer_step_2(path, monkeypatch, **overrides):
@@ -230,6 +236,20 @@ def test_cmd_run_ipr_divergence_at_outer_step_2_exits_3(tmp_path, capsys,
     lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+    # the report echoes the resolved config and the last (finite) record
+    values = dict(line.split(" = ", 1) for line in report.splitlines())
+    assert values["solver"] == "ipr_vfista"
+    assert {key: values[f"config.{key}"] for key in (
+        "K", "a", "eta_bar", "gamma_hat", "total_inner", "allow_large_step",
+        "instance.name", "instance.n")} == {
+        "K": "4", "a": "2", "eta_bar": "1.0", "gamma_hat": "0.5", "total_inner": "30",
+        "allow_large_step": "False", "instance.name": "l1_weak_sharp", "instance.n": "20"}
+    last_row = dict(zip(CSV_HEADER.split(","), lines[-1].split(",")))
+    echoed = {key[len("last_finite."):]: value for key, value in values.items()
+              if key.startswith("last_finite.")}
+    assert echoed == {key: value for key, value in last_row.items()
+                      if value and key != "elapsed_ns"}
+    assert echoed["k"] == "2" and "f_bar" in echoed
 
 
 @pytest.mark.parametrize("diverges", [False, True], ids=["solved", "diverged"])
@@ -733,6 +753,40 @@ def test_cmd_run_and_gen_refuse_an_instance_too_large_to_allocate(tmp_path, caps
     assert "instance.n = 1000000000 is too large" in capsys.readouterr().err
     assert main(["gen", "rank_deficient_ls:n=1000000000",
                  "--out", str(tmp_path / "x.txt")]) == 2
+    assert "instance.n = 1000000000 is too large" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "x.txt").exists()
+
+
+class _NoNumpy:
+    """Stands in for numpy in sbo.problems: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the instance was refused")
+
+
+_FREDHOLM_SOLVERS = {
+    "sec61": "solver.name = ir_ista\nsolver.K = 10\n",
+    "nonconvex": "solver.name = ipr_vfista\nsolver.K = 4\nsolver.allow_large_step = 1\n",
+}
+
+
+@pytest.mark.parametrize("which", ["phillips", "baart", "foxgood"])
+@pytest.mark.parametrize("command", ["gen", "run sec61", "run nonconvex"])
+def test_a_fredholm_n_past_physical_memory_exits_2_before_any_allocation(
+        tmp_path, capsys, monkeypatch, which, command):
+    # n x n float64 at n = 1e9 is 8e18 bytes. numpy in sbo.problems is
+    # replaced by a stand-in that fails on use, so no allocation can start
+    import sbo.problems as problems_mod
+    monkeypatch.setattr(problems_mod, "np", _NoNumpy())
+    if command == "gen":
+        argv = ["gen", f"{which}:n=1000000000", "--out", str(tmp_path / "x.txt")]
+    else:
+        family = command.split()[1]
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"instance.name = {family}_{which}\ninstance.n = 1000000000\n"
+                       f"{_FREDHOLM_SOLVERS[family]}output.dir = {tmp_path / 'out'}\n")
+        argv = ["run", str(cfg)]
+    assert main(argv) == 2
     assert "instance.n = 1000000000 is too large" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "x.txt").exists()
 

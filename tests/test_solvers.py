@@ -275,6 +275,7 @@ def test_ir_ista_divergence_inside_a_block_is_caught_at_its_step(fill, trace_eve
     clean = solve_ir_ista(blocked_problem(),
                           SolverConfig(big_k=100, schedule=DiminishingSchedule()))
     assert err.value.last_finite.tobytes() == clean.extras["x_last"].tobytes()
+    assert err.value.config == {**clean.config, "K": 1000}  # the resolved config
 
 
 def test_ir_ista_divergence_at_the_first_step_of_a_block_keeps_the_iterate_before():
@@ -301,6 +302,22 @@ def test_ir_ista_finite_iterates_whose_squares_overflow_are_not_divergence():
 # ---------------------------------------------------------------------------
 # accelerated solver
 # ---------------------------------------------------------------------------
+
+
+def test_r_vfista_divergence_is_caught_at_its_step_with_the_resolved_config():
+    # one lower gradient per step: the sixth, at step 5, is NaN
+    upper = CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx())
+
+    def problem(lower_smooth):
+        return BilevelProblem(upper, CompositeObjective(lower_smooth, ZeroProx()),
+                              initial_point=np.ones(2))
+
+    cfg = SolverConfig(big_k=50, schedule=FixedEtaSchedule(0.5))
+    with pytest.raises(DivergenceError, match="accelerated solver: non-finite "
+                                              "iterate at step 5$") as err:
+        solve_r_vfista(problem(GradientTurnsNan(np.array([1.0, 0.0]), 5)), cfg)
+    clean = solve_r_vfista(problem(DiagQuadratic(np.array([1.0, 0.0]))), cfg)
+    assert err.value.config == clean.config
 
 
 def test_r_vfista_hand_iteration():
@@ -545,6 +562,9 @@ def test_ipr_divergence_inside_the_inner_loop_names_the_inner_step():
     assert err.value.k == 2
     assert [r.k for r in err.value.trace] == [0, 1, 2]
     assert np.isfinite(err.value.last_finite).all()
+    clean = BilevelProblem(upper, CompositeObjective(DiagQuadratic(np.array([1.0, 0.0])),
+                                                     ZeroProx()), initial_point=np.ones(2))
+    assert err.value.config == solve_ipr_vfista(clean, NcConfig(big_k=4)).config
 
 
 # ---------------------------------------------------------------------------
