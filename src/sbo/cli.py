@@ -431,21 +431,34 @@ def _parse_suite_row(line: str, lineno: int) -> dict:
     return row
 
 
+def _split_items(text: str, what: str) -> dict[str, str]:
+    """The key=value items of a comma list, stripped, by key. An item with
+    no '=', with an empty key or with a key given before is refused, naming
+    the item."""
+    items: dict[str, str] = {}
+    for item in text.split(","):
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq or not key or key in items:
+            problem = ("is not key=value" if not eq else "has an empty key" if not key
+                       else f"repeats key {key!r}")
+            raise ConfigurationError(f"{what} {item!r} {problem}")
+        items[key] = value
+    return items
+
+
 def _selftest_samples(spec: str):
-    # selftest:powerlaw:exp=-1,coeff=7[,wobble=0.01]
+    # selftest:powerlaw:exp=-1,coeff=7
     parts = spec.split(":")
     if parts[1] != "powerlaw":
         raise ConfigurationError(f"unknown selftest kind {parts[1]!r}")
-    params = {"exp": -1.0, "coeff": 1.0, "wobble": 0.0}
+    params = {"exp": -1.0, "coeff": 1.0}
     if len(parts) > 2 and parts[2]:
-        for item in parts[2].split(","):
-            key, _, value = item.partition("=")
+        for key, value in _split_items(parts[2], "selftest parameter").items():
             if key not in params:
                 raise ConfigurationError(f"unknown selftest parameter {key!r}")
             params[key] = parse_value(f"selftest parameter {key!r}", value)
-    exponent, coeff, wobble = params["exp"], params["coeff"], params["wobble"]
-    ks = range(1, 1001)
-    return [(k, coeff * k ** exponent * (1.0 + wobble * math.sin(k))) for k in ks]
+    exponent, coeff = params["exp"], params["coeff"]
+    return [(k, coeff * k ** exponent) for k in range(1, 1001)]
 
 
 def _row_samples(row: dict, base_dir: Path) -> tuple[list, tuple]:
@@ -529,11 +542,8 @@ def parse_instance_arg(spec: str) -> InstanceSpec:
     name, _, rest = spec.partition(":")
     cfg = {"instance.name": name}
     if rest:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise ConfigurationError(f"bad instance parameter {item!r}")
-            cfg[f"instance.{key.strip()}"] = value.strip()
+        for key, value in _split_items(rest, "instance parameter").items():
+            cfg[f"instance.{key}"] = value
     return instance_from_config(cfg)
 
 

@@ -27,9 +27,12 @@ class ParseError(SboError, ValueError):
 
 class DivergenceError(SboError, RuntimeError):
     """A solver iterate left the finite-float range. Carries the index of
-    the failing step, the last finite iterate, the trace recorded up to
-    the last finite record and the solver's resolved configuration (empty
-    when the raiser has none)."""
+    the failing step, the last finite iterate, every trace record taken
+    before that step and the solver's resolved configuration (empty when
+    the raiser has none). The records' values need not be finite: an
+    objective value can overflow to inf many records before the iterate
+    leaves the float range. A diverged run's report.txt echoes, as
+    `last_finite.*`, the last record whose values are all finite."""
 
     def __init__(self, message: str, k: int, last_finite, trace=None, config=None):
         super().__init__(message)

@@ -96,11 +96,9 @@ def _check_logsum_params(delta: float, epsilon: float) -> None:
 
 # ---------------------------------------------------------------------------
 # Prox-friendly terms: objects bundling an (extended-real) value with the
-# scaled prox map prox_{gamma * g}. The `kind` tag drives combinability.
-# `prox` never returns its argument; `prox_owned` takes a vector the caller
-# hands over (a temporary of the step kernel) and may return it, unchecked,
-# where that saves a copy or a check in the kernel's loop (`CombinedProx.bind`
-# applies l1 terms, and a lower ball, itself).
+# scaled prox map prox_{gamma * g}, which never returns its argument. The
+# `kind` tag drives combinability: `CombinedProx.bind` picks its map from the
+# two terms' kinds.
 # ---------------------------------------------------------------------------
 
 
@@ -114,9 +112,6 @@ class ZeroProx:
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         return np.array(x, copy=True)
-
-    def prox_owned(self, gamma: float, v: np.ndarray) -> np.ndarray:
-        return v
 
 
 class L1Prox:
@@ -157,9 +152,6 @@ class BallProx:
             return np.array(x, copy=True)
         return prox_ball(self.radius, x)
 
-    def prox_owned(self, gamma: float, v: np.ndarray) -> np.ndarray:
-        return v if gamma == 0.0 else _project_ball(self.radius, v, np.empty(()))
-
 
 class BoxProx:
     """Indicator of the box [lower, upper]."""
@@ -185,8 +177,6 @@ class BoxProx:
             return np.array(x, copy=True)
         return prox_box(self.lower, self.upper, x)
 
-    prox_owned = prox
-
 
 class LogSumProx:
     """sum_i log(1 + |x_i|/epsilon), nonconvex; prox valid for step <= epsilon^2."""
@@ -206,8 +196,6 @@ class LogSumProx:
             return np.array(x, copy=True)
         return prox_logsum(gamma, self.epsilon, x)
 
-    prox_owned = prox
-
 
 # Pairs (lower kind, upper kind) for which prox of gamma*(omega_h + eta*omega_f)
 # has a closed form. Anything else is rejected when the problem is built --
@@ -221,13 +209,8 @@ class CombinedProx:
     def __init__(self, omega_h, omega_f):
         self.omega_h = omega_h
         self.omega_f = omega_f
-        if omega_h.kind == "zero":
-            self.tag = "upper-only"
-        elif omega_f.kind == "zero":
-            self.tag = "lower-only"
-        elif omega_h.kind == "l1" and omega_f.kind == "l1":
-            self.tag = "l1-l1"
-        else:
+        kinds = (omega_h.kind, omega_f.kind)
+        if "zero" not in kinds and kinds != ("l1", "l1"):
             raise ConfigurationError(
                 f"no closed-form prox for the pair (omega_h={omega_h.kind}, "
                 f"omega_f={omega_f.kind}); supported pairs: {_SUPPORTED_NOTE}"
@@ -247,24 +230,28 @@ class CombinedProx:
             raise ContractViolation("combined prox requires gamma > 0")
         h, f = self.omega_h, self.omega_f
         t, neg_t = np.empty(()), np.empty(())  # this closure's own 0-d operands
-        if self.tag == "lower-only" and h.kind == "ball":
-            return lambda eta, v: _project_ball(h.radius, v, t)
-        if self.tag == "lower-only" and h.kind == "l1":
+        if h.kind == "l1" and f.kind == "l1":
+            def prox(eta, v):  # the weights merge
+                t[()] = s = gamma * (h.weight + eta * f.weight)
+                neg_t[()] = -s
+                return _soft_threshold(t, neg_t, v)
+            return prox
+        # past (l1, l1), __init__ leaves a zero term on one side or both
+        if h.kind == "l1":
             t[()], neg_t[()] = gamma * h.weight, -(gamma * h.weight)
             return lambda eta, v: _soft_threshold(t, neg_t, v)
-        if self.tag == "lower-only":
-            return lambda eta, v: h.prox_owned(gamma, v)
-        if self.tag == "upper-only" and f.kind != "l1":
-            return lambda eta, v: v if eta == 0.0 else f.prox_owned(gamma * eta, v)
-        if self.tag == "upper-only":
+        if h.kind == "ball":
+            return lambda eta, v: _project_ball(h.radius, v, t)
+        if h.kind != "zero":
+            return lambda eta, v: h.prox(gamma, v)
+        if f.kind == "l1":
             def prox(eta, v):
                 t[()] = s = gamma * eta * f.weight
                 neg_t[()] = -s
                 return v if eta == 0.0 else _soft_threshold(t, neg_t, v)
             return prox
-
-        def prox(eta, v):  # l1-l1: weights merge
-            t[()] = s = gamma * (h.weight + eta * f.weight)
-            neg_t[()] = -s
-            return _soft_threshold(t, neg_t, v)
-        return prox
+        if f.kind == "ball":  # gamma * eta may round to 0 with eta > 0
+            return lambda eta, v: v if gamma * eta == 0.0 else _project_ball(f.radius, v, t)
+        if f.kind == "zero":
+            return lambda eta, v: v
+        return lambda eta, v: v if eta == 0.0 else f.prox(gamma * eta, v)

@@ -14,13 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import quad_problem
+from conftest import DiagQuadratic, quad_problem
+from sbo.bilevel import BilevelProblem, CompositeObjective, ReferenceTruth
 from sbo.cli import main as cli_main
 from sbo.functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.metrics import fit_rate
-from sbo.problems import (gen_baart, gen_foxgood, gen_l1_weak_sharp,
-                          gen_phillips, load_instance)
-from sbo.prox import prox_ball, prox_box, prox_l1, prox_logsum
+from sbo.problems import gen_baart, gen_foxgood, gen_phillips, load_instance
+from sbo.prox import (L1Prox, ZeroProx, prox_ball, prox_box, prox_l1,
+                      prox_logsum)
 from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                          DiminishingSchedule, FixedEtaSchedule, NcConfig,
                          SolverConfig, solve_ipr_vfista, solve_ir_ista,
@@ -235,23 +236,31 @@ def test_06_accelerated_rate(acceptance_instance):
 # ---------------------------------------------------------------------------
 
 
-def contraction_factor(values, lo, hi):
-    window = [(k, v) for k, v in values if lo <= k <= hi and v > 1e-250]
+def contraction_factor(values):
+    """(v1 / v0)^(1 / (k1 - k0)) between the first and the last positive
+    value of (k, v) pairs, and how many positive values there are. A run
+    that reaches x* in finitely many steps contracts only until then, so the
+    window is the steps where the distance is positive."""
+    window = [(k, v) for k, v in values if v > 0.0]
     if len(window) < 2:
-        return 0.0
+        return math.nan, len(window)
     (k0, v0), (k1, v1) = window[0], window[-1]
-    if k1 == k0:
-        return 0.0
-    return (v1 / v0) ** (1.0 / (k1 - k0))
+    return (v1 / v0) ** (1.0 / (k1 - k0)), len(window)
 
 
 def test_07_weak_sharp_linear_rate():
+    # lower 0.5*sum_i w_i x_i^2 + ||x||_1 with w in [1, 2]: X* = {0} is weak
+    # sharp of order 1 with alpha = 1, since h(x) - h* >= ||x||_1 >= ||x||_2.
+    # The start lies far from X*, so both solvers take many steps to reach it
     rng = np.random.default_rng(20)
-    c = rng.standard_normal(20)
-    p = gen_l1_weak_sharp(20, c)
-    ref = p.reference
-    eta = ref.weak_sharp.alpha / (2.0 * ref.subgradient.norm)
-    assert eta == pytest.approx(1.0 / (2.0 * np.linalg.norm(c)))
+    n, alpha = 20, 1.0
+    c = rng.standard_normal(n)
+    lower = CompositeObjective(DiagQuadratic(np.geomspace(1.0, 2.0, n)), L1Prox(1.0))
+    upper = CompositeObjective(ScaledSqNorm(1.0, center=c), ZeroProx())
+    x_star = np.zeros(n)
+    p = BilevelProblem(upper, lower, reference=ReferenceTruth(x_star=x_star),
+                       initial_point=1e6 * np.ones(n))
+    eta = alpha / (2.0 * np.linalg.norm(c))
 
     l_h = p.lower.smooth.lipschitz
     l_f = mu_f = 1.0
@@ -260,26 +269,25 @@ def test_07_weak_sharp_linear_rate():
 
     rep = solve_r_vfista(
         p, SolverConfig(big_k=big_k, schedule=FixedEtaSchedule(eta), trace_every=1))
-    dists = [(r.k, r.dist_xstar_sq) for r in rep.trace]
-    factor = contraction_factor(dists, big_k // 2, big_k)
+    factor, count = contraction_factor([(r.k, r.dist_xstar_sq) for r in rep.trace])
     bound = (1.0 - 1.0 / math.sqrt(kappa)) + 0.05
-    final_sq = float((rep.x_final - ref.x_star) @ (rep.x_final - ref.x_star))
-    acc_ok = factor <= bound and final_sq <= 1e-10
+    final_sq = float((rep.x_final - x_star) @ (rep.x_final - x_star))
+    acc_ok = count >= 10 and factor <= bound and final_sq <= 1e-10
 
     # same instance under the constant-weight averaging solver, whose
     # records are taken at the average
     rep2 = solve_ir_ista(
         p, SolverConfig(big_k=big_k, schedule=FixedEtaSchedule(eta), trace_every=1))
-    dists_avg = [(r.k, r.dist_xstar_sq) for r in rep2.trace]
     gamma2 = rep2.config["gamma"]
     bound2 = (1.0 - eta * gamma2 * mu_f) + 0.05
-    factor2 = contraction_factor(dists_avg, big_k // 2, big_k)
-    ista_ok = factor2 <= bound2
+    factor2, count2 = contraction_factor([(r.k, r.dist_xstar_sq) for r in rep2.trace])
+    ista_ok = count2 >= 10 and factor2 <= bound2
 
     announce(7, acc_ok and ista_ok,
-             f"accelerated contraction {factor:.3f} <= {bound:.3f}, "
-             f"final dist^2 {final_sq:.1e} <= 1e-10 within K={big_k}; "
-             f"averaging contraction {factor2:.3f} <= {bound2:.3f}")
+             f"accelerated contraction {factor:.3f} <= {bound:.3f} over "
+             f"{count} >= 10 positive distances, final dist^2 {final_sq:.1e} "
+             f"<= 1e-10 within K={big_k}; averaging contraction {factor2:.3f} "
+             f"<= {bound2:.3f} over {count2} >= 10 positive distances")
 
 
 # ---------------------------------------------------------------------------

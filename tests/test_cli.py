@@ -462,6 +462,25 @@ def test_cmd_rates_row_that_cannot_run_fails_and_later_rows_run(tmp_path,
     assert lines[2].startswith("PASS after:")
 
 
+@pytest.mark.parametrize("params,named", [
+    ("exp=-1,exp=-2", "'exp=-2'"),    # a repeated key
+    ("exp=-1,=7", "'=7'"),            # an empty key
+    ("exp=-1,coeff", "'coeff'"),      # no '='
+    ("exp=-1,wobble=0.01", "'wobble'"),
+])
+def test_cmd_rates_selftest_row_with_a_bad_item_fails_naming_it(tmp_path, capsys,
+                                                                params, named):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"label=bad config=selftest:powerlaw:{params} "
+                     "metric=value slope=-2 tol=0.01\n"
+                     "label=after config=selftest:powerlaw:exp=-1,coeff=7 "
+                     "metric=value slope=-1 tol=0.01\n")
+    assert main(["rates", str(suite)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL bad:") and named in lines[0]
+    assert lines[1].startswith("PASS after:")
+
+
 def test_cmd_rates_unknown_selftest_kind_fails_and_later_rows_run(tmp_path, capsys):
     suite = tmp_path / "suite.txt"
     suite.write_text(
@@ -799,4 +818,16 @@ def test_cmd_gen_rejects_bad_spec(tmp_path, capsys):
                  "--out", str(tmp_path / "x.txt")]) == 2
     assert "'rnk'" in capsys.readouterr().err
     assert main(["gen", "phillips:n=8,seed=1", "--out", str(tmp_path / "x.txt")]) == 2
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("spec,named", [
+    ("phillips:n=8,n=16", "'n=16'"),        # a repeated key
+    ("phillips:n=8,=3", "'=3'"),            # an empty key
+    ("phillips:n=8,seed", "'seed'"),        # no '='
+    ("l1_weak_sharp:seed=1,n=6,seed=2", "'seed=2'"),
+])
+def test_cmd_gen_refuses_a_bad_item_naming_it(tmp_path, capsys, spec, named):
+    assert main(["gen", spec, "--out", str(tmp_path / "x.txt")]) == 2
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()

@@ -16,8 +16,8 @@ from sbo.problems import (InstanceSpec, baart_solution, build_instance,
                           foxgood_solution, gen_baart, gen_foxgood,
                           gen_l1_weak_sharp, gen_phillips,
                           gen_rank_deficient_ls, gen_sec61_inverse,
-                          load_instance, parse_value, phillips_solution,
-                          save_instance)
+                          inverse_problem, load_instance, parse_value,
+                          phillips_solution, save_instance)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -233,6 +233,58 @@ def test_nonconvex_rejects_bad_smoothing():
     with pytest.raises(ConfigurationError, match="sqrt"):
         build_instance(InstanceSpec("nonconvex_phillips", 8, params={
             "delta": "0.04", "epsilon": "0.1"}))
+
+
+# ---------------------------------------------------------------------------
+# h_star against an independent h*
+# ---------------------------------------------------------------------------
+
+
+def _ball_ls_minimum(a, b, radius=1.0):
+    """min of 0.5*||A x - b||^2 over ||x|| <= radius, from eigh(A^T A): the
+    minimizer is Q c / (lam + mu) with c = Q^T A^T b and the multiplier mu
+    bisected on ||c / (lam + mu)|| = radius when the ball is active."""
+    lam, q = np.linalg.eigh(a.T @ a)
+    lam = np.maximum(lam, 0.0)
+    c = q.T @ (a.T @ b)
+    mu = 0.0
+    if lam.min() == 0.0 or np.linalg.norm(c / lam) > radius:
+        lo, mu = 0.0, np.linalg.norm(c) / radius
+        while lo < 0.5 * (lo + mu) < mu:
+            mid = 0.5 * (lo + mu)
+            lo, mu = (mid, mu) if np.linalg.norm(c / (lam + mid)) > radius else (lo, mid)
+    r = a @ (q @ (c / (lam + mu))) - b
+    return 0.5 * float(r @ r)
+
+
+def _h_star_bracket(name, n):
+    """An interval [lo, hi] that holds the true lower optimal value h* of
+    the instance, computed without the generator's reference."""
+    if name.startswith("nonconvex_"):
+        h = _ball_ls_minimum(*inverse_problem(name.removeprefix("nonconvex_"), n))
+        return h, h
+    if name.startswith("sec61_"):
+        # h* >= 0, and the value at any point bounds it from above
+        a, b = inverse_problem(name.removeprefix("sec61_"), n)
+        r = a @ np.linalg.lstsq(a, b, rcond=None)[0] - b
+        return 0.0, 0.5 * float(r @ r)
+    return 0.0, 0.0  # rank_deficient_ls: b in range(A); l1_weak_sharp: ||0||_1
+
+
+@pytest.mark.parametrize("name,n,seed", [
+    *[(f"{kind}_{w}", n, None) for kind in ("nonconvex", "sec61")
+      for w in ("phillips", "baart", "foxgood") for n in (16, 32)],
+    *[("rank_deficient_ls", n, seed) for n in (12, 50) for seed in (0, 7)],
+    *[("l1_weak_sharp", 20, seed) for seed in (0, 3)],
+])
+def test_h_star_is_within_its_tolerance_of_an_independent_h_star(name, n, seed):
+    ref = build_instance(InstanceSpec(name, n, seed=seed)).reference
+    lo, hi = _h_star_bracket(name, n)
+    ulps = 4.0 * np.spacing(max(abs(ref.h_star), hi))
+    # h_star is not below h*, and no h* in [lo, hi] is past h_star_tol from it
+    assert ref.h_star >= lo - ulps
+    assert ref.h_star - lo <= ref.h_star_tol + ulps
+    assert hi - ref.h_star <= ref.h_star_tol + ulps
 
 
 # ---------------------------------------------------------------------------

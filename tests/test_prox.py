@@ -320,3 +320,41 @@ def _sign_form_l1(t, v):
 def test_prox_l1_agrees_with_the_sign_form(t, v):
     with np.errstate(invalid="ignore"):
         assert np.array_equal(prox_l1(t, v), _sign_form_l1(t, v), equal_nan=True)
+
+
+# Every supported (lower, upper) pair of CombinedProx. The log-sum term's
+# prox needs its scale <= epsilon^2 = 100, which gamma * eta below keeps.
+_LOWER_TERMS = [L1Prox(0.7), BallProx(1.3), BoxProx(-np.ones(8), np.ones(8)),
+                LogSumProx(10.0)]
+_SUPPORTED_PAIRS = ([(ZeroProx(), ZeroProx())]
+                    + [(ZeroProx(), term) for term in _LOWER_TERMS]
+                    + [(term, ZeroProx()) for term in _LOWER_TERMS]
+                    + [(L1Prox(0.3), L1Prox(0.2))])
+
+
+def _pair_id(pair):
+    return f"({pair[0].kind}, {pair[1].kind})"
+
+
+def _pair_oracle(h, f, gamma, eta, v):
+    """The prox of gamma*(h + eta*f) at v from the terms' own prox."""
+    if h.kind == "l1" and f.kind == "l1":
+        return prox_l1(gamma * (h.weight + eta * f.weight), v)
+    if f.kind == "zero" and h.kind != "zero":
+        return h.prox(gamma, v)
+    return v if eta == 0.0 else f.prox(gamma * eta, v)
+
+
+@pytest.mark.parametrize("pair", _SUPPORTED_PAIRS, ids=_pair_id)
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(1e-3, 10.0), eta=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       v=_vectors(st.floats(-3.0, 3.0)))
+@example(gamma=1e-200, eta=1e-200, v=np.full(8, 2.0))
+def test_combined_prox_of_every_pair_is_the_terms_own_prox_bit_for_bit(pair, gamma, eta, v):
+    h, f = pair
+    want = _pair_oracle(h, f, gamma, eta, v).tobytes()
+    assert CombinedProx(h, f).bind(gamma)(eta, v.copy()).tobytes() == want
+    assert CombinedProx(h, f).prox(gamma, eta, v).tobytes() == want
+    if gamma * eta == 0.0 and h.kind == "zero":
+        # eta = 0, or gamma*eta underflows to 0: the upper term has no weight
+        assert CombinedProx(h, f).bind(gamma)(eta, v.copy()).tobytes() == v.tobytes()
