@@ -157,7 +157,16 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     surrogate at the constant weight eta (`accelerated_constants`), untraced.
     A non-finite iterate raises DivergenceError with its step index as k.
     The loop ignores overflow warnings: a finite iterate whose squares
-    overflow is settled by `check_finite` and by the ball projection."""
+    overflow is settled by `check_finite` and by the ball projection.
+
+    A run whose state repeats exactly ends by the cycle's period, with the
+    bits of the full run. The state after step j is (x_j, x_{j-1}); it fixes
+    y_j, the step is a pure function of y, and the loop writes no array in
+    place. So if the state after step j has the bits of the state after
+    step m < j, then x_iters = x_{j + (iters - j) mod (j - m)}, and the
+    horizon shrinks to that step. The state is checkpointed after steps
+    1, 2, 4, 8, ... (Brent's cycle finding) by reference, and a step
+    compares its squared norm with the checkpoint's before any bits."""
     require_strongly_convex_upper(problem, "accelerated run")
     if not (eta > 0 and iters >= 1):
         raise ConfigurationError(
@@ -166,14 +175,26 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     problem._check_dim(x)
     gamma, _, momentum = accelerated_constants(problem, eta)
     step, momentum = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
+    j, mark, next_mark, mark_sq, mark_state = 0, 0, 1, math.nan, None
     with np.errstate(over="ignore"):
-        for j in range(iters):
+        while j < iters:
             x_next = step(eta, y)
-            if not math.isfinite(x_next.dot(x_next)):
+            sq = x_next.dot(x_next)
+            if not math.isfinite(sq):
                 check_finite(x_next, j, x, "accelerated run")
             y = x_next + momentum * (x_next - x)
+            j += 1
+            if sq == mark_sq and same_bits((x_next, x), mark_state):
+                iters = j + (iters - j) % (j - mark)
+            if j == next_mark:
+                mark, next_mark, mark_sq, mark_state = j, 2 * j, sq, (x_next, x)
             x = x_next
     return x
+
+
+def same_bits(a: tuple, b: tuple) -> bool:
+    """Whether two tuples of arrays hold the same bytes: -0.0 is not 0.0."""
+    return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
 
 def require_strongly_convex_upper(problem: BilevelProblem, who: str) -> None:

@@ -431,14 +431,14 @@ def _parse_suite_row(line: str, lineno: int) -> dict:
     return row
 
 
-def _split_items(text: str, what: str) -> dict[str, str]:
+def _split_items(text: str, what: str, given: tuple = ()) -> dict[str, str]:
     """The key=value items of a comma list, stripped, by key. An item with
-    no '=', with an empty key or with a key given before is refused, naming
-    the item."""
+    no '=', with an empty key or with a key given before (in the list or in
+    `given`) is refused, naming the item."""
     items: dict[str, str] = {}
     for item in text.split(","):
         key, eq, value = (part.strip() for part in item.partition("="))
-        if not eq or not key or key in items:
+        if not eq or not key or key in items or key in given:
             problem = ("is not key=value" if not eq else "has an empty key" if not key
                        else f"repeats key {key!r}")
             raise ConfigurationError(f"{what} {item!r} {problem}")
@@ -538,11 +538,12 @@ def cmd_plot(csv_path: str, metric: str, out_svg: str, logx: bool, logy: bool) -
 
 
 def parse_instance_arg(spec: str) -> InstanceSpec:
-    """name:key=value,key=value with n required, seed optional."""
+    """name:key=value,key=value with n required, seed optional. The name is
+    given before the colon only: a `name` item repeats it."""
     name, _, rest = spec.partition(":")
     cfg = {"instance.name": name}
     if rest:
-        for key, value in _split_items(rest, "instance parameter").items():
+        for key, value in _split_items(rest, "instance parameter", ("name",)).items():
             cfg[f"instance.{key}"] = value
     return instance_from_config(cfg)
 

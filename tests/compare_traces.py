@@ -4,14 +4,17 @@ this checkout and another.
 Each configs/*.cfg is run through `sbo run` at solver.K = 20 and at its
 shipped solver.K. So are MANUFACTURE_RUN, the one run that reaches the
 f_star manufacture of rank_deficient_ls (no shipped config sets
-f_star_budget), and ACCELERATED_RUN, an r_vfista run whose iterates move
+f_star_budget), ACCELERATED_RUN, an r_vfista run whose iterates move
 for its whole horizon (the shipped r_vfista config sits at x* from its
-first step). Each run goes once on this checkout's src/ and once on the
-other checkout's src/, each in a subprocess (both with this checkout's
-configs, so both render the same output.plots). For each run the script prints
-"identical" when the two trace.csv files are byte-identical, so is every
-plot_*.svg, and so are the two report.txt files but for their timing
-footer (wall_clock_ns, metrics_ns, build_ns). Otherwise it prints the
+first step), and the shipped ipr_vfista config at solver.K = 64 and on
+nonconvex_baart (IPR_RUNS): inner runs up to J = 4096 steps that repeat
+their state, and inner runs that never do. Each run goes once on this
+checkout's src/ and once on the other checkout's src/, each in a
+subprocess (both with this checkout's configs, so both render the same
+output.plots). For each run the script prints "identical" when the two
+trace.csv files are byte-identical, so is every plot_*.svg, and so are
+the two report.txt files but for their timing footer (wall_clock_ns,
+metrics_ns, build_ns). Otherwise it prints the
 worst relative difference |a - b| / max(|a|, |b|) of every numeric trace
 column that differs (elapsed_ns is ignored), any field that is empty on
 one side only or a differing row count, every report key that differs,
@@ -58,6 +61,12 @@ ACCELERATED_RUN = {
     "instance.lam": "0", "solver.name": "r_vfista", "solver.K": "2000",
 }
 
+# The shipped ipr_vfista config at K = 64 (89,440 inner steps, inner runs up
+# to J = 4096, which end by the period of the cycle their state falls into)
+# and on baart at K = 32 (inner runs that never repeat their state).
+IPR_RUNS = {"nonconvex_phillips_ipr K=64": {"solver.K": "64"},
+            "nonconvex_baart ipr_vfista K=32": {"instance.name": "nonconvex_baart"}}
+
 
 def runs() -> list[tuple[str, dict]]:
     """(label, config) of every compared run."""
@@ -68,6 +77,8 @@ def runs() -> list[tuple[str, dict]]:
             out.append((f"{path.stem} K={big_k}", {**cfg, "solver.K": str(big_k)}))
     out.append(("rank_deficient_ls f_star manufacture", MANUFACTURE_RUN))
     out.append(("rank_deficient_ls r_vfista K=2000", ACCELERATED_RUN))
+    ipr = parse_kv_file(CONFIGS / "nonconvex_phillips_ipr.cfg")
+    out += [(label, {**ipr, **change}) for label, change in IPR_RUNS.items()]
     return out
 
 

@@ -1,15 +1,19 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GradientTurnsNan, quad_problem
+from sbo import solvers
 from sbo.bilevel import (BilevelProblem, CompositeObjective, accelerated_constants,
-                         accelerated_run, projection_problem)
+                         accelerated_run, projection_problem, same_bits)
+from sbo.cli import parse_kv_file, run_from_config
 from sbo.errors import ConfigurationError, ContractViolation, DivergenceError
 from sbo.functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
-from sbo.problems import (gen_l1_weak_sharp, gen_nonconvex_sec6,
-                          gen_rank_deficient_ls, gen_sec61_inverse,
+from sbo.problems import (InstanceSpec, build_instance, gen_l1_weak_sharp,
+                          gen_nonconvex_sec6, gen_rank_deficient_ls, gen_sec61_inverse,
                           min_norm_l1_subgradient)
 from sbo.prox import BallProx, L1Prox, ZeroProx
 from sbo.solvers import FixedEtaSchedule, SolverConfig, solve_r_vfista
@@ -240,3 +244,144 @@ def test_step_map_checks_gamma_once():
     for gamma in (0.0, -1.0):
         with pytest.raises(ContractViolation):
             p.step_map(gamma)
+
+
+# ---------------------------------------------------------------------------
+# the accelerated run's exit on a repeated state
+# ---------------------------------------------------------------------------
+
+IPR_CONFIG = (pathlib.Path(__file__).resolve().parent.parent
+              / "configs" / "nonconvex_phillips_ipr.cfg")
+
+
+def full_accelerated_loop(problem, eta, x0, iters):
+    """All `iters` steps of `accelerated_run`, with no test for a repeat."""
+    gamma, _, momentum = accelerated_constants(problem, eta)
+    step, momentum = problem.step_map(gamma), np.array(momentum)
+    x = y = np.asarray(x0, dtype=float)
+    for _ in range(iters):
+        x_next = step(eta, y)
+        y = x_next + momentum * (x_next - x)
+        x = x_next
+    return x
+
+
+def count_steps(monkeypatch, owner):
+    """A list that grows by one at each step of the step maps `owner` (a
+    problem, or the BilevelProblem class) binds from now on."""
+    steps, bind = [], owner.step_map
+
+    def step_map(*args):
+        step = bind(*args)
+
+        def counted(eta, y):
+            steps.append(None)
+            return step(eta, y)
+        return counted
+
+    monkeypatch.setattr(owner, "step_map", step_map)
+    return steps
+
+
+@pytest.fixture(scope="module")
+def ipr_inner_runs(tmp_path_factory):
+    """(problem, eta, x0, iters) of the inner runs of the shipped
+    nonconvex_phillips_ipr config, by instance name and outer step."""
+    runs = {}
+    for name in ("nonconvex_phillips", "nonconvex_baart"):
+        recorded = runs[name] = []
+
+        def recording_run(problem, eta, x0, iters, recorded=recorded):
+            recorded.append((problem, eta, x0, iters))
+            return accelerated_run(problem, eta, x0, iters)
+
+        cfg = {**parse_kv_file(IPR_CONFIG), "instance.name": name,
+               "output.dir": str(tmp_path_factory.mktemp(name))}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "accelerated_run", recording_run)
+            run_from_config(cfg)
+    return runs
+
+
+@pytest.mark.parametrize("name,k,period", [
+    ("nonconvex_phillips", 31, 3),   # J = 1024: its steps past 131 are 2 mod 3
+    ("nonconvex_phillips", 27, 12),  # J = 784: 8 mod 12
+    ("nonconvex_phillips", 19, 1),
+    ("nonconvex_baart", 31, None),   # never repeats
+])
+def test_accelerated_run_has_the_bits_of_the_full_loop_on_ipr_inner_runs(
+        monkeypatch, ipr_inner_runs, name, k, period):
+    p, eta, x0, iters = ipr_inner_runs[name][k]
+    assert iters == (k + 1) ** 2
+    want = full_accelerated_loop(p, eta, x0, iters)
+    steps = count_steps(monkeypatch, p)
+    assert accelerated_run(p, eta, x0, iters).tobytes() == want.tobytes()
+    if period is None:
+        assert len(steps) == iters
+    else:
+        assert len(steps) < 200 < iters
+        # the iterates cycle with that period and no shorter one
+        cycle = [full_accelerated_loop(p, eta, x0, j).tobytes()
+                 for j in range(300, 301 + period)]
+        assert cycle[0] == cycle[-1] and cycle[0] not in cycle[1:-1]
+
+
+def test_accelerated_run_ends_a_period_3_cycle_at_every_remainder(ipr_inner_runs):
+    p, eta, x0, _ = ipr_inner_runs["nonconvex_phillips"][31]
+    for iters in range(128, 140):  # the repeat is seen at step 131
+        assert (accelerated_run(p, eta, x0, iters).tobytes()
+                == full_accelerated_loop(p, eta, x0, iters).tobytes())
+
+
+def test_accelerated_run_stops_at_a_weak_sharp_fixed_point(monkeypatch):
+    p = build_instance(InstanceSpec("l1_weak_sharp", 20, seed=3))
+    eta = p.reference.weak_sharp.alpha / (2.0 * p.reference.subgradient.norm)
+    want = full_accelerated_loop(p, eta, p.initial_point, 500)
+    steps = count_steps(monkeypatch, p)
+    assert accelerated_run(p, eta, p.initial_point, 500).tobytes() == want.tobytes()
+    assert len(steps) == 3  # x_3 = x_2 = x_1
+
+
+def test_same_bits_tells_the_sign_of_zero():
+    x = np.array([0.0, 1.5])
+    assert same_bits((x, x), (x.copy(), x.copy()))
+    assert np.array_equal(x, [-0.0, 1.5]) and not same_bits((x,), (np.array([-0.0, 1.5]),))
+    assert not same_bits((x, x), (x, np.array([0.0, -1.5])))
+
+
+def _momentum_free_problem(dimension, step):
+    """A problem whose accelerated run has momentum 0 (L_h = 0, L_f = mu_f)
+    and whose step map is `step`."""
+    p = BilevelProblem(CompositeObjective(ScaledSqNorm(1.0, dimension=dimension), ZeroProx()),
+                       CompositeObjective(ZeroFunction(dimension), ZeroProx()))
+    assert accelerated_constants(p, 0.5)[2] == 0.0
+    p.step_map = lambda gamma: lambda eta, y: step(y)
+    return p
+
+
+@pytest.mark.parametrize("iters", [1, 2, 3, 5, 6])
+def test_accelerated_run_keeps_states_apart_that_differ_in_the_sign_of_a_zero(iters):
+    # x_j = (-1)^j * 0.0: as values every state is the same, as bits the
+    # states alternate
+    p = _momentum_free_problem(1, np.negative)
+    want = full_accelerated_loop(p, 0.5, np.zeros(1), iters)
+    assert np.signbit(want[0]) == (iters % 2 == 1)
+    assert accelerated_run(p, 0.5, np.zeros(1), iters).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("iters,computed", [(12, 12), (100, 16)])
+def test_accelerated_run_takes_an_equal_norm_for_no_repeat(monkeypatch, iters, computed):
+    # a rotation of 7 small integers: every step has the same squared norm
+    # and the state repeats after 7 steps, first seen at step 15
+    p = _momentum_free_problem(7, lambda y: np.roll(y, 1))
+    x0 = np.arange(1.0, 8.0)
+    steps = count_steps(monkeypatch, p)
+    assert accelerated_run(p, 0.5, x0, iters).tobytes() == np.roll(x0, iters).tobytes()
+    assert len(steps) == computed
+
+
+def test_the_shipped_ipr_config_computes_under_half_its_inner_budget(monkeypatch, tmp_path):
+    # sum_{k<32} (k+1)^2 = 11440 budgeted steps; 3340 computed
+    steps = count_steps(monkeypatch, BilevelProblem)
+    run_from_config({**parse_kv_file(IPR_CONFIG), "output.dir": str(tmp_path)})
+    assert len(steps) < 11440 / 2

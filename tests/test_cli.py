@@ -826,6 +826,7 @@ def test_cmd_gen_rejects_bad_spec(tmp_path, capsys):
     ("phillips:n=8,=3", "'=3'"),            # an empty key
     ("phillips:n=8,seed", "'seed'"),        # no '='
     ("l1_weak_sharp:seed=1,n=6,seed=2", "'seed=2'"),
+    ("phillips:n=8,name=baart", "'name=baart'"),  # the name, given before ':'
 ])
 def test_cmd_gen_refuses_a_bad_item_naming_it(tmp_path, capsys, spec, named):
     assert main(["gen", spec, "--out", str(tmp_path / "x.txt")]) == 2
