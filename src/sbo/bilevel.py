@@ -164,9 +164,15 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     y_j, the step is a pure function of y, and the loop writes no array in
     place. So if the state after step j has the bits of the state after
     step m < j, then x_iters = x_{j + (iters - j) mod (j - m)}, and the
-    horizon shrinks to that step. The state is checkpointed after steps
-    1, 2, 4, 8, ... (Brent's cycle finding) by reference, and a step
-    compares its squared norm with the checkpoint's before any bits."""
+    horizon shrinks to that step. The state is checkpointed as bytes after
+    steps 1, 2, 3, 4, 6, 8, 11, 14, 18, ...: a checkpoint at m puts the next
+    at m + m // 4 + 1. A step compares its squared norm with the
+    checkpoint's, and its bytes only when the two are equal (-0.0 is not
+    0.0). A cycle of period lam entered at step mu is seen lam steps after
+    the first checkpoint m >= max(mu, 4 (lam - 1)), so a run computes at
+    most min(iters, 1.25 max(mu, 4 lam) + 2 lam) steps: a long cycle entered
+    early is seen later than by checkpoints at powers of two, whose bound
+    is 2 max(mu, lam) + 2 lam."""
     require_strongly_convex_upper(problem, "accelerated run")
     if not (eta > 0 and iters >= 1):
         raise ConfigurationError(
@@ -175,7 +181,7 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     problem._check_dim(x)
     gamma, _, momentum = accelerated_constants(problem, eta)
     step, momentum = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
-    j, mark, next_mark, mark_sq, mark_state = 0, 0, 1, math.nan, None
+    j, mark, next_mark, mark_sq, mark_x, mark_prev = 0, 0, 1, math.nan, None, None
     with np.errstate(over="ignore"):
         while j < iters:
             x_next = step(eta, y)
@@ -184,17 +190,13 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
                 check_finite(x_next, j, x, "accelerated run")
             y = x_next + momentum * (x_next - x)
             j += 1
-            if sq == mark_sq and same_bits((x_next, x), mark_state):
+            if sq == mark_sq and x_next.tobytes() == mark_x and x.tobytes() == mark_prev:
                 iters = j + (iters - j) % (j - mark)
             if j == next_mark:
-                mark, next_mark, mark_sq, mark_state = j, 2 * j, sq, (x_next, x)
+                mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
+                mark_x, mark_prev = x_next.tobytes(), x.tobytes()
             x = x_next
     return x
-
-
-def same_bits(a: tuple, b: tuple) -> bool:
-    """Whether two tuples of arrays hold the same bytes: -0.0 is not 0.0."""
-    return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
 
 def require_strongly_convex_upper(problem: BilevelProblem, who: str) -> None:

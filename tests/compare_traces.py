@@ -6,9 +6,12 @@ shipped solver.K. So are MANUFACTURE_RUN, the one run that reaches the
 f_star manufacture of rank_deficient_ls (no shipped config sets
 f_star_budget), ACCELERATED_RUN, an r_vfista run whose iterates move
 for its whole horizon (the shipped r_vfista config sits at x* from its
-first step), and the shipped ipr_vfista config at solver.K = 64 and on
-nonconvex_baart (IPR_RUNS): inner runs up to J = 4096 steps that repeat
-their state, and inner runs that never do. Each run goes once on this
+first step), and the shipped ipr_vfista config on other instances and
+budgets (IPR_RUNS): phillips at solver.K = 64 and foxgood at K = 32, whose
+inner runs fall into cycles of period 1 to 90 after 40 to 110 steps;
+baart at K = 32, whose inner runs never repeat their state; and baart at
+K = 64, where 7 inner runs of up to J = 4096 steps reach a fixed point
+only after 1,383 to 2,646 steps. Each run goes once on this
 checkout's src/ and once on the other checkout's src/, each in a
 subprocess (both with this checkout's configs, so both render the same
 output.plots). For each run the script prints "identical" when the two
@@ -61,11 +64,16 @@ ACCELERATED_RUN = {
     "instance.lam": "0", "solver.name": "r_vfista", "solver.K": "2000",
 }
 
-# The shipped ipr_vfista config at K = 64 (89,440 inner steps, inner runs up
-# to J = 4096, which end by the period of the cycle their state falls into)
-# and on baart at K = 32 (inner runs that never repeat their state).
+# The shipped ipr_vfista config at K = 64 (89,440 budgeted inner steps,
+# inner runs up to J = 4096, which end by the period of the cycle their
+# state falls into, up to 90), on foxgood at K = 32, on baart at K = 32
+# (inner runs that never repeat their state) and on baart at K = 64 (fixed
+# points reached after 1,383 to 2,646 steps).
 IPR_RUNS = {"nonconvex_phillips_ipr K=64": {"solver.K": "64"},
-            "nonconvex_baart ipr_vfista K=32": {"instance.name": "nonconvex_baart"}}
+            "nonconvex_foxgood ipr_vfista K=32": {"instance.name": "nonconvex_foxgood"},
+            "nonconvex_baart ipr_vfista K=32": {"instance.name": "nonconvex_baart"},
+            "nonconvex_baart ipr_vfista K=64": {"instance.name": "nonconvex_baart",
+                                                "solver.K": "64"}}
 
 
 def runs() -> list[tuple[str, dict]]:

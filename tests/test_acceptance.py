@@ -19,7 +19,8 @@ from sbo.bilevel import BilevelProblem, CompositeObjective, ReferenceTruth
 from sbo.cli import main as cli_main
 from sbo.functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.metrics import fit_rate
-from sbo.problems import gen_baart, gen_foxgood, gen_phillips, load_instance
+from sbo.problems import (gen_baart, gen_foxgood, gen_phillips, gen_rank_deficient_ls,
+                          load_instance)
 from sbo.prox import (L1Prox, ZeroProx, prox_ball, prox_box, prox_l1,
                       prox_logsum)
 from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
@@ -385,3 +386,40 @@ def test_11_determinism(tmp_path):
             blobs.append((out / "trace.csv").read_bytes())
         ok &= blobs[0] == blobs[1]
     announce(11, ok, "reruns of acceptance configs give byte-identical traces")
+
+
+# ---------------------------------------------------------------------------
+# 12. the linear rates' dependence on the condition number
+# ---------------------------------------------------------------------------
+
+
+def test_12_condition_number_laws():
+    # constant-eta runs on rank_deficient_ls with lam = 0, measured against
+    # their own target x_eta = (A^T A + eta I)^-1 A^T b; rho is the per-step
+    # contraction of the distance over the second half of each run (the
+    # averaging solver's records are at its average), and the slope of
+    # log(1 - rho) against log kappa is the power of kappa in the rate
+    t0 = time.perf_counter()
+    p = gen_rank_deficient_ls(20, rank=10, lam=0.0)
+    a, b = p.lower.smooth.a, p.lower.smooth.b
+    l_h, l_f, mu_f = p.lower.smooth.lipschitz, 1.0, 1.0
+    slopes = {}
+    for solver, etas, steps in ((solve_r_vfista, np.geomspace(1e-1, 1e-4, 4), math.sqrt),
+                                (solve_ir_ista, np.geomspace(0.3, 0.003, 5), lambda k: k)):
+        pts = []
+        for eta in etas:
+            p.reference = ReferenceTruth(
+                x_star=np.linalg.solve(a.T @ a + eta * np.eye(20), a.T @ b))
+            kappa = (l_h + eta * l_f) / (eta * mu_f)
+            rep = solver(p, SolverConfig(big_k=math.ceil(20.0 * steps(kappa)),
+                                         schedule=FixedEtaSchedule(eta), trace_every=1))
+            tail = rep.trace[len(rep.trace) // 2:]
+            factor, _ = contraction_factor([(r.k, r.dist_xstar_sq) for r in tail])
+            pts.append((math.log(kappa), math.log(1.0 - math.sqrt(factor))))
+        slopes[solver] = np.polyfit(*zip(*pts), 1)[0]
+    elapsed = time.perf_counter() - t0
+    acc, ista = slopes[solve_r_vfista], slopes[solve_ir_ista]
+    announce(12, abs(acc + 0.5) <= 0.1 and abs(ista + 1.0) <= 0.1,
+             f"log(1 - rho) against log kappa: accelerated slope {acc:+.3f} in "
+             f"-0.5+/-0.1 over kappa in [11, 1e4], averaging slope {ista:+.3f} "
+             f"in -1+/-0.1 over kappa in [4, 340] ({elapsed:.2f} s)")
