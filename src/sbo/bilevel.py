@@ -95,14 +95,14 @@ class BilevelProblem:
 
     def regularized_value(self, eta: float, x: np.ndarray) -> float:
         """Full surrogate value: lower(x) + eta * upper(x), nonsmooth included."""
-        if eta < 0:
+        if not eta >= 0:
             raise ContractViolation("eta must be >= 0")
         return self.lower.value(x) + eta * self.upper.value(x)
 
     def q_eta_step(self, eta: float, gamma: float, x: np.ndarray) -> np.ndarray:
         """One prox-gradient step on the surrogate:
         prox of gamma*(omega_h + eta*omega_f) at x - gamma*(grad h + eta*grad f)."""
-        if eta < 0:
+        if not eta >= 0:
             raise ContractViolation("eta must be >= 0")
         self._check_dim(x)
         return self.step_map(gamma)(eta, x)
@@ -203,7 +203,7 @@ def require_strongly_convex_upper(problem: BilevelProblem, who: str) -> None:
     """ConfigurationError "<who> requires a strongly convex smooth upper
     part" unless mu_f > 0 and the upper smooth part is convex."""
     upper = problem.upper.smooth
-    if upper.strong_convexity <= 0 or upper.nonconvex:
+    if not upper.strong_convexity > 0 or upper.nonconvex:
         raise ConfigurationError(
             f"{who} requires a strongly convex smooth upper part (mu_f > 0)")
 

@@ -101,7 +101,7 @@ class ScaledSqNorm(SmoothFunction):
     weight, both exact, so set weight and center at construction only."""
 
     def __init__(self, weight: float, center=None, dimension: int | None = None):
-        if weight <= 0:
+        if not weight > 0:
             raise ContractViolation("ScaledSqNorm: weight must be positive")
         if center is None:
             if dimension is None:

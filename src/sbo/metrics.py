@@ -62,7 +62,7 @@ def residual_norm(problem, x: np.ndarray, gamma_hat: float) -> Optional[float]:
     ref = problem.reference
     if ref is None or ref.projector is None:
         return None
-    if gamma_hat <= 0:
+    if not gamma_hat > 0:
         raise ContractViolation("residual map requires gamma_hat > 0")
     step = x - gamma_hat * problem.upper.smooth.gradient(x)
     return float(np.linalg.norm(x - ref.projector(step))) / gamma_hat

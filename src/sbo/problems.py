@@ -29,7 +29,7 @@ from .bilevel import (BilevelProblem, CompositeObjective, ReferenceTruth,
 from .errors import ConfigurationError, ParseError
 from .functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from .linalg import format_matrix, format_vector, min_norm_ls, parse_matrix_lines
-from .prox import BallProx, L1Prox, ZeroProx
+from .prox import BallProx, L1Prox, ZeroProx, _clip
 
 
 @dataclass
@@ -133,7 +133,7 @@ def phillips_solution(n: int) -> np.ndarray:
     edges = np.linspace(-6.0, 6.0, n + 1)
 
     def anti(t: np.ndarray) -> np.ndarray:
-        clipped = np.clip(t, -3.0, 3.0)
+        clipped = _clip(t, -3.0, 3.0)
         return clipped + np.sin(c * clipped) / c
 
     return (anti(edges[1:]) - anti(edges[:-1])) / math.sqrt(h)

@@ -15,25 +15,31 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 
+# numpy's clip ufunc, called bare: np.clip and ndarray.clip reach it through
+# Python layers that cost more than the call itself, and a clamp written as
+# np.minimum(np.maximum(...)) is two calls.
+_clip = np._core.umath.clip
+
 
 def prox_l1(threshold: float, x: np.ndarray) -> np.ndarray:
     """Soft threshold: sign(x_i) * max(|x_i| - threshold, 0)."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ContractViolation("prox_l1: threshold must be >= 0")
     return _soft_threshold(threshold, -threshold, x)
 
 
 def _soft_threshold(t, neg_t, v: np.ndarray) -> np.ndarray:
-    """v - clip(v, -t, t) with neg_t = -t. For finite, infinite and NaN entries
-    this is bit for bit sign(v)*max(|v| - t, 0): outside [-t, t] both round
-    the same v -/+ t once, inside both give zero, but this form gives +0.0
-    where that one gives -0.0."""
-    return v - np.maximum(np.minimum(v, t), neg_t)
+    """v - clip(v, -t, t) with neg_t = -t, t >= 0. For finite, infinite and
+    NaN entries this is bit for bit sign(v)*max(|v| - t, 0): outside [-t, t]
+    both round the same v -/+ t once, inside both give zero, but this form
+    gives +0.0 where that one gives -0.0. With 0-d bounds the clip ufunc
+    returns v itself where v equals a bound, so a zero entry gives v - v."""
+    return v - _clip(v, neg_t, t)
 
 
 def prox_ball(radius: float, x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the ball ||x||_2 <= radius, for any finite x."""
-    if radius <= 0:
+    if not radius > 0:
         raise ContractViolation("prox_ball: radius must be positive")
     with np.errstate(over="ignore"):  # squares past the float range take the rescaled path
         p = _project_ball(radius, x, np.empty(()))
@@ -59,14 +65,20 @@ def _project_ball(radius: float, v: np.ndarray, ratio: np.ndarray) -> np.ndarray
 
 
 def prox_box(lower: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Componentwise clamp of x into [lower, upper]."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    """Componentwise clamp of x into [lower, upper]: bit for bit
+    np.minimum(np.maximum(x, lower), upper) for an x of one or more
+    dimensions. Where x and a bound are zeros of different signs, that
+    order returns the bound's zero. The clip ufunc does too when the bounds
+    step through memory, but returns x's zero when both have stride 0 (a
+    broadcast view, or a 0-d x and bounds), so the bounds are copied; a 0-d
+    x keeps its own zero on such a tie."""
+    lower = np.array(lower, dtype=float)
+    upper = np.array(upper, dtype=float)
     if lower.shape != x.shape or upper.shape != x.shape:
         raise ContractViolation("prox_box: bounds must match the vector length")
-    if np.any(lower > upper):
+    if not np.all(lower <= upper):
         raise ContractViolation("prox_box: requires lower <= upper componentwise")
-    return np.minimum(np.maximum(x, lower), upper)
+    return _clip(x, lower, upper)
 
 
 def prox_logsum(delta: float, epsilon: float, x: np.ndarray) -> np.ndarray:
@@ -85,9 +97,9 @@ def prox_logsum(delta: float, epsilon: float, x: np.ndarray) -> np.ndarray:
 
 
 def _check_logsum_params(delta: float, epsilon: float) -> None:
-    if delta <= 0:
+    if not delta > 0:
         raise ConfigurationError("log-sum prox requires delta > 0")
-    if math.sqrt(delta) > epsilon:
+    if not math.sqrt(delta) <= epsilon:
         raise ConfigurationError(
             f"log-sum prox requires sqrt(delta) <= epsilon; got sqrt({delta}) = "
             f"{math.sqrt(delta):.6g} > {epsilon}"
@@ -120,7 +132,7 @@ class L1Prox:
     kind = "l1"
 
     def __init__(self, weight: float):
-        if weight < 0:
+        if not weight >= 0:
             raise ContractViolation("l1 weight must be >= 0")
         self.weight = float(weight)
 
@@ -137,7 +149,7 @@ class BallProx:
     kind = "ball"
 
     def __init__(self, radius: float):
-        if radius <= 0:
+        if not radius > 0:
             raise ContractViolation("ball radius must be positive")
         self.radius = float(radius)
 
@@ -163,7 +175,7 @@ class BoxProx:
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ContractViolation("box bounds must be two vectors of equal length")
-        if np.any(self.lower > self.upper):
+        if not np.all(self.lower <= self.upper):
             raise ContractViolation("box bounds require lower <= upper componentwise")
 
     def value(self, x: np.ndarray) -> float:
@@ -184,7 +196,7 @@ class LogSumProx:
     kind = "logsum"
 
     def __init__(self, epsilon: float):
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ConfigurationError("log-sum penalty requires epsilon > 0")
         self.epsilon = float(epsilon)
 
@@ -218,7 +230,7 @@ class CombinedProx:
 
     def prox(self, gamma: float, eta: float, x: np.ndarray) -> np.ndarray:
         prox = self.bind(gamma)
-        if eta < 0:
+        if not eta >= 0:
             raise ContractViolation("combined prox requires eta >= 0")
         return prox(eta, np.array(x, copy=True))
 
@@ -226,7 +238,7 @@ class CombinedProx:
         """(eta, v) -> prox of gamma*(omega_h + eta*omega_f) at a v the
         caller hands over (the result may be v itself). gamma is checked
         here, once; eta >= 0 is the caller's to ensure."""
-        if gamma <= 0:
+        if not gamma > 0:
             raise ContractViolation("combined prox requires gamma > 0")
         h, f = self.omega_h, self.omega_f
         t, neg_t = np.empty(()), np.empty(())  # this closure's own 0-d operands

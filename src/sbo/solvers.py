@@ -30,6 +30,7 @@ from .bilevel import (BilevelProblem, CompositeObjective, accelerated_constants,
                       require_strongly_convex_upper)
 from .errors import ConfigurationError, DivergenceError
 from . import metrics as _metrics
+from .prox import _clip
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +72,7 @@ class ConstantIstaSchedule:
     p: float
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
-        if self.p <= 0:
+        if not self.p > 0:
             raise ConfigurationError("constant-regularization schedule requires p > 0")
         if big_k <= 1:
             raise ConfigurationError("constant-regularization schedule requires K > 1")
@@ -96,7 +97,7 @@ class ConstantVfistaSchedule:
     p: float
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
-        if self.p <= 2:
+        if not self.p > 2:
             raise ConfigurationError("accelerated constant schedule requires p > 2")
         if big_k <= 1:
             raise ConfigurationError("accelerated constant schedule requires K > 1")
@@ -123,7 +124,7 @@ class FixedEtaSchedule:
     eta: float
 
     def resolve(self, gamma: float, l_f: float, l_h: float, mu_f: float, big_k: int):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ConfigurationError("fixed schedule requires eta > 0")
         eta = self.eta
         return lambda k: eta, {"schedule": "fixed", "eta": eta}
@@ -325,7 +326,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
             gamma = 0.5 / l_h if l_h > 0 else 0.5 / l_f
     else:
         gamma = float(cfg.gamma)
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError("gamma must be positive")
 
     eta_of, sched_params = cfg.schedule.resolve(gamma, l_f, l_h, mu_f, cfg.big_k)
@@ -531,7 +532,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         eta_k = 16.0 * (l_h + ETA_BAR) * (ln_j / j_budget) ** 2
         try:
             xhat = accelerated_run(projection_problem(problem.lower, z), eta_k,
-                                   np.clip(xhat, -INNER_START_BOX, INNER_START_BOX), j_budget)
+                                   _clip(xhat, -INNER_START_BOX, INNER_START_BOX), j_budget)
         except DivergenceError as exc:
             raise DivergenceError(
                 f"outer solver: non-finite inner iterate {exc.k} at step {k}", k=k,
@@ -568,7 +569,7 @@ def solve_fista_baseline(obj: CompositeObjective, big_k: int, gamma: float,
     with t-sequence momentum and best-value tracking. Returns the best
     iterate seen and its objective value.
     """
-    if gamma <= 0 or (obj.smooth.lipschitz > 0 and gamma > 1.0 / obj.smooth.lipschitz * (1 + 1e-12)):
+    if not gamma > 0 or (obj.smooth.lipschitz > 0 and gamma > 1.0 / obj.smooth.lipschitz * (1 + 1e-12)):
         raise ConfigurationError(
             f"baseline requires 0 < gamma <= 1/L = {1.0 / max(obj.smooth.lipschitz, 1e-300):.6g}"
         )

@@ -97,6 +97,17 @@ def test_dimension_checks_everywhere():
         )
 
 
+def test_a_nan_eta_or_strong_convexity_is_refused_by_name():
+    p = make_1d_problem()
+    with pytest.raises(ContractViolation, match="eta"):
+        p.q_eta_step(float("nan"), 0.5, np.ones(1))
+    with pytest.raises(ContractViolation, match="eta"):
+        p.regularized_value(float("nan"), np.ones(1))
+    nan_mu = quad_problem([1.0], [0.0], [float("nan")], [0.0])
+    with pytest.raises(ConfigurationError, match=r"strongly convex.*mu_f"):
+        accelerated_run(nan_mu, 1.0, np.array([3.0]), 5)
+
+
 def test_unsupported_prox_pair_rejected_at_problem_build():
     upper = CompositeObjective(ScaledSqNorm(1.0, dimension=2), L1Prox(1.0))
     lower = CompositeObjective(ZeroFunction(2), BallProx(1.0))

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ def test_sqnorm_constants_and_fd():
     f = ScaledSqNorm(0.7, dimension=4)
     assert f.lipschitz == f.strong_convexity == 0.7
     assert_gradient_matches_fd(f, rng.standard_normal((20, 4)))
+
+
+def test_a_nan_weight_or_delta_is_refused_by_name():
+    with pytest.raises(ContractViolation, match="weight"):
+        ScaledSqNorm(math.nan, dimension=3)
+    with pytest.raises(ConfigurationError, match="delta"):
+        MoreauLogSum(math.nan, 0.1, 2)
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        MoreauLogSum(0.01, math.nan, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import quad_problem
 from sbo.bilevel import CompositeObjective, accelerated_run, projection_problem
-from sbo.errors import ConfigurationError
+from sbo.errors import ConfigurationError, ContractViolation
 from sbo.functions import LeastSquares
 from sbo.metrics import (dist_to_lower_set, fit_rate, infeasibility, residual_norm,
                          suboptimality)
@@ -116,6 +116,11 @@ def test_residual_norm_cases():
     x = np.array([0.3, -0.4, 0.0])
     # X* = {0}: G = (x - 0)/gamma
     assert residual_norm(ws2, x, 0.25) == pytest.approx(np.linalg.norm(x) / 0.25)
+
+
+def test_residual_norm_refuses_a_nan_gamma_hat_by_name():
+    with pytest.raises(ContractViolation, match="gamma_hat"):
+        residual_norm(gen_l1_weak_sharp(3, np.ones(3)), np.zeros(3), math.nan)
 
 
 def test_residual_zero_iff_stationary(rd_instance):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,11 @@ def test_prox_l1_support_shrinks_with_threshold():
 def test_prox_l1_rejects_negative_threshold():
     with pytest.raises(ContractViolation):
         prox_l1(-0.1, np.zeros(2))
+
+
+def test_prox_l1_treats_a_negative_zero_threshold_as_zero():
+    v = np.array([0.0, -0.0, 5e-324, -1.5, math.inf])
+    assert prox_l1(-0.0, v).tobytes() == prox_l1(0.0, v).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +158,36 @@ def test_prox_logsum_parameter_validation():
         prox_logsum(0.0, 0.1, np.zeros(1))
     with pytest.raises(ConfigurationError, match="sqrt"):
         prox_logsum(0.04, 0.1, np.zeros(1))
+
+
+_X3 = np.ones(3)
+
+
+# A NaN parameter fails every comparison, so each guard is written to fail
+# on NaN as well; each call passes one NaN and the message names it.
+@pytest.mark.parametrize("call, error, name", [
+    (lambda: prox_l1(math.nan, _X3), ContractViolation, "threshold"),
+    (lambda: prox_ball(math.nan, _X3), ContractViolation, "radius"),
+    (lambda: prox_box(np.array([0.0, math.nan, 0.0]), _X3, _X3), ContractViolation,
+     "lower <= upper"),
+    (lambda: prox_box(-_X3, np.array([1.0, 1.0, math.nan]), _X3), ContractViolation,
+     "lower <= upper"),
+    (lambda: prox_logsum(math.nan, 0.1, _X3), ConfigurationError, "delta"),
+    (lambda: prox_logsum(0.01, math.nan, _X3), ConfigurationError, "epsilon"),
+    (lambda: L1Prox(math.nan), ContractViolation, "weight"),
+    (lambda: BallProx(math.nan), ContractViolation, "radius"),
+    (lambda: BoxProx([0.0, math.nan], [1.0, 1.0]), ContractViolation, "lower <= upper"),
+    (lambda: LogSumProx(math.nan), ConfigurationError, "epsilon"),
+    (lambda: CombinedProx(L1Prox(1.0), ZeroProx()).prox(1.0, math.nan, _X3),
+     ContractViolation, "eta"),
+    (lambda: CombinedProx(L1Prox(1.0), ZeroProx()).bind(math.nan), ContractViolation,
+     "gamma"),
+], ids=["prox_l1", "prox_ball", "prox_box-lower", "prox_box-upper", "prox_logsum-delta",
+        "prox_logsum-epsilon", "L1Prox", "BallProx", "BoxProx", "LogSumProx",
+        "CombinedProx.prox", "CombinedProx.bind"])
+def test_a_nan_parameter_is_refused_by_name(call, error, name):
+    with pytest.raises(error, match=re.escape(name)):
+        call()
 
 
 def test_prox_logsum_can_expand():
@@ -358,3 +394,61 @@ def test_combined_prox_of_every_pair_is_the_terms_own_prox_bit_for_bit(pair, gam
     if gamma * eta == 0.0 and h.kind == "zero":
         # eta = 0, or gamma*eta underflows to 0: the upper term has no weight
         assert CombinedProx(h, f).bind(gamma)(eta, v.copy()).tobytes() == v.tobytes()
+
+
+# The clamps are numpy's clip ufunc; these pin their bytes, the sign of a
+# zero included, to the float forms np.minimum and np.maximum give.
+_SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308,
+                        exclude_min=True, exclude_max=True)
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
+_ENTRIES = st.one_of(_SPECIAL, _SUBNORMALS, st.floats(allow_nan=False, allow_infinity=False))
+_THRESHOLDS = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]), st.floats(1e-300, 1e300))
+
+
+def _minmax_soft_threshold(t, v):
+    return v - np.maximum(np.minimum(v, t), -t)
+
+
+def _l1_closures(t):
+    """The bound closure of each l1 pair at gamma = eta = 1, whose threshold
+    is then t itself."""
+    pairs = [(L1Prox(t), ZeroProx()), (ZeroProx(), L1Prox(t)),
+             (L1Prox(t), L1Prox(0.0)), (L1Prox(0.0), L1Prox(t))]
+    return [CombinedProx(h, f).bind(1.0) for h, f in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_THRESHOLDS, v=st.lists(_ENTRIES, max_size=12).map(np.array))
+@example(t=0.0, v=np.array([0.0, -0.0, 5e-324, -5e-324]))
+@example(t=5e-324, v=np.array([5e-324, -5e-324, 0.0, -0.0, 1e-310]))
+def test_soft_thresholds_keep_the_bytes_of_the_minmax_form(t, v):
+    with np.errstate(invalid="ignore"):
+        want = _minmax_soft_threshold(t, v).tobytes()
+        assert prox_l1(t, v).tobytes() == want
+        for prox in _l1_closures(t):
+            assert prox(1.0, v.copy()).tobytes() == want
+
+
+_BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324]),
+                    _SUBNORMALS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_ENTRIES, _BOUNDS, _BOUNDS,
+                               st.sampled_from([None, 0.0, -0.0])), min_size=1, max_size=12))
+@example(rows=[(x, 0.0, 0.0, z) for x in (0.0, -0.0) for z in (0.0, -0.0)])
+def test_prox_box_keeps_the_bytes_of_the_minmax_form(rows):
+    x = np.array([row[0] for row in rows])
+    a, b = np.array([row[1] for row in rows]), np.array([row[2] for row in rows])
+    lower, upper = np.minimum(a, b), np.maximum(a, b)
+    for i, (_, _, _, zero) in enumerate(rows):
+        if zero is not None:  # lower == upper == +-0.0
+            lower[i] = upper[i] = zero
+    want = np.minimum(np.maximum(x, lower), upper).tobytes()
+    assert prox_box(lower, upper, x).tobytes() == want
+    assert BoxProx(lower, upper).prox(1.0, x).tobytes() == want
+    # bounds broadcast with stride 0 take the ufunc's other loop
+    for zero in (0.0, -0.0):
+        flat = np.broadcast_to(zero, x.shape)
+        want = np.minimum(np.maximum(x, flat), flat).tobytes()
+        assert prox_box(flat, flat, x).tobytes() == want

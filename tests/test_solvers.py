@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -177,6 +178,20 @@ def test_ir_ista_converges_to_bilevel_solution():
     # lower h = x0^2/2 (flat in x1) -> X* = {x0 = 0}; upper -> x* = (0, 1)
     rep = solve_ir_ista(p, SolverConfig(big_k=60_000, schedule=DiminishingSchedule()))
     assert np.allclose(rep.x_final, [0.0, 1.0], atol=2e-2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: ConstantIstaSchedule(p=math.nan).resolve(0.25, 1.0, 1.0, 1.0, 100), "p > 0"),
+    (lambda: ConstantVfistaSchedule(p=math.nan).resolve(0.0, 1.0, 1.0, 1.0, 100), "p > 2"),
+    (lambda: FixedEtaSchedule(math.nan).resolve(0.25, 1.0, 1.0, 1.0, 100), "eta > 0"),
+    (lambda: solve_ir_ista(make_theta_problem(), SolverConfig(
+        big_k=5, schedule=FixedEtaSchedule(1.0), gamma=math.nan)), "gamma"),
+    (lambda: solve_fista_baseline(make_theta_problem().upper, 5, math.nan), "gamma"),
+], ids=["ConstantIstaSchedule", "ConstantVfistaSchedule", "FixedEtaSchedule",
+        "solve_ir_ista", "solve_fista_baseline"])
+def test_a_nan_parameter_is_refused_by_name(call, name):
+    with pytest.raises(ConfigurationError, match=re.escape(name)):
+        call()
 
 
 def test_ir_ista_rejects_bad_configs():
