@@ -151,10 +151,12 @@ def accelerated_constants(problem: BilevelProblem,
     return 1.0 / lipschitz, kappa, (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
 
-def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
-                    iters: int) -> np.ndarray:
-    """The last of `iters` accelerated prox-gradient steps from x0 on the
-    surrogate at the constant weight eta (`accelerated_constants`), untraced.
+def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray, iters: int,
+                    y0: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) after `iters` accelerated prox-gradient steps on the surrogate
+    at the constant weight eta (`accelerated_constants`), untraced, from x0
+    and the extrapolated point y0 (x0 if None): x is the last iterate and y
+    the next step's start, so runs chained on (x, y) have one run's bits.
     A non-finite iterate raises DivergenceError with its step index as k.
     The loop ignores overflow warnings: a finite iterate whose squares
     overflow is settled by `check_finite` and by the ball projection.
@@ -177,8 +179,10 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     if not (eta > 0 and iters >= 1):
         raise ConfigurationError(
             f"accelerated run requires eta > 0 and iters >= 1; got {eta!r} and {iters!r}")
-    x = y = np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    y = x if y0 is None else np.asarray(y0, dtype=float)
     problem._check_dim(x)
+    problem._check_dim(y)
     gamma, _, momentum = accelerated_constants(problem, eta)
     step, momentum = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
     j, mark, next_mark, mark_sq, mark_x, mark_prev = 0, 0, 1, math.nan, None, None
@@ -196,7 +200,7 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
                 mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
                 mark_x, mark_prev = x_next.tobytes(), x.tobytes()
             x = x_next
-    return x
+    return x, y
 
 
 def require_strongly_convex_upper(problem: BilevelProblem, who: str) -> None:

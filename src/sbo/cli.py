@@ -26,7 +26,8 @@ from .bilevel import BilevelProblem
 from .errors import ConfigurationError, DivergenceError, ParseError, SboError
 from .metrics import default_fit_window, fit_rate
 from .problems import (InstanceSpec, build_instance, generate_instance_arrays,
-                       parse_kv_lines, parse_value, read_text_lines, save_instance)
+                       parse_items, parse_kv_lines, parse_value, read_text_lines,
+                       save_instance, typed_items)
 from .solvers import (SCHEMA_VERSION, ConstantIstaSchedule, ConstantVfistaSchedule,
                       DiminishingSchedule, FixedEtaSchedule, NcConfig,
                       RunReport, SolverConfig, TraceRecord, solve_ipr_vfista,
@@ -65,14 +66,13 @@ class _Keys:
 
     def get(self, key: str, default: str | None = None, kind: type = float,
             keyword: str | None = None, required: bool = False):
-        """The value parsed as `kind` (see `problems.parse_value`; str keeps
-        the text). `keyword` (e.g. "auto") passes through as the string; an
-        absent key without default gives None."""
+        """The value parsed as `kind` (`problems.parse_value`); `keyword` (e.g.
+        "auto") passes through; an absent key without default gives None."""
         self.read.add(key)
         text = self.cfg.get(key, default)
         if text is None and required:
             raise ConfigurationError(f"missing required config key {key!r}")
-        if text is None or text == keyword or kind is str:
+        if text is None or text == keyword:
             return text
         return parse_value(f"config key {key!r}", text, kind)
 
@@ -403,17 +403,12 @@ _ROW_KEYS = {"label": str, "config": str, "metric": str, "mode": str,
 
 
 def _parse_suite_row(line: str, lineno: int) -> dict:
-    row: dict = {}
-    for token in line.split():
-        key, eq, value = token.partition("=")
-        if not eq or key not in _ROW_KEYS or key in row:
-            raise ParseError(f"expected key=value tokens with distinct keys from "
-                             f"{', '.join(_ROW_KEYS)}; got {token!r}", lineno)
-        kind, what = _ROW_KEYS[key], f"line {lineno}: suite key {key!r}"
-        row[key] = value if kind is str else parse_value(what, value, kind)
-    if "ks" in row:
-        row["ks"] = [parse_value(f"line {lineno}: suite key 'ks'", k, int)
-                     for k in row["ks"].split(",")]
+    try:
+        row = typed_items(parse_items(line.split(), "suite item"), _ROW_KEYS, "suite key")
+        if "ks" in row:
+            row["ks"] = [parse_value("suite key 'ks'", k, int) for k in row["ks"].split(",")]
+    except ConfigurationError as exc:
+        raise ParseError(str(exc), lineno) from None
     for req in ("metric", "slope", "tol", "config"):
         if req not in row:
             raise ParseError(f"suite row missing {req!r}", lineno)
@@ -431,21 +426,6 @@ def _parse_suite_row(line: str, lineno: int) -> dict:
     return row
 
 
-def _split_items(text: str, what: str, given: tuple = ()) -> dict[str, str]:
-    """The key=value items of a comma list, stripped, by key. An item with
-    no '=', with an empty key or with a key given before (in the list or in
-    `given`) is refused, naming the item."""
-    items: dict[str, str] = {}
-    for item in text.split(","):
-        key, eq, value = (part.strip() for part in item.partition("="))
-        if not eq or not key or key in items or key in given:
-            problem = ("is not key=value" if not eq else "has an empty key" if not key
-                       else f"repeats key {key!r}")
-            raise ConfigurationError(f"{what} {item!r} {problem}")
-        items[key] = value
-    return items
-
-
 def _selftest_samples(spec: str):
     # selftest:powerlaw:exp=-1,coeff=7
     parts = spec.split(":")
@@ -453,10 +433,8 @@ def _selftest_samples(spec: str):
         raise ConfigurationError(f"unknown selftest kind {parts[1]!r}")
     params = {"exp": -1.0, "coeff": 1.0}
     if len(parts) > 2 and parts[2]:
-        for key, value in _split_items(parts[2], "selftest parameter").items():
-            if key not in params:
-                raise ConfigurationError(f"unknown selftest parameter {key!r}")
-            params[key] = parse_value(f"selftest parameter {key!r}", value)
+        params.update(typed_items(parse_items(parts[2].split(","), "selftest parameter"),
+                                  {"exp": float, "coeff": float}, "selftest parameter"))
     exponent, coeff = params["exp"], params["coeff"]
     return [(k, coeff * k ** exponent) for k in range(1, 1001)]
 
@@ -543,8 +521,8 @@ def parse_instance_arg(spec: str) -> InstanceSpec:
     name, _, rest = spec.partition(":")
     cfg = {"instance.name": name}
     if rest:
-        for key, value in _split_items(rest, "instance parameter", ("name",)).items():
-            cfg[f"instance.{key}"] = value
+        items = parse_items(rest.split(","), "instance parameter", ("name",))
+        cfg.update((f"instance.{key}", value) for key, value in items.items())
     return instance_from_config(cfg)
 
 
@@ -592,10 +570,7 @@ def main(argv=None) -> int:
         return cmd_rates(args.suite)
     if args.command == "plot":
         return cmd_plot(args.csv, args.metric, args.out, args.logx, args.logy)
-    if args.command == "gen":
-        return cmd_gen(args.spec, args.out)
-    parser.error("unknown command")
-    return EXIT_CONFIG
+    return cmd_gen(args.spec, args.out)  # argparse admits no other command
 
 
 if __name__ == "__main__":

@@ -159,16 +159,16 @@ def parse_matrix_lines(lines: list[str], first_lineno: int = 1) -> np.ndarray:
         raise ParseError(f"dimensions must be positive, got {m} x {n}", first_lineno)
     if len(lines) < 1 + m:
         raise ParseError(f"expected {m} data rows, found {len(lines) - 1}", first_lineno)
-    out = np.empty((m, n))
-    for i in range(m):
-        lineno = first_lineno + 1 + i
-        parts = lines[1 + i].split()
-        if len(parts) != n:
+    rows = [line.split() for line in lines[1:1 + m]]
+    for lineno, parts in enumerate(rows, start=first_lineno + 1):
+        if len(parts) != n:  # before the allocation: then the text bounds m x n
             raise ParseError(f"expected {n} entries, found {len(parts)}", lineno)
+    out = np.empty((m, n))
+    for i, parts in enumerate(rows):
         try:
             out[i] = [float(p) for p in parts]
         except ValueError:
-            raise ParseError(f"non-numeric entry in {lines[1 + i]!r}", lineno)
+            raise ParseError(f"non-numeric entry in {lines[1 + i]!r}", first_lineno + 1 + i)
     if not np.isfinite(out).all():
         raise ParseError("non-finite entry in matrix block", first_lineno)
     return out

@@ -42,8 +42,8 @@ class InstanceSpec:
 
 def parse_value(what: str, text, kind: type = float):
     """`text` as an int, a finite float or a 0/1 flag (kind int, float or
-    bool), or a ConfigurationError that names it as `what`. A float given
-    for an int or a flag must be integral."""
+    bool; kind str keeps the text), or a ConfigurationError that names it
+    as `what`. A float given for an int or a flag must be integral."""
     try:
         value = (int if kind is bool else kind)(text)
     except (TypeError, ValueError, OverflowError):
@@ -56,6 +56,33 @@ def parse_value(what: str, text, kind: type = float):
     return bool(value) if kind is bool else value
 
 
+def parse_items(items, what: str, given=()) -> dict[str, str]:
+    """The key=value `items`, stripped, by key: the one splitter of every
+    text input. An item with no '=', an empty key or value, or a key given
+    before (in `items` or in `given`) is refused, naming the item as `what`."""
+    out: dict[str, str] = {}
+    for item in items:
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not (eq and key and value) or key in out or key in given:
+            problem = ("is not key=value" if not eq else "has an empty key" if not key
+                       else "has an empty value" if not value
+                       else f"gives a duplicate key {key!r}")
+            raise ConfigurationError(f"{what} {item!r} {problem}")
+        out[key] = value
+    return out
+
+
+def typed_items(items: dict, kinds: dict, what: str) -> dict:
+    """`items` with each value parsed by `parse_value` as kinds[key]; a key
+    not in `kinds` is refused, naming it as `what` and the keys taken."""
+    for key in items:
+        if key not in kinds:
+            raise ConfigurationError(
+                f"unknown {what} {key!r}; it takes {', '.join(sorted(kinds))}")
+    return {key: parse_value(f"{what} {key!r}", text, kinds[key])
+            for key, text in items.items()}
+
+
 # ---------------------------------------------------------------------------
 # Fredholm test matrices
 # ---------------------------------------------------------------------------
@@ -65,15 +92,15 @@ _GL_ORDER = 24  # fixed-order Gauss-Legendre panels; integrands are analytic
 
 
 def _refuse_beyond_memory(n: int, floats: int) -> None:
-    """ConfigurationError naming instance.n if an array of `floats` float64
-    values, a generator's largest, would pass physical memory. The Fredholm
-    generators call it before their first n-sized allocation: numpy refuses
-    only arrays past the address space, and a process that touches one past
-    physical memory is killed."""
+    """ConfigurationError naming instance.n if a build that peaks at `floats`
+    float64 values would pass physical memory. Each family calls it before
+    its first n-sized allocation, with the larger of its tracemalloc peak and
+    its peak RSS rise (which sees LAPACK's work arrays): numpy refuses only
+    arrays past the address space, and a process past physical memory is killed."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if 8 * floats > memory:
         raise ConfigurationError(
-            f"instance.n = {n} is too large: its largest array takes "
+            f"instance.n = {n} is too large: its build peaks at about "
             f"{8 * floats:.3g} bytes, past the {memory:.3g} bytes of physical memory")
 
 
@@ -95,7 +122,7 @@ def gen_phillips(n: int):
     """
     if n < 4 or n % 4 != 0:
         raise ConfigurationError(f"phillips requires n >= 4 divisible by 4, got {n}")
-    _refuse_beyond_memory(n, n * n)
+    _refuse_beyond_memory(n, (2 * n + 16) * n)  # the index matrix and A
     h = 12.0 / n
     c = math.pi / 3.0
 
@@ -147,7 +174,7 @@ def gen_baart(n: int):
     """
     if n < 4 or n % 2 != 0:
         raise ConfigurationError(f"baart requires even n >= 4, got {n}")
-    _refuse_beyond_memory(n, n * n * _GL_ORDER)  # the quadrature's n x n x Q
+    _refuse_beyond_memory(n, (2 * n + 10) * _GL_ORDER * n)  # two n x n x Q arrays
     hs = 0.5 * math.pi / n
     ht = math.pi / n
     s_left = hs * np.arange(n)
@@ -182,7 +209,7 @@ def gen_foxgood(n: int):
     """
     if n < 4:
         raise ConfigurationError(f"foxgood requires n >= 4, got {n}")
-    _refuse_beyond_memory(n, n * n)
+    _refuse_beyond_memory(n, (2 * n + 16) * n)
     h = 1.0 / n
     t = h * (np.arange(1, n + 1) - 0.5)
     a = h * np.sqrt(t[:, None] ** 2 + t[None, :] ** 2)
@@ -259,6 +286,7 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
         rank = n // 2
     if not (1 <= rank < n):
         raise ConfigurationError(f"rank must satisfy 1 <= rank < n, got {rank}")
+    _refuse_beyond_memory(n, 12 * n * n)
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -294,7 +322,7 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
         g_star = mu_f * x_dag
         ref.subgradient = SubgradientAtOpt(g_star, float(np.linalg.norm(g_star)))
     elif f_star_budget > 0:
-        x_star = accelerated_run(problem, F_STAR_WEIGHT, x_dag, f_star_budget)
+        x_star, _ = accelerated_run(problem, F_STAR_WEIGHT, x_dag, f_star_budget)
         g_star = min_norm_l1_subgradient(mu_f * x_star, lam, x_star)
         g_norm = float(np.linalg.norm(g_star))
         alpha = ref.weak_sharp.alpha
@@ -336,6 +364,7 @@ def gen_sec61_inverse(which: str, n: int, mu_f: float = 1.0,
     0.5*||Ax - b||^2 for one of the Fredholm test matrices. The lower optimum
     is numerically 0 (b lies in the numerical range of A); no further truth
     is attached."""
+    _refuse_beyond_memory(n, 9 * n * n)  # A, its SVD and LAPACK's work arrays
     a, b = inverse_problem(which, n)
     lower = CompositeObjective(LeastSquares(a, b), ZeroProx())
     upper = CompositeObjective(
@@ -391,6 +420,7 @@ def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
     `ls_ball_projector` at PROJECTOR_WEIGHT, and h_star is the lower
     value at its image of x0.
     """
+    _refuse_beyond_memory(n, 9 * n * n)  # as gen_sec61_inverse
     a, b = inverse_problem(which, n)
     lower = CompositeObjective(LeastSquares(a, b), BallProx(1.0))
     upper = CompositeObjective(MoreauLogSum(delta, epsilon, n), ZeroProx())
@@ -415,6 +445,7 @@ def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
 
 def _gen_l1_weak_sharp_seeded(n: int, seed: int = 0) -> BilevelProblem:
     """`gen_l1_weak_sharp` with a standard normal center drawn from `seed`."""
+    _refuse_beyond_memory(n, 5 * n)
     return gen_l1_weak_sharp(n, np.random.default_rng(seed).standard_normal(n))
 
 
@@ -447,13 +478,7 @@ def build_instance(spec: InstanceSpec) -> BilevelProblem:
     params = dict(spec.params)
     if spec.seed is not None:
         params["seed"] = spec.seed
-    values = {"n": spec.n}
-    for key, text in params.items():
-        if key not in kinds:
-            raise ConfigurationError(
-                f"unknown instance key {key!r} for {spec.name}; it takes "
-                f"{', '.join(sorted(kinds))}")
-        values[key] = parse_value(f"instance key {key!r}", text, kinds[key])
+    values = {"n": spec.n, **typed_items(params, kinds, f"{spec.name} instance key")}
     for key, value in values.items():
         if value < 0 or value == 0 and key in _POSITIVE_KEYS:
             must = "positive" if key in _POSITIVE_KEYS else "non-negative"
@@ -476,21 +501,16 @@ def read_text_lines(path) -> list[str]:
 
 
 def parse_kv_lines(lines) -> dict:
-    """Flat "key = value" lines; '#' starts a comment; blank lines ignored."""
+    """Flat "key = value" lines (`parse_items`, one item a line); '#' starts
+    a comment; blank lines ignored. A ParseError names the line."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ParseError(f"empty key or value in {raw.strip()!r}", lineno)
-        if key in out:
-            raise ParseError(f"duplicate key {key!r}", lineno)
-        out[key] = value
+        if line:
+            try:
+                out.update(parse_items([line], "entry", out))
+            except ConfigurationError as exc:
+                raise ParseError(str(exc), lineno) from None
     return out
 
 

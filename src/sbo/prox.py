@@ -99,6 +99,8 @@ def prox_logsum(delta: float, epsilon: float, x: np.ndarray) -> np.ndarray:
 def _check_logsum_params(delta: float, epsilon: float) -> None:
     if not delta > 0:
         raise ConfigurationError("log-sum prox requires delta > 0")
+    if math.isnan(epsilon):
+        raise ConfigurationError("log-sum prox: epsilon is not a number")
     if not math.sqrt(delta) <= epsilon:
         raise ConfigurationError(
             f"log-sum prox requires sqrt(delta) <= epsilon; got sqrt({delta}) = "
@@ -166,13 +168,13 @@ class BallProx:
 
 
 class BoxProx:
-    """Indicator of the box [lower, upper]."""
+    """Indicator of the box [lower, upper]; the bounds are copied, as in `prox_box`."""
 
     kind = "box"
 
     def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
+        self.lower = np.array(lower, dtype=float)
+        self.upper = np.array(upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ContractViolation("box bounds must be two vectors of equal length")
         if not np.all(self.lower <= self.upper):
@@ -187,7 +189,9 @@ class BoxProx:
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if gamma == 0.0:
             return np.array(x, copy=True)
-        return prox_box(self.lower, self.upper, x)
+        if x.shape != self.lower.shape:  # the bounds were checked once, in __init__
+            raise ContractViolation("box prox: the vector and the bounds differ in length")
+        return _clip(x, self.lower, self.upper)
 
 
 class LogSumProx:

@@ -405,7 +405,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     stepsize exactly 1/(L_h + eta*L_f), and momentum factor
     (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f)
     (`bilevel.accelerated_constants`). Returns the last iterate (no
-    averaging). This is `bilevel.accelerated_run` with a trace.
+    averaging): one `bilevel.accelerated_run` per stretch between trace points.
     """
     require_strongly_convex_upper(problem, "accelerated solver")
     upper, lower = problem.upper.smooth, problem.lower.smooth
@@ -430,20 +430,17 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     }
 
     clock = _Clock()
-    x = y = problem.initial_point  # the loop writes no array in place
-    step, momentum_op = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
+    x, y = problem.initial_point, None
     trace: list[TraceRecord] = []
 
     k = 0
     for k_trace in sorted(_trace_ks(cfg)):  # the steps up to the next trace point
-        with np.errstate(over="ignore"):  # as in bilevel.accelerated_run
-            for j in range(k, k_trace):
-                x_next = step(eta, y)
-                if not math.isfinite(x_next.dot(x_next)):
-                    check_finite(x_next, j, x, "accelerated solver", trace,
-                                 config=cfg_echo)
-                y = x_next + momentum_op * (x_next - x)
-                x = x_next
+        try:
+            x, y = accelerated_run(problem, eta, x, k_trace - k, y)
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"accelerated solver: non-finite iterate at step {k + exc.k}", k=k + exc.k,
+                last_finite=exc.last_finite, trace=trace, config=cfg_echo) from None
         k = k_trace
         trace.append(_eval_record(problem, x, k, eta, None, clock))
 
@@ -532,7 +529,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         eta_k = 16.0 * (l_h + ETA_BAR) * (ln_j / j_budget) ** 2
         try:
             xhat = accelerated_run(projection_problem(problem.lower, z), eta_k,
-                                   _clip(xhat, -INNER_START_BOX, INNER_START_BOX), j_budget)
+                                   _clip(xhat, -INNER_START_BOX, INNER_START_BOX), j_budget)[0]
         except DivergenceError as exc:
             raise DivergenceError(
                 f"outer solver: non-finite inner iterate {exc.k} at step {k}", k=k,

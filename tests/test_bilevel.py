@@ -198,11 +198,25 @@ def test_accelerated_run_is_the_r_vfista_loop_bit_for_bit(name, eta, iters):
     x0 = p.initial_point.copy()
     rep = solve_r_vfista(p, SolverConfig(big_k=iters, schedule=FixedEtaSchedule(eta),
                                          trace_every=iters))
-    assert np.array_equal(accelerated_run(p, eta, x0, iters), rep.x_final)
+    assert np.array_equal(accelerated_run(p, eta, x0, iters)[0], rep.x_final)
     assert np.array_equal(x0, p.initial_point)  # x0 is not written to
     gamma, kappa, momentum = accelerated_constants(p, eta)
     assert (gamma, kappa, momentum) == (rep.config["gamma"], rep.config["kappa"],
                                         rep.config["momentum"])
+
+
+@pytest.mark.parametrize("name", ["rank_deficient_ls lam=0.1", "ipr anchor", "l1-l1 pair"])
+@pytest.mark.parametrize("cuts", [(1,), (7, 8), (3, 50, 51)])
+def test_accelerated_runs_chained_on_their_x_and_y_have_the_bits_of_one_run(name, cuts):
+    p, eta = _KERNEL_PROBLEMS[name], 0.5
+    want_x, want_y = full_accelerated_loop(p, eta, p.initial_point, 60, with_y=True)
+    x, y, done = p.initial_point, None, 0
+    for cut in (*cuts, 60):
+        x, y = accelerated_run(p, eta, x, cut - done, y)
+        done = cut
+    assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+    assert accelerated_run(p, eta, p.initial_point, 60, p.initial_point)[1].tobytes() == (
+        want_y.tobytes())
 
 
 def test_accelerated_run_refuses_what_the_accelerated_solver_refuses():
@@ -219,6 +233,8 @@ def test_accelerated_run_refuses_what_the_accelerated_solver_refuses():
         accelerated_run(nonconvex, 1.0, x0, 5)
     with pytest.raises(ContractViolation):
         accelerated_run(p, 1.0, np.ones(2), 5)
+    with pytest.raises(ContractViolation):
+        accelerated_run(p, 1.0, x0, 5, np.ones(2))
 
 
 def test_accelerated_run_divergence_names_its_step():
@@ -243,7 +259,7 @@ def _ball_problem_started_at_1e160():
 def test_accelerated_loops_take_a_start_whose_squares_overflow_without_warning():
     # pytest turns warnings into errors: an overflow warning would fail this
     p = _ball_problem_started_at_1e160()
-    x = accelerated_run(p, 0.5, p.initial_point, 3)
+    x, _ = accelerated_run(p, 0.5, p.initial_point, 3)
     assert np.linalg.norm(x) <= 1.0 + 1e-12
     rep = solve_r_vfista(p, SolverConfig(big_k=3, schedule=FixedEtaSchedule(0.5)))
     assert np.linalg.norm(rep.x_final) <= 1.0 + 1e-12
@@ -265,8 +281,9 @@ IPR_CONFIG = (pathlib.Path(__file__).resolve().parent.parent
               / "configs" / "nonconvex_phillips_ipr.cfg")
 
 
-def full_accelerated_loop(problem, eta, x0, iters):
-    """All `iters` steps of `accelerated_run`, with no test for a repeat."""
+def full_accelerated_loop(problem, eta, x0, iters, with_y=False):
+    """All `iters` steps of `accelerated_run`, with no test for a repeat:
+    the last iterate, and with `with_y` also the extrapolated point."""
     gamma, _, momentum = accelerated_constants(problem, eta)
     step, momentum = problem.step_map(gamma), np.array(momentum)
     x = y = np.asarray(x0, dtype=float)
@@ -274,7 +291,7 @@ def full_accelerated_loop(problem, eta, x0, iters):
         x_next = step(eta, y)
         y = x_next + momentum * (x_next - x)
         x = x_next
-    return x
+    return (x, y) if with_y else x
 
 
 def count_steps(monkeypatch, owner):
@@ -326,7 +343,7 @@ def test_accelerated_run_has_the_bits_of_the_full_loop_on_ipr_inner_runs(
     assert iters == (k + 1) ** 2
     want = full_accelerated_loop(p, eta, x0, iters)
     steps = count_steps(monkeypatch, p)
-    assert accelerated_run(p, eta, x0, iters).tobytes() == want.tobytes()
+    assert accelerated_run(p, eta, x0, iters)[0].tobytes() == want.tobytes()
     if period is None:
         assert len(steps) == iters
     else:
@@ -340,7 +357,7 @@ def test_accelerated_run_has_the_bits_of_the_full_loop_on_ipr_inner_runs(
 def test_accelerated_run_ends_a_period_3_cycle_at_every_remainder(ipr_inner_runs):
     p, eta, x0, _ = ipr_inner_runs["nonconvex_phillips"][31]
     for iters in range(74, 86):  # the repeat is seen at step 77
-        assert (accelerated_run(p, eta, x0, iters).tobytes()
+        assert (accelerated_run(p, eta, x0, iters)[0].tobytes()
                 == full_accelerated_loop(p, eta, x0, iters).tobytes())
 
 
@@ -349,7 +366,7 @@ def test_accelerated_run_stops_at_a_weak_sharp_fixed_point(monkeypatch):
     eta = p.reference.weak_sharp.alpha / (2.0 * p.reference.subgradient.norm)
     want = full_accelerated_loop(p, eta, p.initial_point, 500)
     steps = count_steps(monkeypatch, p)
-    assert accelerated_run(p, eta, p.initial_point, 500).tobytes() == want.tobytes()
+    assert accelerated_run(p, eta, p.initial_point, 500)[0].tobytes() == want.tobytes()
     assert len(steps) == 3  # x_3 = x_2 = x_1
 
 
@@ -370,7 +387,7 @@ def test_accelerated_run_keeps_states_apart_that_differ_in_the_sign_of_a_zero(it
     p = _momentum_free_problem(1, np.negative)
     want = full_accelerated_loop(p, 0.5, np.zeros(1), iters)
     assert np.signbit(want[0]) == (iters % 2 == 1)
-    assert accelerated_run(p, 0.5, np.zeros(1), iters).tobytes() == want.tobytes()
+    assert accelerated_run(p, 0.5, np.zeros(1), iters)[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("iters,computed", [(12, 12), (100, 37)])
@@ -383,7 +400,7 @@ def test_accelerated_run_takes_an_equal_norm_for_no_repeat(monkeypatch, iters, c
     p = _momentum_free_problem(7, lambda y: np.roll(y, 1))
     x0 = np.arange(1.0, 8.0)
     steps = count_steps(monkeypatch, p)
-    assert accelerated_run(p, 0.5, x0, iters).tobytes() == np.roll(x0, iters).tobytes()
+    assert accelerated_run(p, 0.5, x0, iters)[0].tobytes() == np.roll(x0, iters).tobytes()
     assert len(steps) == computed
 
 
@@ -420,7 +437,7 @@ def test_accelerated_run_sees_a_cycle_within_its_bound(mu, lam, iters, seed):
     p.step_map = _table_walk(states, mu, steps)
     want = full_accelerated_loop(p, 0.5, states[0], iters)
     steps.clear()
-    assert accelerated_run(p, 0.5, states[0], iters).tobytes() == want.tobytes()
+    assert accelerated_run(p, 0.5, states[0], iters)[0].tobytes() == want.tobytes()
     assert len(steps) <= min(iters, 1.25 * max(mu, 4 * lam) + 2 * lam)
 
 

@@ -130,6 +130,39 @@ def test_cmd_run_writes_plots(tmp_path):
     assert svg.count("<polyline") == 1
 
 
+def test_cmd_run_plot_with_fewer_than_two_points_exits_2_and_keeps_the_run(tmp_path,
+                                                                          capsys):
+    # r_vfista has no theta: its column has no point to plot
+    cfg = write_config(tmp_path / "p.cfg", **{"output.plots": "f_bar,theta"})
+    assert main(["run", str(cfg)]) == 2
+    assert "cannot plot 'theta': plot needs at least 2 plottable points" in (
+        capsys.readouterr().err)
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["plot_f_bar.svg", "report.txt",
+                                                     "trace.csv"]
+    assert "final.f_bar" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"solver.name": "fista"}, "unknown solver 'fista'; pick one of ir_ista"),
+    ({"instance.name": "rank_deficient_ls", "instance.n": "10"},
+     "eta = weak_sharp needs reference truth with order-1 weak-sharp constants"),
+])
+def test_cmd_run_refuses_an_unknown_solver_or_a_weak_sharp_eta_without_its_truth(
+        tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path / "p.cfg", **overrides)
+    assert main(["run", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_run_takes_a_numeric_eta_as_a_fixed_schedule(tmp_path):
+    cfg = write_config(tmp_path / "p.cfg", **{"solver.eta": "0.25", "solver.K": "40"})
+    assert main(["run", str(cfg)]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert "config.schedule = fixed" in report and "config.eta = 0.25" in report
+
+
 def test_cmd_run_unknown_plot_name_exits_2_before_the_run(tmp_path, capsys):
     cfg = write_config(tmp_path / "p.cfg", **{"output.plots": "infeas,bogus"})
     assert main(["run", str(cfg)]) == 2
@@ -466,6 +499,7 @@ def test_cmd_rates_row_that_cannot_run_fails_and_later_rows_run(tmp_path,
     ("exp=-1,exp=-2", "'exp=-2'"),    # a repeated key
     ("exp=-1,=7", "'=7'"),            # an empty key
     ("exp=-1,coeff", "'coeff'"),      # no '='
+    ("exp=-1,coeff=", "'coeff=' has an empty value"),
     ("exp=-1,wobble=0.01", "'wobble'"),
 ])
 def test_cmd_rates_selftest_row_with_a_bad_item_fails_naming_it(tmp_path, capsys,
@@ -532,6 +566,21 @@ def test_cmd_rates_bad_row_exits_2_with_line(tmp_path, capsys, token):
         f"label=x config=selftest:powerlaw metric=value slope=-1 tol=0.01 {token}\n")
     assert main(["rates", str(suite)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row,message", [
+    ("label= config=selftest:powerlaw metric=value slope=-1 tol=0.01",
+     "line 1: suite item 'label=' has an empty value"),
+    ("label=x config=selftest:powerlaw metric=value slope=-1 tol=0.01 tol=1",
+     "line 1: suite item 'tol=1' gives a duplicate key 'tol'"),
+    ("label=x config=selftest:powerlaw metric=value slope=-1 tol=0.01 kmax",
+     "line 1: suite item 'kmax' is not key=value"),
+])
+def test_cmd_rates_bad_item_exits_2_naming_it(tmp_path, capsys, row, message):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(row + "\n")
+    assert main(["rates", str(suite)]) == 2
+    assert capsys.readouterr().err == f"suite error: {message}\n"
 
 
 def _rank_deficient_config(path, big_k="300"):
@@ -733,6 +782,17 @@ def test_csv_header_is_the_trace_contract():
                           "dist_lower,residual_sq,elapsed_ns")
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["k,eta", "1,"], "line 1: unexpected trace header in"),
+    ([CSV_HEADER, "1" + "," * 10, "2,,,"], "line 3: expected 11 fields, got 4"),
+])
+def test_read_trace_csv_refuses_a_bad_header_or_a_short_row(tmp_path, lines, message):
+    csv = tmp_path / "t.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        read_trace_csv(csv)
+
+
 def test_read_trace_csv_roundtrip(tmp_path):
     csv = tmp_path / "t.csv"
     _write_trace(csv, [(1, 0.5), (2, 0.25)])
@@ -762,6 +822,15 @@ def test_cmd_gen_roundtrip(tmp_path):
     ws = build_instance(InstanceSpec("l1_weak_sharp", 6, seed=2))
     assert a is None and params == {"n": "6", "seed": "2"}
     assert np.array_equal(b, ws.upper.smooth.center)
+
+
+def test_cmd_gen_rank_deficient_ls_round_trips_through_load_instance(tmp_path):
+    out = tmp_path / "rd.txt"
+    assert main(["gen", "rank_deficient_ls:n=10,seed=3", "--out", str(out)]) == 0
+    name, params, a, b = load_instance(out)
+    ls = build_instance(InstanceSpec("rank_deficient_ls", 10, seed=3)).lower.smooth
+    assert name == "rank_deficient_ls" and params == {"n": "10", "seed": "3"}
+    assert a.tobytes() == ls.a.tobytes() and b.tobytes() == ls.b.tobytes()
 
 
 def test_cmd_run_and_gen_refuse_an_instance_too_large_to_allocate(tmp_path, capsys):
@@ -810,6 +879,16 @@ def test_a_fredholm_n_past_physical_memory_exits_2_before_any_allocation(
     assert not (tmp_path / "out").exists() and not (tmp_path / "x.txt").exists()
 
 
+@pytest.mark.parametrize("name,n", [("rank_deficient_ls", 10**9), ("l1_weak_sharp", 10**13)])
+def test_a_seeded_family_past_physical_memory_exits_2_before_any_allocation(
+        tmp_path, capsys, monkeypatch, name, n):
+    import sbo.problems as problems_mod
+    monkeypatch.setattr(problems_mod, "np", _NoNumpy())
+    assert main(["gen", f"{name}:n={n},seed=1", "--out", str(tmp_path / "x.txt")]) == 2
+    assert f"instance.n = {n} is too large" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_cmd_gen_rejects_bad_spec(tmp_path, capsys):
     assert main(["gen", "phillips", "--out", str(tmp_path / "x.txt")]) == 2
     assert main(["gen", "nosuch:n=4", "--out", str(tmp_path / "x.txt")]) == 2
@@ -827,6 +906,8 @@ def test_cmd_gen_rejects_bad_spec(tmp_path, capsys):
     ("phillips:n=8,seed", "'seed'"),        # no '='
     ("l1_weak_sharp:seed=1,n=6,seed=2", "'seed=2'"),
     ("phillips:n=8,name=baart", "'name=baart'"),  # the name, given before ':'
+    ("rank_deficient_ls:n=8,seed=", "'seed=' has an empty value"),
+    ("phillips:n=8,n=16", "'n=16' gives a duplicate key 'n'"),
 ])
 def test_cmd_gen_refuses_a_bad_item_naming_it(tmp_path, capsys, spec, named):
     assert main(["gen", spec, "--out", str(tmp_path / "x.txt")]) == 2

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -172,6 +173,28 @@ def test_parse_matrix_reports_line_numbers():
         parse_matrix_lines(["2 2", "1.0 2.0", "3.0"])
     with pytest.raises(ParseError, match="line 2"):
         parse_matrix_lines(["1 2", "1.0 oops"])
+
+
+@pytest.mark.parametrize("lines,message", [
+    ([], "line 1: empty matrix block"),
+    (["2 2 2", "1 2"], "line 1: expected 'm n' header"),
+    (["two 2", "1 2"], "line 1: non-integer dimensions"),
+    (["0 2"], "line 1: dimensions must be positive, got 0 x 2"),
+    (["2 -1", "1", "2"], "line 1: dimensions must be positive, got 2 x -1"),
+    (["3 1", "1.0", "2.0"], "line 1: expected 3 data rows, found 2"),
+    (["2 2", "1.0 2.0", "3.0 nan"], "line 1: non-finite entry"),
+    (["1 2", "1.0 -inf"], "line 1: non-finite entry"),
+])
+def test_parse_matrix_refuses_a_malformed_block_naming_the_line(lines, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        parse_matrix_lines(lines)
+
+
+def test_parse_matrix_checks_the_rows_before_it_allocates():
+    # an array of 1 x 99999999999999 floats is past what numpy can allocate:
+    # the header alone must not size it
+    with pytest.raises(ParseError, match="line 6: expected 99999999999999 entries, found 3"):
+        parse_matrix_lines(["1 99999999999999", "1.0 2.0 3.0"], first_lineno=5)
 
 
 def test_format_matrix_shortest_repr():

@@ -140,7 +140,7 @@ def test_approximate_projector_matches_exact(rd_instance):
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.standard_normal(rd_instance.dimension)
-        approx = accelerated_run(projection_problem(rd_instance.lower, x), 1e-7, x, 60_000)
+        approx, _ = accelerated_run(projection_problem(rd_instance.lower, x), 1e-7, x, 60_000)
         assert np.linalg.norm(approx - proj_exact(x)) <= 1e-2
 
 
@@ -156,7 +156,7 @@ def _ls_ball_query(which, n, eta, scale, active, seed):
 
 def _iterative_ls_ball(a, b, radius, eta, x):
     lower = CompositeObjective(LeastSquares(a, b), BallProx(radius))
-    return accelerated_run(projection_problem(lower, x), eta, x, 50_000)
+    return accelerated_run(projection_problem(lower, x), eta, x, 50_000)[0]
 
 
 def _assert_kkt(a, b, radius, eta, x, u, active):

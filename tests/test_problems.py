@@ -1,6 +1,8 @@
 import math
 import pathlib
+import re
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from sbo.bilevel import accelerated_run, projection_problem
 from sbo.errors import ConfigurationError, ParseError
 from sbo.linalg import min_norm_ls
 from sbo.metrics import dist_to_lower_set, infeasibility
+import sbo.problems as problems_mod
 from sbo.problems import (InstanceSpec, baart_solution, build_instance,
                           foxgood_solution, gen_baart, gen_foxgood,
                           gen_l1_weak_sharp, gen_phillips,
                           gen_rank_deficient_ls, gen_sec61_inverse,
-                          inverse_problem, load_instance, parse_value,
-                          phillips_solution, save_instance)
+                          inverse_problem, load_instance, parse_items,
+                          parse_kv_lines, parse_value, phillips_solution,
+                          save_instance, typed_items)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -212,8 +216,8 @@ def test_nonconvex_reference_stability(nonconvex_instance):
     ref = p.reference
     assert ref.notes["h_star_method"] == ref.notes["projector_method"] == "closed_form"
     x0 = p.initial_point
-    iterative = accelerated_run(projection_problem(p.lower, x0), ref.notes["h_star_eta"],
-                                x0, 100_000)
+    iterative, _ = accelerated_run(projection_problem(p.lower, x0), ref.notes["h_star_eta"],
+                                   x0, 100_000)
     h_iterative = p.lower.value(iterative)
     assert abs(h_iterative - ref.h_star) <= 1e-6 * abs(ref.h_star)
 
@@ -335,6 +339,24 @@ def test_load_rejects_inconsistent_file(tmp_path):
         load_instance(path2)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("n = 2\n\n0 0\n\n1 2\n1.0 2.0\n", "line 1: missing 'name = ...' header line"),
+    ("name = x\n\n", "line 3: missing matrix block"),
+    ("name = x\n\n0 0\n1 2\n1.0 2.0\n",
+     "line 4: expected a blank line before the vector block"),
+    ("name = x\n\n0 0\n\n2 1\n1.0\n2.0\n", "line 5: vector block must have header '1 n'"),
+    ("name = x\nn =\n\n0 0\n\n1 1\n1.0\n", "line 2: entry 'n =' has an empty value"),
+    ("name = x\n\n0 0\n\n1 99999999999999\n1.0 2.0 3.0\n",
+     "line 6: expected 99999999999999 entries, found 3"),
+], ids=["no name", "no matrix block", "no blank line", "vector header", "empty value",
+        "huge vector header"])
+def test_load_refuses_a_malformed_file_naming_the_line(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_instance(path)
+
+
 def test_load_rejects_a_file_not_in_utf8_naming_path_and_line(tmp_path):
     path = tmp_path / "inst.txt"
     save_instance(path, "l1_weak_sharp", {"n": 2}, None, np.array([1.0, 2.0]))
@@ -446,3 +468,86 @@ def test_parse_value_refuses_non_finite_values(text, kind, what):
 def test_parse_value_refuses_non_integral_values_for_ints_and_flags(x, kind, what):
     for text in (repr(x), str(x), x):
         _refusal(what, text, kind)
+
+
+# parse_items splits every text input into key=value items, and typed_items
+# types them; their refusals name the item or the key
+_KEY = st.text(string.ascii_letters + string.digits + "._-", min_size=1)
+_VALUE = st.text(string.ascii_letters + string.digits + "._-=:+ ", min_size=1).map(
+    str.strip).filter(bool)
+
+
+@given(items=st.dictionaries(_KEY, _VALUE, max_size=6), pad=st.sampled_from(["", " ", "  "]))
+def test_parse_items_round_trips_stripped_items(items, pad):
+    texts = [f"{pad}{key}{pad}={pad}{value}{pad}" for key, value in items.items()]
+    assert parse_items(texts, "item") == items
+    assert parse_kv_lines(texts) == items
+
+
+@pytest.mark.parametrize("items,given,message", [
+    (["a=1", "b"], (), "item 'b' is not key=value"),
+    (["a=1", " = 2"], (), "item ' = 2' has an empty key"),
+    (["a=1", "b = "], (), "item 'b = ' has an empty value"),
+    (["a=1", "b=2", "a = 3"], (), "item 'a = 3' gives a duplicate key 'a'"),
+    (["a=1", "name=x"], ("name",), "item 'name=x' gives a duplicate key 'name'"),
+])
+def test_parse_items_refuses_a_bad_item_naming_it(items, given, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        parse_items(items, "item", given)
+
+
+def test_parse_kv_lines_refuses_a_bad_line_naming_it():
+    for lines, message in [(["a = 1", "# c", "a = 2"], "line 3: entry 'a = 2' gives a "
+                                                       "duplicate key 'a'"),
+                           (["a = 1  # c", "b = # c"], "line 2: entry 'b =' has an empty value")]:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_kv_lines(lines)
+
+
+def test_typed_items_types_the_values_and_refuses_a_key_naming_the_keys_taken():
+    kinds = {"label": str, "n": int, "tol": float, "flag": bool}
+    assert typed_items({"label": "x", "n": "3", "tol": "0.5", "flag": "1"}, kinds,
+                       "row key") == {"label": "x", "n": 3, "tol": 0.5, "flag": True}
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "unknown row key 'nn'; it takes flag, label, n, tol")):
+        typed_items({"n": "3", "nn": "4"}, kinds, "row key")
+    with pytest.raises(ConfigurationError, match=re.escape("row key 'n' must be an integer")):
+        typed_items({"n": "3.5"}, kinds, "row key")
+
+
+# ---------------------------------------------------------------------------
+# the memory guard: every family refuses, before it allocates, an n whose
+# build would peak past physical memory
+# ---------------------------------------------------------------------------
+
+_FAMILY_BUILDS = {
+    **{f"gen_{w}": (lambda w: lambda n: inverse_problem(w, n))(w)
+       for w in ("phillips", "foxgood", "baart")},
+    **{name: (lambda name: lambda n: build_instance(InstanceSpec(name, n)))(name)
+       for name in ("rank_deficient_ls", "sec61_phillips", "sec61_foxgood", "sec61_baart",
+                    "nonconvex_phillips", "nonconvex_foxgood", "nonconvex_baart")},
+    "l1_weak_sharp": lambda n: build_instance(InstanceSpec("l1_weak_sharp", n, seed=0)),
+}
+_GUARD_N = {"gen_phillips": 512, "gen_foxgood": 512, "gen_baart": 256,
+            "l1_weak_sharp": 100_000}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_BUILDS))
+def test_the_memory_guard_refuses_a_build_whose_traced_peak_passes_memory(
+        monkeypatch, family):
+    # the guard's bytes cover the build's tracemalloc peak: with a physical
+    # memory of exactly that peak (reported by a stand-in os.sysconf; nothing
+    # near the real memory is allocated) the build is refused
+    build, n = _FAMILY_BUILDS[family], _GUARD_N.get(family, 128)
+    build(n)  # once untraced, so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak}
+    monkeypatch.setattr(problems_mod.os, "sysconf", pages.__getitem__)
+    with pytest.raises(ConfigurationError, match=f"^instance.n = {n} is too large: its "
+                                                 "build peaks at about"):
+        build(n)

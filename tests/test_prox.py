@@ -118,6 +118,25 @@ def test_prox_box_invalid_bounds():
 # ---------------------------------------------------------------------------
 
 
+def test_box_prox_refuses_a_vector_of_another_length():
+    box = BoxProx(-np.ones(3), np.ones(3))
+    for x in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(ContractViolation, match="box prox: the vector and the bounds "
+                                                    "differ in length"):
+            box.prox(1.0, x)
+
+
+def test_box_prox_keeps_its_own_copy_of_the_bounds():
+    lower, upper = -np.ones(3), np.ones(3)
+    box = BoxProx(lower, upper)
+    lower[:], upper[:] = 5.0, 6.0
+    x = np.array([2.0, -2.0, 0.5])
+    assert box.prox(1.0, x).tobytes() == np.array([1.0, -1.0, 0.5]).tobytes()
+    # a stride-0 bound is copied, so a tie of zeros gives the bound's zero
+    flat = np.broadcast_to(-0.0, 3)
+    assert BoxProx(flat, flat).prox(1.0, np.zeros(3)).tobytes() == np.full(3, -0.0).tobytes()
+
+
 def test_prox_logsum_dead_zone_value():
     # |x| <= delta/epsilon collapses to zero, including the boundary tie
     # (the threshold as the floats compute it: 0.01/0.1 is one ulp below 0.1)
@@ -173,7 +192,8 @@ _X3 = np.ones(3)
     (lambda: prox_box(-_X3, np.array([1.0, 1.0, math.nan]), _X3), ContractViolation,
      "lower <= upper"),
     (lambda: prox_logsum(math.nan, 0.1, _X3), ConfigurationError, "delta"),
-    (lambda: prox_logsum(0.01, math.nan, _X3), ConfigurationError, "epsilon"),
+    (lambda: prox_logsum(0.01, math.nan, _X3), ConfigurationError,
+     "epsilon is not a number"),
     (lambda: L1Prox(math.nan), ContractViolation, "weight"),
     (lambda: BallProx(math.nan), ContractViolation, "radius"),
     (lambda: BoxProx([0.0, math.nan], [1.0, 1.0]), ContractViolation, "lower <= upper"),

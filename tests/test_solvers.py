@@ -335,6 +335,19 @@ def test_r_vfista_divergence_is_caught_at_its_step_with_the_resolved_config():
     assert err.value.config == clean.config
 
 
+def test_r_vfista_divergence_inside_a_stretch_names_the_global_step():
+    # trace points 10, 20, ...: the NaN at step 15 lies inside the second stretch
+    upper = CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx())
+    lower = CompositeObjective(GradientTurnsNan(np.array([1.0, 0.0]), 15), ZeroProx())
+    p = BilevelProblem(upper, lower, initial_point=np.ones(2))
+    cfg = SolverConfig(big_k=50, schedule=FixedEtaSchedule(0.5), trace_every=10)
+    with pytest.raises(DivergenceError, match="^accelerated solver: non-finite "
+                                              "iterate at step 15$") as err:
+        solve_r_vfista(p, cfg)
+    assert err.value.k == 15 and [r.k for r in err.value.trace] == [10]
+    assert np.isfinite(err.value.last_finite).all()
+
+
 def test_r_vfista_hand_iteration():
     p = quad_problem([1.0], [0.0], [1.0], [2.0], x0=np.array([3.0]))
     rep = solve_r_vfista(p, SolverConfig(big_k=1, schedule=FixedEtaSchedule(1.0)))
