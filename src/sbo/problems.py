@@ -385,27 +385,83 @@ def ls_ball_projector(svd, b: np.ndarray, radius: float,
     serves every weight): x -> the exact minimizer of
     0.5*||A u - b||^2 + (eta/2)*||u - x||^2 over the ball, the point the
     `ipr_vfista` inner loop approaches by iteration. That is
-    V r / (s^2 + eta + mu) with r = s U^T b + eta V^T x, where the ball
-    multiplier mu is 0 if this point lies in the ball and otherwise the root
-    of the decreasing ||r / (s^2 + eta + mu)|| = radius (More & Sorensen,
-    "Computing a trust region step", 1983), bisected to machine precision."""
+    V r / (d + mu) with r = s U^T b + eta V^T x and d = s^2 + eta, where the
+    ball multiplier mu is 0 if this point lies in the ball and otherwise the
+    root of the decreasing ||r / (d + mu)|| = radius (More & Sorensen,
+    "Computing a trust region step", 1983).
+
+    mu is the double a bisection of [0, ||r||/radius] on the predicate
+    pred(mu) = ||r / (d + mu)|| > radius ends at, found in three stages:
+    1. Start at max(0, ||r||/radius - max d), below the root because
+       ||r / (d + mu)|| >= ||r|| / (max d + mu).
+    2. Newton on the secular equation 1/||w|| = 1/radius, w = r / (d + mu),
+       whose step is (||w||/radius - 1) * (w.w) / (w.(w / (d + mu))). The
+       function is concave, so its iterates rise toward the root.
+    3. Gallop from the last Newton point toward the root by 1, 2, 4, ...
+       ulps until the predicate flips, then bisect that tight bracket.
+    Every point is checked with the predicate, so the bracket [lo, hi]
+    keeps pred(lo) true and pred(hi) false (or hi = ||r||/radius). pred is
+    monotone over doubles, because each of its parts is: the rounded add
+    and divide, the squares, a dot of nonnegative terms, and sqrt. So a
+    bisection of any such bracket ends at the smallest double in (lo, hi]
+    where pred is false, or at ||r||/radius when pred is true up to it, as
+    the bisection of the whole range does: the bits are those of that
+    bisection. On unit-ball queries at PROJECTOR_WEIGHT (n = 32) a query
+    takes 6 to 23 norm evaluations instead of 54 to 61; one whose mu is
+    small against d, where Newton's rounding spans many ulps of mu, up to
+    ~47. A finite r whose squares overflow takes ||r|| through r scaled by
+    a power of two."""
     u_mat, s, vt = svd
     pad = (0, vt.shape[0] - s.size)  # zero singular values of a wide A
     d = eta + np.pad(s * s, pad)
     sb = np.pad(s * (u_mat.T @ b)[:s.size], pad)
+    d_max = float(d.max())
 
     def norm(v: np.ndarray) -> float:
         # what np.linalg.norm computes for a 1-D float vector, without its dispatch
         return math.sqrt(v.dot(v))
 
+    def multiplier(r: np.ndarray) -> float:
+        lo, hi = 0.0, norm(r) / radius  # ||r / (d + hi)|| <= radius
+        if math.isinf(hi):  # r's squares overflow
+            scale = 2.0 ** (math.frexp(float(np.abs(r).max()))[1] - 1)
+            hi = norm(r / scale) / radius * scale
+        mu = max(0.0, hi - d_max)
+        while True:  # Newton from below; mu ends as lo or hi
+            dm = d + mu
+            w = r / dm
+            ww = w.dot(w)
+            if not math.sqrt(ww) > radius:
+                hi = mu
+                break
+            lo = mu
+            mu += (math.sqrt(ww) / radius - 1.0) * ww / w.dot(w / dm)
+            if not lo < mu < hi:
+                mu = lo
+                break
+        step = math.ulp(mu) if mu == lo else -math.ulp(mu)
+        while lo < (c := mu + step) < hi:  # gallop until the predicate flips
+            if norm(r / (d + c)) > radius:
+                lo = c
+                if step < 0.0:
+                    break
+            else:
+                hi = c
+                if step > 0.0:
+                    break
+            step *= 2.0
+        mu = hi
+        while lo < 0.5 * (lo + mu) < mu:
+            mid = 0.5 * (lo + mu)
+            lo, mu = (mid, mu) if norm(r / (d + mid)) > radius else (lo, mid)
+        return mu
+
     def project(x: np.ndarray) -> np.ndarray:
         r = sb + eta * (vt @ x)
-        lo = mu = 0.0
-        if norm(r / d) > radius:  # the ball is active
-            mu = norm(r) / radius  # ||r / (d + mu)|| <= radius from here on
-            while lo < 0.5 * (lo + mu) < mu:
-                mid = 0.5 * (lo + mu)
-                lo, mu = (mid, mu) if norm(r / (d + mid)) > radius else (lo, mid)
+        mu = 0.0
+        with np.errstate(over="ignore"):  # squares past the float range
+            if norm(r / d) > radius:  # the ball is active
+                mu = multiplier(r)
         return vt.T @ (r / (d + mu))
 
     return project

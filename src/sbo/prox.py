@@ -181,6 +181,8 @@ class BoxProx:
             raise ContractViolation("box bounds require lower <= upper componentwise")
 
     def value(self, x: np.ndarray) -> float:
+        if x.shape != self.lower.shape:
+            raise ContractViolation("box value: the vector and the bounds differ in length")
         eps = 1e-12 * (1.0 + np.abs(self.lower).max() + np.abs(self.upper).max())
         if np.all(x >= self.lower - eps) and np.all(x <= self.upper + eps):
             return 0.0

@@ -26,6 +26,12 @@ every plot that differs or is written on one side only. Use it to show
 that a change keeps the traces, reports and plots, or to bound how far it
 moves them.
 
+Last, PROJECTOR_CHECK sends 300 seeded queries per family (phillips, baart
+and foxgood at n = 32, PROJECTOR_WEIGHT, the unit ball) through
+`problems.ls_ball_projector` in each checkout, in a subprocess as the runs
+are, and prints "identical" when the sha256 of the concatenated output
+bytes is the same on both sides, else the two digests.
+
 pytest does not collect this file. Run from the repository root:
 
     python tests/compare_traces.py OTHER_CHECKOUT
@@ -76,6 +82,23 @@ IPR_RUNS = {"nonconvex_phillips_ipr K=64": {"solver.K": "64"},
                                                 "solver.K": "64"}}
 
 
+# Prints the sha256 of the bytes ls_ball_projector returns for 300 seeded
+# queries per family, at scales 1e-2 to 1e6.
+PROJECTOR_CHECK = """
+import hashlib
+import numpy as np
+from sbo.problems import PROJECTOR_WEIGHT, inverse_problem, ls_ball_projector
+digest = hashlib.sha256()
+for which in ("phillips", "baart", "foxgood"):
+    a, b = inverse_problem(which, 32)
+    project = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        digest.update(project(10.0 ** rng.uniform(-2.0, 6.0) * rng.standard_normal(32)).tobytes())
+print(digest.hexdigest())
+"""
+
+
 def runs() -> list[tuple[str, dict]]:
     """(label, config) of every compared run."""
     out = []
@@ -98,13 +121,19 @@ def run_in(checkout: pathlib.Path, cfg: dict, work: pathlib.Path) -> dict[str, s
     config.write_text("".join(f"{k} = {v}\n" for k, v in
                               {**cfg, "output.dir": work / "out"}.items()),
                       encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    done = subprocess.run([sys.executable, "-m", "sbo.cli", "run", str(config)],
-                          env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"exit {done.returncode} in {checkout}: {done.stderr.strip()}")
+    python_in(checkout, "-m", "sbo.cli", "run", str(config))
     return {out.name: out.read_text(encoding="utf-8")
             for out in (work / "out").iterdir()}
+
+
+def python_in(checkout: pathlib.Path, *args: str) -> str:
+    """The standard output of python with args, run in a subprocess on the
+    sbo package under checkout/src."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"exit {done.returncode} in {checkout}: {done.stderr.strip()}")
+    return done.stdout
 
 
 def _relative_difference(a: str, b: str) -> float | None:
@@ -188,6 +217,14 @@ def main(argv: list[str]) -> int:
             failed = True
             continue
         print(f"{label}: " + ("identical" if not findings else "; ".join(findings)))
+    label = "ls_ball_projector, 300 queries per family"
+    try:
+        mine, theirs = (python_in(checkout, "-c", PROJECTOR_CHECK).strip()
+                        for checkout in (ROOT, other))
+    except RuntimeError as exc:
+        print(f"{label}: FAILED: {exc}")
+        return 1
+    print(f"{label}: " + ("identical" if mine == theirs else f"sha256 {mine} vs {theirs}"))
     return 1 if failed else 0
 
 

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import quad_problem
@@ -210,6 +211,63 @@ def test_ls_ball_projector_matches_iterative_at_instance_weight(which, n):
     u = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)(x)
     _assert_kkt(a, b, 1.0, PROJECTOR_WEIGHT, x, u, active=True)
     assert np.linalg.norm(u - _iterative_ls_ball(a, b, 1.0, PROJECTOR_WEIGHT, x)) <= 1e-12
+
+
+def _bisection_ls_ball_projector(svd, b, radius, eta):
+    """The oracle: `ls_ball_projector` as it was written before its Newton
+    search, a bisection of [0, ||r||/radius] for the ball multiplier."""
+    u_mat, s, vt = svd
+    pad = (0, vt.shape[0] - s.size)
+    d = eta + np.pad(s * s, pad)
+    sb = np.pad(s * (u_mat.T @ b)[:s.size], pad)
+
+    def norm(v):
+        return math.sqrt(v.dot(v))
+
+    def project(x):
+        r = sb + eta * (vt @ x)
+        lo = mu = 0.0
+        if norm(r / d) > radius:
+            mu = norm(r) / radius
+            while lo < 0.5 * (lo + mu) < mu:
+                mid = 0.5 * (lo + mu)
+                lo, mu = (mid, mu) if norm(r / (d + mid)) > radius else (lo, mid)
+        return vt.T @ (r / (d + mu))
+
+    return project
+
+
+# The free minimizers have norms 0.4 to 3.3, so small queries leave the ball
+# inactive for a large radius and active for a small one; large ones make it
+# active. The examples pin both.
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(["phillips", "baart", "foxgood"]),
+       n=st.sampled_from([4, 8, 16, 32]), log_eta=st.floats(-9.0, 0.0),
+       radius=st.floats(0.1, 10.0),
+       scale=st.just(0.0) | st.floats(-3.0, 150.0).map(lambda t: 10.0 ** t),
+       seed=st.integers(0, 2**32 - 1))
+@example(which="phillips", n=8, log_eta=-3.0, radius=10.0, scale=0.0, seed=0)
+@example(which="baart", n=16, log_eta=-6.0, radius=5.0, scale=1e-2, seed=1)
+@example(which="foxgood", n=32, log_eta=-6.0, radius=0.1, scale=1.0, seed=2)
+@example(which="phillips", n=32, log_eta=-9.0, radius=1.0, scale=1e150, seed=3)
+def test_ls_ball_projector_has_the_bits_of_the_bisection(which, n, log_eta, radius,
+                                                         scale, seed):
+    a, b = inverse_problem(which, n)
+    svd, eta = np.linalg.svd(a), 10.0 ** log_eta
+    x = scale * np.random.default_rng(seed).standard_normal(n)
+    u = ls_ball_projector(svd, b, radius, eta)(x)
+    assert u.tobytes() == _bisection_ls_ball_projector(svd, b, radius, eta)(x).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_ls_ball_projector_answers_a_query_whose_squares_overflow(scale):
+    a, b = inverse_problem("phillips", 16)
+    x = np.full(16, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)(x)
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-14)
+    assert np.linalg.norm(u - np.full(16, 0.25)) <= 1e-12  # x / ||x|| = ones / 4
 
 
 # ---------------------------------------------------------------------------

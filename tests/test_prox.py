@@ -126,6 +126,16 @@ def test_box_prox_refuses_a_vector_of_another_length():
             box.prox(1.0, x)
 
 
+def test_box_value_refuses_a_vector_of_another_length():
+    box = BoxProx(-np.ones(3), np.ones(3))
+    for x in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(ContractViolation, match="box value: the vector and the bounds "
+                                                    "differ in length"):
+            box.value(x)
+    assert box.value(np.zeros(3)) == 0.0
+    assert box.value(np.full(3, 2.0)) == math.inf
+
+
 def test_box_prox_keeps_its_own_copy_of_the_bounds():
     lower, upper = -np.ones(3), np.ones(3)
     box = BoxProx(lower, upper)
