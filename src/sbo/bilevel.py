@@ -101,26 +101,45 @@ class BilevelProblem:
 
     def q_eta_step(self, eta: float, gamma: float, x: np.ndarray) -> np.ndarray:
         """One prox-gradient step on the surrogate:
-        prox of gamma*(omega_h + eta*omega_f) at x - gamma*(grad h + eta*grad f)."""
+        prox of gamma*(omega_h + eta*omega_f) at x - gamma*(grad h + eta*grad f),
+        as a new array."""
         if not eta >= 0:
             raise ContractViolation("eta must be >= 0")
         self._check_dim(x)
-        return self.step_map(gamma)(eta, x)
+        return self.step_map(gamma)(eta, x, np.empty(self.dimension))
 
-    def step_map(self, gamma: float) -> Callable[[float, np.ndarray], np.ndarray]:
-        """The step kernel every solver iterates: step(eta, y) is
-        `q_eta_step(eta, gamma, y)`, the one home of its arithmetic. gamma is
-        checked here, once; step trusts y to have length `dimension` and
-        eta >= 0, and returns a new array. Its scalars meet numpy as 0-d
-        arrays (eta's its own): a ufunc takes them faster than Python floats."""
-        prox = self.combined_prox.bind(gamma)
-        grad_h = self.lower.smooth.gradient_unchecked
-        grad_f = self.upper.smooth.gradient_unchecked
+    def step_map(self, gamma: float
+                 ) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+        """The step kernel every solver iterates: step(eta, y, out) writes
+        `q_eta_step(eta, gamma, y)` into out and returns out, the one home of
+        its arithmetic. y is only read, and out may be y itself: the step
+        reads all of y before it writes out. gamma is checked here, once;
+        step trusts y and out to be float vectors of length `dimension` and
+        eta >= 0. The step allocates no array: the gradients, the prox and
+        the step itself write into buffers that belong to this closure. Only
+        the log-sum prox, `MoreauLogSum` and a smooth part that defines
+        `gradient` alone compute in new arrays. Its scalars meet numpy as 0-d
+        arrays: a ufunc takes them faster than Python floats. eta is written
+        into its 0-d operand only when it is another object than at the last
+        step, so a loop at a constant eta pays for it once."""
+        # gamma * (grad h + eta * grad f), then the prox's scratch
+        work = np.empty(self.dimension)
+        prox = self.combined_prox.bind(gamma, work)
+        grad_h = self.lower.smooth.gradient_map()
+        grad_f = self.upper.smooth.gradient_map()
         gamma_op, eta_op = np.array(gamma, dtype=float), np.empty(())
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        last = None  # the eta in eta_op
 
-        def step(eta: float, y: np.ndarray) -> np.ndarray:
-            eta_op[()] = eta
-            return prox(eta, y - gamma_op * (grad_h(y) + eta_op * grad_f(y)))
+        def step(eta: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+            nonlocal last
+            if eta is not last:
+                eta_op[()] = last = eta
+            g_h = grad_h(y)
+            multiply(eta_op, grad_f(y), work)
+            add(g_h, work, work)
+            multiply(gamma_op, work, work)
+            return prox(eta, subtract(y, work, out))
 
         return step
 
@@ -151,6 +170,7 @@ def accelerated_constants(problem: BilevelProblem,
     return 1.0 / lipschitz, kappa, (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
 
+@np.errstate(over="ignore")
 def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray, iters: int,
                     y0: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """(x, y) after `iters` accelerated prox-gradient steps on the surrogate
@@ -158,48 +178,57 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray, iters: 
     and the extrapolated point y0 (x0 if None): x is the last iterate and y
     the next step's start, so runs chained on (x, y) have one run's bits.
     A non-finite iterate raises DivergenceError with its step index as k.
-    The loop ignores overflow warnings: a finite iterate whose squares
+    The run ignores overflow warnings: a finite iterate whose squares
     overflow is settled by `check_finite` and by the ball projection.
+
+    x0 and y0 are only read: the run keeps x, the next iterate and y in
+    three arrays of its own, which the step and the extrapolation write
+    into, and returns two of them.
 
     A run whose state repeats exactly ends by the cycle's period, with the
     bits of the full run. The state after step j is (x_j, x_{j-1}); it fixes
-    y_j, the step is a pure function of y, and the loop writes no array in
-    place. So if the state after step j has the bits of the state after
-    step m < j, then x_iters = x_{j + (iters - j) mod (j - m)}, and the
-    horizon shrinks to that step. The state is checkpointed as bytes after
-    steps 1, 2, 3, 4, 6, 8, 11, 14, 18, ...: a checkpoint at m puts the next
-    at m + m // 4 + 1. A step compares its squared norm with the
-    checkpoint's, and its bytes only when the two are equal (-0.0 is not
-    0.0). A cycle of period lam entered at step mu is seen lam steps after
-    the first checkpoint m >= max(mu, 4 (lam - 1)), so a run computes at
-    most min(iters, 1.25 max(mu, 4 lam) + 2 lam) steps: a long cycle entered
+    y_j, and the step is a pure function of y. The buffers are reused, so
+    the state is compared as bytes copied out of them: a checkpoint keeps
+    the bytes of x_m and x_{m-1}, which no later write to a buffer changes.
+    So if the state after step j has the bytes of the state after step
+    m < j, then x_iters = x_{j + (iters - j) mod (j - m)}, and the horizon
+    shrinks to that step. The state is checkpointed after steps 1, 2, 3, 4,
+    6, 8, 11, 14, 18, ...: a checkpoint at m puts the next at m + m // 4 + 1.
+    A step compares its squared norm with the checkpoint's, and its bytes
+    only when the two are equal (-0.0 is not 0.0). A cycle of period lam
+    entered at step mu is seen lam steps after the first checkpoint
+    m >= max(mu, 4 (lam - 1)), so a run computes at most
+    min(iters, 1.25 max(mu, 4 lam) + 2 lam) steps: a long cycle entered
     early is seen later than by checkpoints at powers of two, whose bound
     is 2 max(mu, lam) + 2 lam."""
     require_strongly_convex_upper(problem, "accelerated run")
     if not (eta > 0 and iters >= 1):
         raise ConfigurationError(
             f"accelerated run requires eta > 0 and iters >= 1; got {eta!r} and {iters!r}")
-    x = np.asarray(x0, dtype=float)
-    y = x if y0 is None else np.asarray(y0, dtype=float)
+    x = np.array(x0, dtype=float)
+    y = x.copy() if y0 is None else np.array(y0, dtype=float)
     problem._check_dim(x)
     problem._check_dim(y)
+    x_next = np.empty(x.shape)
     gamma, _, momentum = accelerated_constants(problem, eta)
     step, momentum = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     j, mark, next_mark, mark_sq, mark_x, mark_prev = 0, 0, 1, math.nan, None, None
-    with np.errstate(over="ignore"):
-        while j < iters:
-            x_next = step(eta, y)
-            sq = x_next.dot(x_next)
-            if not math.isfinite(sq):
-                check_finite(x_next, j, x, "accelerated run")
-            y = x_next + momentum * (x_next - x)
-            j += 1
-            if sq == mark_sq and x_next.tobytes() == mark_x and x.tobytes() == mark_prev:
-                iters = j + (iters - j) % (j - mark)
-            if j == next_mark:
-                mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
-                mark_x, mark_prev = x_next.tobytes(), x.tobytes()
-            x = x_next
+    while j < iters:
+        step(eta, y, x_next)
+        sq = x_next.dot(x_next)
+        if not math.isfinite(sq):
+            check_finite(x_next, j, x, "accelerated run")
+        subtract(x_next, x, y)  # y = x_next + momentum * (x_next - x)
+        multiply(momentum, y, y)
+        add(x_next, y, y)
+        j += 1
+        if sq == mark_sq and x_next.tobytes() == mark_x and x.tobytes() == mark_prev:
+            iters = j + (iters - j) % (j - mark)
+        if j == next_mark:
+            mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
+            mark_x, mark_prev = x_next.tobytes(), x.tobytes()
+        x, x_next = x_next, x
     return x, y
 
 

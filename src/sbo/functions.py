@@ -6,6 +6,8 @@ re-estimated per call.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import ContractViolation
@@ -33,19 +35,22 @@ class SmoothFunction:
         raise NotImplementedError
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """`gradient_unchecked` after the length check, as a new array."""
+        """The gradient at x, after the length check, as a new array."""
         self._check_dim(x)
-        g = self.gradient_unchecked(x)
+        g = self.gradient_map()(x)  # a map of its own: its buffers are new
         return np.array(g, copy=True) if g is x else g
 
-    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
-        """`gradient` without the length check, for a loop that checked its
-        iterate once. The result may share memory with x: read it only. A
-        subclass defines this or `gradient`."""
+    def gradient_map(self) -> Callable[[np.ndarray], np.ndarray]:
+        """grad(x) -> the gradient at x without the length check, for a loop
+        that checked its iterate once. The result may be x itself or a
+        buffer that belongs to this map and that its next call overwrites:
+        read it before then, and never write to it. Each call of
+        gradient_map makes a map with buffers of its own. A subclass defines
+        this or `gradient`."""
         if type(self).gradient is SmoothFunction.gradient:  # else each calls the other
             raise NotImplementedError(
-                f"{type(self).__name__} defines neither gradient nor gradient_unchecked")
-        return self.gradient(x)
+                f"{type(self).__name__} defines neither gradient nor gradient_map")
+        return self.gradient
 
     def _check_dim(self, x: np.ndarray) -> None:
         if x.shape != (self.dimension,):
@@ -67,8 +72,9 @@ class ZeroFunction(SmoothFunction):
         self._check_dim(x)
         return 0.0
 
-    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(self.dimension)
+    def gradient_map(self) -> Callable[[np.ndarray], np.ndarray]:
+        zero = np.zeros(self.dimension)
+        return lambda x: zero
 
 
 class LeastSquares(SmoothFunction):
@@ -87,18 +93,27 @@ class LeastSquares(SmoothFunction):
 
     def value(self, x: np.ndarray) -> float:
         self._check_dim(x)
-        r = self.a @ x - self.b
-        return 0.5 * float(r @ r)
+        r = self.a.dot(x) - self.b  # see gradient_map: .dot is @ with less dispatch
+        return 0.5 * float(r.dot(r))
 
-    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
-        # ndarray.dot makes the same BLAS gemv calls as @, with less dispatch
-        return self._a_t.dot(self.a.dot(x) - self.b)
+    def gradient_map(self) -> Callable[[np.ndarray], np.ndarray]:
+        # A^T (A x - b) in two buffers: ndarray.dot makes the same BLAS gemv
+        # calls as @, with less dispatch, and writes into its out argument
+        a, a_t, b = self.a, self._a_t, self.b
+        r, g = np.empty(a.shape[0]), np.empty(self.dimension)
+
+        def grad(x):
+            a.dot(x, r)
+            np.subtract(r, b, r)
+            return a_t.dot(r, g)
+        return grad
 
 
 class ScaledSqNorm(SmoothFunction):
-    """(weight/2) * ||x - center||_2^2; L = mu = weight. The gradient skips
-    the subtraction of an all-zero center and the product with a unit
-    weight, both exact, so set weight and center at construction only."""
+    """(weight/2) * ||x - center||_2^2; L = mu = weight. The value skips the
+    subtraction of an all-zero center, and the gradient also the product
+    with a unit weight, both exact, so set weight and center at
+    construction only."""
 
     def __init__(self, weight: float, center=None, dimension: int | None = None):
         if not weight > 0:
@@ -117,12 +132,20 @@ class ScaledSqNorm(SmoothFunction):
 
     def value(self, x: np.ndarray) -> float:
         self._check_dim(x)
-        d = x - self.center
-        return 0.5 * self.weight * float(d @ d)
-
-    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
         d = x if self._zero_center else x - self.center
-        return d if self.weight == 1.0 else self._weight_op * d
+        return 0.5 * self.weight * float(d.dot(d))
+
+    def gradient_map(self) -> Callable[[np.ndarray], np.ndarray]:
+        # weight * (x - center), each factor skipped where it is exact
+        center, weight = self.center, self._weight_op
+        if self._zero_center and self.weight == 1.0:
+            return _identity
+        d = np.empty(self.dimension)
+        if self._zero_center:
+            return lambda x: np.multiply(weight, x, d)
+        if self.weight == 1.0:
+            return lambda x: np.subtract(x, center, d)
+        return lambda x: np.multiply(weight, np.subtract(x, center, d), d)
 
 
 class MoreauLogSum(SmoothFunction):
@@ -155,5 +178,9 @@ class MoreauLogSum(SmoothFunction):
         d = x - p
         return self.penalty(p) + float(d @ d) / (2.0 * self.delta)
 
-    def gradient_unchecked(self, x: np.ndarray) -> np.ndarray:
-        return (x - self._prox_point(x)) / self.delta
+    def gradient_map(self) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: (x - self._prox_point(x)) / self.delta
+
+
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x

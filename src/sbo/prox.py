@@ -25,32 +25,36 @@ def prox_l1(threshold: float, x: np.ndarray) -> np.ndarray:
     """Soft threshold: sign(x_i) * max(|x_i| - threshold, 0)."""
     if not threshold >= 0:
         raise ContractViolation("prox_l1: threshold must be >= 0")
-    return _soft_threshold(threshold, -threshold, x)
+    v = np.array(x, dtype=float)
+    return _soft_threshold(threshold, -threshold, v, np.empty_like(v))
 
 
-def _soft_threshold(t, neg_t, v: np.ndarray) -> np.ndarray:
-    """v - clip(v, -t, t) with neg_t = -t, t >= 0. For finite, infinite and
-    NaN entries this is bit for bit sign(v)*max(|v| - t, 0): outside [-t, t]
+def _soft_threshold(t, neg_t, v: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """v - clip(v, -t, t) with neg_t = -t, t >= 0, written over v (and
+    returned), with `work` for the clip. For finite, infinite and NaN
+    entries this is bit for bit sign(v)*max(|v| - t, 0): outside [-t, t]
     both round the same v -/+ t once, inside both give zero, but this form
     gives +0.0 where that one gives -0.0. With 0-d bounds the clip ufunc
     returns v itself where v equals a bound, so a zero entry gives v - v."""
-    return v - _clip(v, neg_t, t)
+    _clip(v, neg_t, t, work)
+    return np.subtract(v, work, v)
 
 
 def prox_ball(radius: float, x: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the ball ||x||_2 <= radius, for any finite x."""
     if not radius > 0:
         raise ContractViolation("prox_ball: radius must be positive")
+    v = np.array(x, dtype=float)
     with np.errstate(over="ignore"):  # squares past the float range take the rescaled path
-        p = _project_ball(radius, x, np.empty(()))
-    return np.array(x, copy=True) if p is x else p
+        return _project_ball(radius, v, np.empty(()))
 
 
 def _project_ball(radius: float, v: np.ndarray, ratio: np.ndarray) -> np.ndarray:
-    """The projection, returning v itself when it lies in the ball. The norm
-    is sqrt(v.dot(v)), as np.linalg.norm computes it; radius/norm goes into
+    """The projection, written over v (and returned). The norm is
+    sqrt(v.dot(v)), as np.linalg.norm computes it; radius/norm goes into
     the 0-d `ratio`. When the squares overflow (a finite v with norm past
-    ~1.3e154), the norm is taken of v / max|v| instead."""
+    ~1.3e154), the norm is taken of v / max|v| instead, in an array of its
+    own."""
     norm = math.sqrt(v.dot(v))
     if norm <= radius:
         return v
@@ -59,9 +63,9 @@ def _project_ball(radius: float, v: np.ndarray, ratio: np.ndarray) -> np.ndarray
         if math.isfinite(scale):
             u = v / scale
             unit_norm = math.sqrt(u.dot(u))
-            return v if scale * unit_norm <= radius else (radius / unit_norm) * u
+            return v if scale * unit_norm <= radius else np.multiply(radius / unit_norm, u, v)
     ratio[()] = radius / norm
-    return ratio * v
+    return np.multiply(ratio, v, v)
 
 
 def prox_box(lower: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -139,7 +143,8 @@ class L1Prox:
         self.weight = float(weight)
 
     def value(self, x: np.ndarray) -> float:
-        return self.weight * float(np.abs(x).sum())
+        # ndarray.sum is this reduction behind a Python layer
+        return self.weight * float(np.add.reduce(np.abs(x), axis=None))
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         return prox_l1(gamma * self.weight, x)
@@ -235,41 +240,81 @@ class CombinedProx:
             )
 
     def prox(self, gamma: float, eta: float, x: np.ndarray) -> np.ndarray:
-        prox = self.bind(gamma)
+        v = np.array(x, dtype=float)
+        prox = self.bind(gamma, np.empty_like(v))
         if not eta >= 0:
             raise ContractViolation("combined prox requires eta >= 0")
-        return prox(eta, np.array(x, copy=True))
+        return prox(eta, v)
 
-    def bind(self, gamma: float) -> Callable[[float, np.ndarray], np.ndarray]:
-        """(eta, v) -> prox of gamma*(omega_h + eta*omega_f) at a v the
-        caller hands over (the result may be v itself). gamma is checked
-        here, once; eta >= 0 is the caller's to ensure."""
+    def bind(self, gamma: float,
+             work: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
+        """prox(eta, v): the prox of gamma*(omega_h + eta*omega_f) at a
+        float array v of the shape of `work`, written over v and returned.
+        Each call may overwrite `work` (an l1 prox clips into it), so the
+        caller hands over an array it does not read across the call. gamma
+        is checked here, once; eta >= 0 is the caller's to ensure. The 0-d
+        operands belong to the closure. A threshold that depends on eta is
+        rewritten only when eta is another object than at the last call: an
+        equal float of other bits (-0.0 for 0.0) is never taken for it. The
+        log-sum prox alone computes in new arrays before it writes over v."""
         if not gamma > 0:
             raise ContractViolation("combined prox requires gamma > 0")
         h, f = self.omega_h, self.omega_f
         t, neg_t = np.empty(()), np.empty(())  # this closure's own 0-d operands
+        last = None  # the eta the thresholds were written for
         if h.kind == "l1" and f.kind == "l1":
             def prox(eta, v):  # the weights merge
-                t[()] = s = gamma * (h.weight + eta * f.weight)
-                neg_t[()] = -s
-                return _soft_threshold(t, neg_t, v)
+                nonlocal last
+                if eta is not last:
+                    t[()] = s = gamma * (h.weight + eta * f.weight)
+                    neg_t[()], last = -s, eta
+                return _soft_threshold(t, neg_t, v, work)
             return prox
         # past (l1, l1), __init__ leaves a zero term on one side or both
-        if h.kind == "l1":
-            t[()], neg_t[()] = gamma * h.weight, -(gamma * h.weight)
-            return lambda eta, v: _soft_threshold(t, neg_t, v)
-        if h.kind == "ball":
-            return lambda eta, v: _project_ball(h.radius, v, t)
-        if h.kind != "zero":
-            return lambda eta, v: h.prox(gamma, v)
-        if f.kind == "l1":
-            def prox(eta, v):
-                t[()] = s = gamma * eta * f.weight
-                neg_t[()] = -s
-                return v if eta == 0.0 else _soft_threshold(t, neg_t, v)
-            return prox
-        if f.kind == "ball":  # gamma * eta may round to 0 with eta > 0
-            return lambda eta, v: v if gamma * eta == 0.0 else _project_ball(f.radius, v, t)
-        if f.kind == "zero":
+        if f.kind == "zero":  # the lower term alone, at the scale gamma > 0
+            if h.kind == "l1":
+                t[()], neg_t[()] = gamma * h.weight, -(gamma * h.weight)
+                return lambda eta, v: _soft_threshold(t, neg_t, v, work)
+            if h.kind == "ball":
+                radius = h.radius
+                return lambda eta, v: _project_ball(radius, v, t)
+            if h.kind == "box":
+                lower, upper = _box_bounds(h, work.shape)
+                return lambda eta, v: _clip(v, lower, upper, v)
+            if h.kind == "logsum":
+                return lambda eta, v: _overwrite(v, h.prox(gamma, v))
             return lambda eta, v: v
-        return lambda eta, v: v if eta == 0.0 else f.prox(gamma * eta, v)
+        # the upper term alone, at the scale gamma * eta: where that is 0.0
+        # (eta = 0, or gamma * eta underflows) v stays as it is, but for l1
+        # only eta = 0 does
+        if f.kind == "l1":
+            active = False
+
+            def prox(eta, v):
+                nonlocal last, active
+                if eta is not last:
+                    t[()] = s = gamma * eta * f.weight
+                    neg_t[()], active, last = -s, eta != 0.0, eta
+                return _soft_threshold(t, neg_t, v, work) if active else v
+            return prox
+        if f.kind == "ball":
+            radius = f.radius
+            return lambda eta, v: v if gamma * eta == 0.0 else _project_ball(radius, v, t)
+        if f.kind == "box":
+            lower, upper = _box_bounds(f, work.shape)
+            return lambda eta, v: v if gamma * eta == 0.0 else _clip(v, lower, upper, v)
+        return lambda eta, v: (v if gamma * eta == 0.0
+                               else _overwrite(v, f.prox(gamma * eta, v)))
+
+
+def _box_bounds(term: BoxProx, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds of a box term, which its __init__ checked, for vectors of
+    the given shape."""
+    if term.lower.shape != shape:
+        raise ContractViolation("box prox: the vector and the bounds differ in length")
+    return term.lower, term.upper
+
+
+def _overwrite(v: np.ndarray, new: np.ndarray) -> np.ndarray:
+    np.copyto(v, new)
+    return v

@@ -292,10 +292,12 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     only where it is read: at a trace point and at the return. Returns the
     averaged iterate; the trace reports metrics of the average.
 
-    A step neither checks nor accumulates its iterate: it stores x_{k+1} in
-    a row of a block of AVERAGING_BLOCK rows and w_k in a weight vector, and
-    adds w_k to Gamma_k. The block is flushed when it is full, at a trace
-    point and at the return.
+    A step neither checks nor accumulates its iterate: it writes x_{k+1}
+    into a row of a block of AVERAGING_BLOCK rows, reading x_k from the row
+    before (or from the same row, when a block holds one step), stores w_k
+    in a weight vector, and adds w_k to Gamma_k. So a step allocates no
+    array. The block is flushed when it is full, at a trace point and at
+    the return; the returned x_last is its last row, copied out.
     A flush tests the block for finiteness with one dot (np.isfinite settles
     squares that overflow) and adds it to S as one product w_block^T X_block.
     Its first non-finite row raises DivergenceError at that row's step k,
@@ -359,19 +361,20 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     gamma_sum = 0.0  # Gamma_k, the running sum of eta_j * theta_j
     w_sum = np.zeros_like(x)  # S_k, the running sum of eta_j * theta_j * x_{j+1}
     block = np.empty((AVERAGING_BLOCK, x.size))  # x_{j+1} of the steps not yet in S_k
+    block_rows = list(block)  # the step writes each iterate into its row
     weights = np.empty(AVERAGING_BLOCK)  # their eta_j * theta_j
+    x_before = np.empty_like(x)  # the iterate before the block, for last_finite
     trace: list[TraceRecord] = []
 
     k = 0
     for k_trace in sorted(_trace_ks(cfg)):
         while k < k_trace:  # one block of steps k .. end-1, then its flush
             end = min(k + AVERAGING_BLOCK, k_trace)
-            x_before = x
+            x_before[:] = x  # x may be a row that this block overwrites
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(end - k):
                     eta = eta_of(k + i)
-                    x = step(eta, x)
-                    block[i] = x
+                    x = step(eta, x, block_rows[i])
                     theta /= 1.0 - eta * gamma * mu_f
                     w = eta * theta
                     weights[i] = w
@@ -390,7 +393,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
 
     return RunReport(
         solver="ir_ista", config=cfg_echo, x_final=w_sum / gamma_sum, trace=trace,
-        extras={"x_last": x, "Gamma_K": gamma_sum, "theta_last": theta},
+        extras={"x_last": x.copy(), "Gamma_K": gamma_sum, "theta_last": theta},
         wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
     )
 

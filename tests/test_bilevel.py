@@ -164,7 +164,7 @@ def test_step_kernel_is_the_prox_gradient_step_bit_for_bit(name, gamma_scale, et
     x = scale * np.random.default_rng(seed).standard_normal(p.dimension)
     grad = p.lower.smooth.gradient(x) + eta * p.upper.smooth.gradient(x)
     want = p.combined_prox.prox(gamma, eta, x - gamma * grad)
-    got = p.step_map(gamma)(eta, x)
+    got = p.step_map(gamma)(eta, x, np.empty_like(x))
     assert np.array_equal(got, want)
     assert np.array_equal(p.q_eta_step(eta, gamma, x), want)
     assert got is not x
@@ -181,7 +181,7 @@ def test_step_kernel_matches_the_hand_written_ipr_inner_step():
             y = scale * rng.standard_normal(p.dimension)
             grad = lower.smooth.gradient(y) + eta * (y - z)
             want = lower.nonsmooth.prox(gamma, y - gamma * grad)
-            assert np.array_equal(step(eta, y), want)
+            assert np.array_equal(step(eta, y, np.empty_like(y)), want)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,25 @@ def test_accelerated_runs_chained_on_their_x_and_y_have_the_bits_of_one_run(name
     assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
     assert accelerated_run(p, eta, p.initial_point, 60, p.initial_point)[1].tobytes() == (
         want_y.tobytes())
+
+
+@pytest.mark.parametrize("name", ["rank_deficient_ls lam=0.1", "ipr anchor", "l1-l1 pair"])
+@pytest.mark.parametrize("iters", [1, 2, 7])
+def test_accelerated_runs_write_no_array_they_are_given(name, iters):
+    # the run steps in three arrays of its own: x0 and y0 keep their bytes,
+    # and so do the first run's (x, y) when a second run is chained on them
+    # as solve_r_vfista chains its stretches
+    p, eta = _KERNEL_PROBLEMS[name], 0.5
+    rng = np.random.default_rng(iters)
+    x0, y0 = rng.standard_normal(p.dimension), rng.standard_normal(p.dimension)
+    given = x0.tobytes(), y0.tobytes()
+    accelerated_run(p, eta, x0, iters)
+    x, y = accelerated_run(p, eta, x0, iters, y0)
+    assert (x0.tobytes(), y0.tobytes()) == given
+    first = x.tobytes(), y.tobytes()
+    x2, y2 = accelerated_run(p, eta, x, iters, y)
+    assert (x.tobytes(), y.tobytes()) == first
+    assert not any(np.shares_memory(a, b) for a in (x2, y2) for b in (x, y, x0, y0))
 
 
 def test_accelerated_run_refuses_what_the_accelerated_solver_refuses():
@@ -288,7 +307,7 @@ def full_accelerated_loop(problem, eta, x0, iters, with_y=False):
     step, momentum = problem.step_map(gamma), np.array(momentum)
     x = y = np.asarray(x0, dtype=float)
     for _ in range(iters):
-        x_next = step(eta, y)
+        x_next = step(eta, y, np.empty_like(y))
         y = x_next + momentum * (x_next - x)
         x = x_next
     return (x, y) if with_y else x
@@ -302,9 +321,9 @@ def count_steps(monkeypatch, owner):
     def step_map(*args):
         step = bind(*args)
 
-        def counted(eta, y):
+        def counted(eta, y, out):
             steps.append(None)
-            return step(eta, y)
+            return step(eta, y, out)
         return counted
 
     monkeypatch.setattr(owner, "step_map", step_map)
@@ -376,8 +395,13 @@ def _momentum_free_problem(dimension, step):
     p = BilevelProblem(CompositeObjective(ScaledSqNorm(1.0, dimension=dimension), ZeroProx()),
                        CompositeObjective(ZeroFunction(dimension), ZeroProx()))
     assert accelerated_constants(p, 0.5)[2] == 0.0
-    p.step_map = lambda gamma: lambda eta, y: step(y)
+    p.step_map = lambda gamma: lambda eta, y, out: _written(out, step(y))
     return p
+
+
+def _written(out, value):
+    out[...] = value
+    return out
 
 
 @pytest.mark.parametrize("iters", [1, 2, 3, 5, 6])
@@ -414,11 +438,11 @@ def _table_walk(states, mu, steps):
     def step_map(gamma):
         j = 0
 
-        def step(eta, y):
+        def step(eta, y, out):
             nonlocal j
             j += 1
             steps.append(None)
-            return states[j if j < len(states) else mu + (j - mu) % lam].copy()
+            return _written(out, states[j if j < len(states) else mu + (j - mu) % lam])
         return step
     return step_map
 

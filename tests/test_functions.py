@@ -176,15 +176,16 @@ def test_zero_function():
 
 
 def test_smooth_function_without_a_gradient_is_refused_naming_the_class():
-    # each of gradient and gradient_unchecked falls back to the other
+    # each of gradient and gradient_map falls back to the other
     class NoGradient(SmoothFunction):
         dimension = 2
 
-    for grad in (NoGradient().gradient, NoGradient().gradient_unchecked):
-        with pytest.raises(NotImplementedError, match="^NoGradient defines neither"):
-            grad(np.ones(2))
-    # a subclass that defines only gradient serves gradient_unchecked too
-    assert np.array_equal(DiagQuadratic([1.0, 2.0]).gradient_unchecked(np.ones(2)),
+    with pytest.raises(NotImplementedError, match="^NoGradient defines neither"):
+        NoGradient().gradient(np.ones(2))
+    with pytest.raises(NotImplementedError, match="^NoGradient defines neither"):
+        NoGradient().gradient_map()
+    # a subclass that defines only gradient serves gradient_map too
+    assert np.array_equal(DiagQuadratic([1.0, 2.0]).gradient_map()(np.ones(2)),
                           [1.0, 2.0])
 
 
@@ -227,4 +228,4 @@ def test_gradient_matches_finite_differences_on_random_instances(func, data):
         # farther away than the step
         assume(np.abs(np.abs(x) - func.delta / func.epsilon).min() > 1e-3)
     assert_gradient_matches_fd(func, [x])
-    assert func.gradient_unchecked(x).tobytes() == func.gradient(x).tobytes()
+    assert func.gradient_map()(x).tobytes() == func.gradient(x).tobytes()

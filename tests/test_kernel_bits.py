@@ -5,8 +5,11 @@ The kernel passes its scalars (gamma, eta, the soft-threshold bounds, the
 ball's scale, the momentum, a ScaledSqNorm weight) to numpy as 0-d arrays.
 The loops below make the same ufunc calls in the same order on the same
 values with float operands instead, so every iterate must have the same
-bytes. The last test interleaves closures bound for several problems, so
-that a buffer shared between closures, or one left stale, fails it.
+bytes. The step writes into an array the caller hands it and into buffers
+its closure owns: the contract test checks it over every supported prox
+pair, with out a new array and with out the step's own y, and the last test
+interleaves closures bound for several problems and two for each, so that
+a buffer shared between closures, or one left stale, fails it.
 """
 
 import math
@@ -19,7 +22,7 @@ from sbo.bilevel import (BilevelProblem, CompositeObjective, accelerated_constan
                          accelerated_run, projection_problem)
 from sbo.functions import LeastSquares, ScaledSqNorm, ZeroFunction
 from sbo.problems import gen_l1_weak_sharp, gen_nonconvex_sec6, gen_rank_deficient_ls
-from sbo.prox import L1Prox
+from sbo.prox import BallProx, BoxProx, L1Prox, LogSumProx, ZeroProx, prox_logsum
 from sbo.solvers import FixedEtaSchedule, SolverConfig, solve_ir_ista, solve_r_vfista
 
 
@@ -44,6 +47,10 @@ def float_term_prox(term, scale, v):
     if term.kind == "ball":
         norm = math.sqrt(v.dot(v))
         return v if norm <= term.radius else (term.radius / norm) * v
+    if term.kind == "box":
+        return np.minimum(np.maximum(v, term.lower), term.upper)
+    if term.kind == "logsum":
+        return prox_logsum(scale, term.epsilon, v)
     assert term.kind == "zero"
     return v
 
@@ -117,9 +124,55 @@ def test_step_map_is_the_float_step_bit_for_bit_as_eta_changes(name, gamma_scale
     step = p.step_map(gamma)
     y = 3.0 * np.random.default_rng(seed).standard_normal(p.dimension)
     for eta in etas:
-        got = step(eta, y)
+        got = step(eta, y, np.empty_like(y))
         assert got.tobytes() == float_step(p, gamma, eta, y).tobytes()
         y = got
+
+
+def _pair_problem(h, f):
+    """The lower term h and the upper term f on a least-squares lower part
+    and an off-center, non-unit ScaledSqNorm upper part."""
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, 8))
+    return BilevelProblem(
+        CompositeObjective(ScaledSqNorm(1.3, center=rng.standard_normal(8)), f),
+        CompositeObjective(LeastSquares(a, rng.standard_normal(6)), h))
+
+
+def _terms():
+    return [ZeroProx(), L1Prox(0.3), BallProx(1.5),
+            BoxProx(np.full(8, -0.5), np.full(8, 0.8)), LogSumProx(5.0)]
+
+
+# the 10 supported prox pairs: (zero, any), (any, zero) and (l1, l1)
+PAIR_PROBLEMS = {f"({h.kind}, {f.kind})": _pair_problem(h, f)
+                 for h in _terms() for f in _terms()
+                 if "zero" in (h.kind, f.kind) or h.kind == f.kind == "l1"}
+assert len(PAIR_PROBLEMS) == 10
+CONTRACT_PROBLEMS = {**PROBLEMS, **PAIR_PROBLEMS}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(CONTRACT_PROBLEMS)), gamma_scale=GAMMA_SCALES,
+       etas=st.lists(ETAS, min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_step_writes_the_float_step_into_out_and_only_reads_y(name, gamma_scale, etas,
+                                                             seed):
+    # out is a separate array, then y itself (the docstring allows it); the
+    # eta sequence repeats values as other objects and as the same object
+    p = CONTRACT_PROBLEMS[name]
+    gamma = _gamma(p, gamma_scale, etas)
+    step = p.step_map(gamma)
+    y = 3.0 * np.random.default_rng(seed).standard_normal(p.dimension)
+    out = np.full(p.dimension, np.nan)
+    for eta in etas + etas[:1]:
+        want, y_bytes = float_step(p, gamma, eta, y).tobytes(), y.tobytes()
+        assert step(eta, y, out) is out
+        assert out.tobytes() == want
+        assert y.tobytes() == y_bytes
+        same = y.copy()
+        assert step(eta, same, same) is same
+        assert same.tobytes() == want
+        y = out.copy()
 
 
 LONG_RUN_PROBLEMS = ("rank_deficient_ls (upper l1)", "ipr anchor (lower ball)")
@@ -170,18 +223,22 @@ def test_solve_ir_ista_steps_are_the_float_steps_bit_for_bit_over_200_steps(
        etas=st.lists(ETAS, min_size=3, max_size=6), seed=st.integers(0, 2**32 - 1))
 def test_closures_bound_for_several_problems_keep_their_own_operands(gamma_scales,
                                                                      etas, seed):
-    # every closure is bound before any runs, then they take turns, each
-    # with its own eta sequence: shared or stale operands would leak
-    # one closure's gamma, eta or threshold into another's step
+    # every closure is bound before any runs, two for each problem at two
+    # gammas, then they take turns, each with its own eta sequence and each
+    # eta for two turns, so that a closure meets its eta object again after
+    # the others ran: shared or stale operands or buffers would leak one
+    # closure's gamma, eta, threshold or gradient into another's step
     rng = np.random.default_rng(seed)
     runs = []
     for i, (p, scale) in enumerate(zip(PROBLEMS.values(), gamma_scales)):
-        gamma = _gamma(p, scale, etas)
-        runs.append([p, gamma, p.step_map(gamma), etas[i:] + etas[:i],
-                     3.0 * rng.standard_normal(p.dimension)])
-    for turn in range(len(etas)):
+        for j, gamma in enumerate((_gamma(p, scale, etas), _gamma(p, 0.5 * scale, etas))):
+            shift = (2 * i + j) % len(etas)
+            runs.append([p, gamma, p.step_map(gamma), etas[shift:] + etas[:shift],
+                         3.0 * rng.standard_normal(p.dimension)])
+    for turn in range(2 * len(etas)):
         for run in runs:
             p, gamma, step, run_etas, y = run
-            got = step(run_etas[turn], y)
-            assert got.tobytes() == float_step(p, gamma, run_etas[turn], y).tobytes()
+            eta = run_etas[turn // 2]
+            got = step(eta, y, np.empty_like(y))
+            assert got.tobytes() == float_step(p, gamma, eta, y).tobytes()
             run[4] = got

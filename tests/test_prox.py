@@ -210,8 +210,8 @@ _X3 = np.ones(3)
     (lambda: LogSumProx(math.nan), ConfigurationError, "epsilon"),
     (lambda: CombinedProx(L1Prox(1.0), ZeroProx()).prox(1.0, math.nan, _X3),
      ContractViolation, "eta"),
-    (lambda: CombinedProx(L1Prox(1.0), ZeroProx()).bind(math.nan), ContractViolation,
-     "gamma"),
+    (lambda: CombinedProx(L1Prox(1.0), ZeroProx()).bind(math.nan, np.empty(3)),
+     ContractViolation, "gamma"),
 ], ids=["prox_l1", "prox_ball", "prox_box-lower", "prox_box-upper", "prox_logsum-delta",
         "prox_logsum-epsilon", "L1Prox", "BallProx", "BoxProx", "LogSumProx",
         "CombinedProx.prox", "CombinedProx.bind"])
@@ -419,11 +419,12 @@ def _pair_oracle(h, f, gamma, eta, v):
 def test_combined_prox_of_every_pair_is_the_terms_own_prox_bit_for_bit(pair, gamma, eta, v):
     h, f = pair
     want = _pair_oracle(h, f, gamma, eta, v).tobytes()
-    assert CombinedProx(h, f).bind(gamma)(eta, v.copy()).tobytes() == want
+    assert CombinedProx(h, f).bind(gamma, np.empty_like(v))(eta, v.copy()).tobytes() == want
     assert CombinedProx(h, f).prox(gamma, eta, v).tobytes() == want
     if gamma * eta == 0.0 and h.kind == "zero":
         # eta = 0, or gamma*eta underflows to 0: the upper term has no weight
-        assert CombinedProx(h, f).bind(gamma)(eta, v.copy()).tobytes() == v.tobytes()
+        prox = CombinedProx(h, f).bind(gamma, np.empty_like(v))
+        assert prox(eta, v.copy()).tobytes() == v.tobytes()
 
 
 # The clamps are numpy's clip ufunc; these pin their bytes, the sign of a
@@ -439,12 +440,12 @@ def _minmax_soft_threshold(t, v):
     return v - np.maximum(np.minimum(v, t), -t)
 
 
-def _l1_closures(t):
+def _l1_closures(t, shape):
     """The bound closure of each l1 pair at gamma = eta = 1, whose threshold
-    is then t itself."""
+    is then t itself, for vectors of the given shape."""
     pairs = [(L1Prox(t), ZeroProx()), (ZeroProx(), L1Prox(t)),
              (L1Prox(t), L1Prox(0.0)), (L1Prox(0.0), L1Prox(t))]
-    return [CombinedProx(h, f).bind(1.0) for h, f in pairs]
+    return [CombinedProx(h, f).bind(1.0, np.empty(shape)) for h, f in pairs]
 
 
 @settings(max_examples=300, deadline=None)
@@ -455,7 +456,7 @@ def test_soft_thresholds_keep_the_bytes_of_the_minmax_form(t, v):
     with np.errstate(invalid="ignore"):
         want = _minmax_soft_threshold(t, v).tobytes()
         assert prox_l1(t, v).tobytes() == want
-        for prox in _l1_closures(t):
+        for prox in _l1_closures(t, v.shape):
             assert prox(1.0, v.copy()).tobytes() == want
 
 

@@ -263,7 +263,7 @@ def test_ir_ista_blocked_average_matches_the_sequential_sum():
     x, theta, s_sum, g_sum = p.initial_point, 1.0, np.zeros(3), 0.0
     for k in range(5000):
         eta = eta_of(k)
-        x = step(eta, x)
+        x = step(eta, x, np.empty_like(x))
         theta /= 1.0 - eta * gamma * mu_f
         s_sum += eta * theta * x
         g_sum += eta * theta
@@ -293,14 +293,41 @@ def test_ir_ista_divergence_inside_a_block_is_caught_at_its_step(fill, trace_eve
     assert err.value.config == {**clean.config, "K": 1000}  # the resolved config
 
 
-def test_ir_ista_divergence_at_the_first_step_of_a_block_keeps_the_iterate_before():
-    # step 64 opens the second block: last_finite is the block's previous iterate
-    with pytest.raises(DivergenceError, match="at step 64$") as err:
-        solve_ir_ista(blocked_problem(64),
-                      SolverConfig(big_k=200, schedule=DiminishingSchedule(), trace_every=200))
+@pytest.mark.parametrize("bad_step,trace_every", [
+    (64, 200),  # step 64 opens the second full block
+    (90, 30),   # step 90 opens a block whose step 119 rewrites the row of step 89
+    (64, 1),    # every block is one step, written over the row it reads
+])
+def test_ir_ista_divergence_at_the_first_step_of_a_block_keeps_the_iterate_before(
+        bad_step, trace_every):
+    # last_finite is the block's previous iterate, whose row the block's
+    # own steps write over before the flush finds the bad one
+    with pytest.raises(DivergenceError, match=f"at step {bad_step}$") as err:
+        solve_ir_ista(blocked_problem(bad_step),
+                      SolverConfig(big_k=200, schedule=DiminishingSchedule(),
+                                   trace_every=trace_every))
     clean = solve_ir_ista(blocked_problem(),
-                          SolverConfig(big_k=64, schedule=DiminishingSchedule()))
+                          SolverConfig(big_k=bad_step, schedule=DiminishingSchedule()))
     assert err.value.last_finite.tobytes() == clean.extras["x_last"].tobytes()
+
+
+@pytest.mark.parametrize("big_k,trace_every", [(128, 128), (150, 30), (40, 1)])
+def test_ir_ista_returns_iterates_that_no_block_row_holds(big_k, trace_every):
+    # the steps write into the rows of the averaging block: x_last is the
+    # last step's row copied out, and x_final a new array
+    p = blocked_problem()
+    cfg = SolverConfig(big_k=big_k, schedule=DiminishingSchedule(), trace_every=trace_every)
+    rep = solve_ir_ista(p, cfg)
+    gamma = rep.config["gamma"]
+    eta_of, _ = cfg.schedule.resolve(gamma, p.upper.smooth.lipschitz,
+                                     p.lower.smooth.lipschitz,
+                                     p.upper.smooth.strong_convexity, big_k)
+    x = p.initial_point
+    for k in range(big_k):
+        x = p.q_eta_step(eta_of(k), gamma, x)
+    x_last, x_final = rep.extras["x_last"], rep.x_final
+    assert x_last.tobytes() == x.tobytes()
+    assert x_last.base is None and x_final.base is None
 
 
 def test_ir_ista_finite_iterates_whose_squares_overflow_are_not_divergence():
