@@ -117,11 +117,11 @@ class BilevelProblem:
         step trusts y and out to be float vectors of length `dimension` and
         eta >= 0. The step allocates no array: the gradients, the prox and
         the step itself write into buffers that belong to this closure. Only
-        the log-sum prox, `MoreauLogSum` and a smooth part that defines
-        `gradient` alone compute in new arrays. Its scalars meet numpy as 0-d
-        arrays: a ufunc takes them faster than Python floats. eta is written
-        into its 0-d operand only when it is another object than at the last
-        step, so a loop at a constant eta pays for it once."""
+        the prox of the six pairs no instance builds, `MoreauLogSum` and a
+        smooth part that defines `gradient` alone compute in new arrays. Its
+        scalars meet numpy as 0-d arrays: a ufunc takes them faster than
+        Python floats. eta is written into its 0-d operand only when it is
+        another object than at the last step, so a constant eta pays once."""
         # gamma * (grad h + eta * grad f), then the prox's scratch
         work = np.empty(self.dimension)
         prox = self.combined_prox.bind(gamma, work)

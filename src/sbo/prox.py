@@ -252,24 +252,20 @@ class CombinedProx:
         float array v of the shape of `work`, written over v and returned.
         Each call may overwrite `work` (an l1 prox clips into it), so the
         caller hands over an array it does not read across the call. gamma
-        is checked here, once; eta >= 0 is the caller's to ensure. The 0-d
-        operands belong to the closure. A threshold that depends on eta is
-        rewritten only when eta is another object than at the last call: an
-        equal float of other bits (-0.0 for 0.0) is never taken for it. The
-        log-sum prox alone computes in new arrays before it writes over v."""
+        is checked here, once; eta >= 0 is the caller's to ensure. The four
+        pairs an instance builds, (zero, l1), (l1, zero), (ball, zero) and
+        (zero, zero), work in place with 0-d operands of the closure's own,
+        and rewrite a threshold that depends on eta only when eta is another
+        object than at the last call (-0.0 is never taken for 0.0). The
+        other six pairs call their term's prox and copy its result over v."""
         if not gamma > 0:
             raise ContractViolation("combined prox requires gamma > 0")
         h, f = self.omega_h, self.omega_f
         t, neg_t = np.empty(()), np.empty(())  # this closure's own 0-d operands
         last = None  # the eta the thresholds were written for
-        if h.kind == "l1" and f.kind == "l1":
-            def prox(eta, v):  # the weights merge
-                nonlocal last
-                if eta is not last:
-                    t[()] = s = gamma * (h.weight + eta * f.weight)
-                    neg_t[()], last = -s, eta
-                return _soft_threshold(t, neg_t, v, work)
-            return prox
+        if h.kind == "l1" and f.kind == "l1":  # the weights merge
+            return lambda eta, v: _overwrite(
+                v, prox_l1(gamma * (h.weight + eta * f.weight), v))
         # past (l1, l1), __init__ leaves a zero term on one side or both
         if f.kind == "zero":  # the lower term alone, at the scale gamma > 0
             if h.kind == "l1":
@@ -278,12 +274,9 @@ class CombinedProx:
             if h.kind == "ball":
                 radius = h.radius
                 return lambda eta, v: _project_ball(radius, v, t)
-            if h.kind == "box":
-                lower, upper = _box_bounds(h, work.shape)
-                return lambda eta, v: _clip(v, lower, upper, v)
-            if h.kind == "logsum":
-                return lambda eta, v: _overwrite(v, h.prox(gamma, v))
-            return lambda eta, v: v
+            if h.kind == "zero":
+                return lambda eta, v: v
+            return lambda eta, v: _overwrite(v, h.prox(gamma, v))
         # the upper term alone, at the scale gamma * eta: where that is 0.0
         # (eta = 0, or gamma * eta underflows) v stays as it is, but for l1
         # only eta = 0 does
@@ -297,22 +290,7 @@ class CombinedProx:
                     neg_t[()], active, last = -s, eta != 0.0, eta
                 return _soft_threshold(t, neg_t, v, work) if active else v
             return prox
-        if f.kind == "ball":
-            radius = f.radius
-            return lambda eta, v: v if gamma * eta == 0.0 else _project_ball(radius, v, t)
-        if f.kind == "box":
-            lower, upper = _box_bounds(f, work.shape)
-            return lambda eta, v: v if gamma * eta == 0.0 else _clip(v, lower, upper, v)
-        return lambda eta, v: (v if gamma * eta == 0.0
-                               else _overwrite(v, f.prox(gamma * eta, v)))
-
-
-def _box_bounds(term: BoxProx, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The bounds of a box term, which its __init__ checked, for vectors of
-    the given shape."""
-    if term.lower.shape != shape:
-        raise ContractViolation("box prox: the vector and the bounds differ in length")
-    return term.lower, term.upper
+        return lambda eta, v: v if eta == 0.0 else _overwrite(v, f.prox(gamma * eta, v))
 
 
 def _overwrite(v: np.ndarray, new: np.ndarray) -> np.ndarray:

@@ -292,19 +292,19 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     only where it is read: at a trace point and at the return. Returns the
     averaged iterate; the trace reports metrics of the average.
 
-    A step neither checks nor accumulates its iterate: it writes x_{k+1}
-    into a row of a block of AVERAGING_BLOCK rows, reading x_k from the row
-    before (or from the same row, when a block holds one step), stores w_k
-    in a weight vector, and adds w_k to Gamma_k. So a step allocates no
-    array. The block is flushed when it is full, at a trace point and at
-    the return; the returned x_last is its last row, copied out.
-    A flush tests the block for finiteness with one dot (np.isfinite settles
-    squares that overflow) and adds it to S as one product w_block^T X_block.
-    Its first non-finite row raises DivergenceError at that row's step k,
-    with the row before it (or the iterate before the block) as last_finite
-    and the trace up to k. Up to AVERAGING_BLOCK - 1 steps may run past a
-    non-finite iterate before the flush sees it, so the steps run under
-    np.errstate(over="ignore", invalid="ignore").
+    A step neither checks nor accumulates its iterate: in a block of
+    AVERAGING_BLOCK + 1 rows, whose row 0 holds the iterate before the
+    block, step i reads x_k from row i, writes x_{k+1} into row i + 1,
+    stores w_k in a weight vector and adds w_k to Gamma_k. So a step
+    allocates no array. The block is flushed when it is full, at a trace
+    point and at the return. A flush tests the block for finiteness with
+    one dot (np.isfinite settles squares that overflow), adds it to S as
+    one product w_block^T X_block and copies its last row into row 0, which
+    the returned x_last copies out. Its first non-finite row raises
+    DivergenceError at that row's step k, with the row before it as
+    last_finite and the trace up to k. Up to AVERAGING_BLOCK - 1 steps may
+    run past a non-finite iterate before the flush sees it, so the steps
+    run under np.errstate(over="ignore", invalid="ignore").
 
     With a constant eta, theta grows geometrically; a run whose Gamma_K
     would pass WEIGHT_SUM_MAX is refused before the first step.
@@ -355,45 +355,42 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
 
     cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched_params}
     clock = _Clock()
-    x = np.array(problem.initial_point, copy=True)
     step = problem.step_map(gamma)
     theta = 1.0
     gamma_sum = 0.0  # Gamma_k, the running sum of eta_j * theta_j
-    w_sum = np.zeros_like(x)  # S_k, the running sum of eta_j * theta_j * x_{j+1}
-    block = np.empty((AVERAGING_BLOCK, x.size))  # x_{j+1} of the steps not yet in S_k
-    block_rows = list(block)  # the step writes each iterate into its row
+    w_sum = np.zeros(problem.dimension)  # S_k, the sum of eta_j * theta_j * x_{j+1}
+    block = np.empty((AVERAGING_BLOCK + 1, problem.dimension))
+    block[0] = problem.initial_point
+    block_rows = list(block)  # step i reads row i and writes row i + 1
     weights = np.empty(AVERAGING_BLOCK)  # their eta_j * theta_j
-    x_before = np.empty_like(x)  # the iterate before the block, for last_finite
     trace: list[TraceRecord] = []
 
     k = 0
     for k_trace in sorted(_trace_ks(cfg)):
-        while k < k_trace:  # one block of steps k .. end-1, then its flush
-            end = min(k + AVERAGING_BLOCK, k_trace)
-            x_before[:] = x  # x may be a row that this block overwrites
+        while k < k_trace:  # one block of steps k .. k+size-1, then its flush
+            size = min(AVERAGING_BLOCK, k_trace - k)
             with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(end - k):
+                for i in range(size):
                     eta = eta_of(k + i)
-                    x = step(eta, x, block_rows[i])
+                    step(eta, block_rows[i], block_rows[i + 1])
                     theta /= 1.0 - eta * gamma * mu_f
                     w = eta * theta
                     weights[i] = w
                     gamma_sum += w
-                rows = block[:end - k]
+                rows = block[1:size + 1]
                 flat = rows.reshape(-1)
                 if not math.isfinite(flat.dot(flat)):  # find the first bad row
-                    last = x_before
-                    for i, row in enumerate(rows):
-                        check_finite(row, k + i, last, "averaging solver", trace,
-                                     config=cfg_echo)
-                        last = row.copy()
-            w_sum += weights[:end - k].dot(rows)
-            k = end
+                    for i in range(size):
+                        check_finite(block[i + 1], k + i, block[i], "averaging solver",
+                                     trace, config=cfg_echo)
+            w_sum += weights[:size].dot(rows)
+            block[0] = block[size]
+            k += size
         trace.append(_eval_record(problem, w_sum / gamma_sum, k, eta, theta, clock))
 
     return RunReport(
         solver="ir_ista", config=cfg_echo, x_final=w_sum / gamma_sum, trace=trace,
-        extras={"x_last": x.copy(), "Gamma_K": gamma_sum, "theta_last": theta},
+        extras={"x_last": block[0].copy(), "Gamma_K": gamma_sum, "theta_last": theta},
         wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
     )
 

@@ -32,6 +32,13 @@ and foxgood at n = 32, PROJECTOR_WEIGHT, the unit ball) through
 are, and prints "identical" when the sha256 of the concatenated output
 bytes is the same on both sides, else the two digests.
 
+PAIR_CHECK does the same for the step of each of the 10 supported prox
+pairs, built as tests/test_kernel_bits.py's `_pair_problem` builds them:
+the sha256 of 50 chained `step_map` steps, whose eta sequence holds 0.0,
+-0.0, one eta object twice, an equal eta of another object and an eta > 0
+whose product with gamma underflows to 0.0. It prints "identical" per
+pair. No shipped run reaches the six pairs no instance builds.
+
 pytest does not collect this file. Run from the repository root:
 
     python tests/compare_traces.py OTHER_CHECKOUT
@@ -96,6 +103,39 @@ for which in ("phillips", "baart", "foxgood"):
     for _ in range(300):
         digest.update(project(10.0 ** rng.uniform(-2.0, 6.0) * rng.standard_normal(32)).tobytes())
 print(digest.hexdigest())
+"""
+
+# Prints "(<lower kind>, <upper kind>) <sha256>" for each supported prox
+# pair: the bytes of 50 chained steps, into a new array and into y in turn.
+PAIR_CHECK = """
+import hashlib
+import numpy as np
+from sbo.bilevel import BilevelProblem, CompositeObjective
+from sbo.functions import LeastSquares, ScaledSqNorm
+from sbo.prox import BallProx, BoxProx, L1Prox, LogSumProx, ZeroProx
+def terms():
+    return [ZeroProx(), L1Prox(0.3), BallProx(1.5),
+            BoxProx(np.full(8, -0.5), np.full(8, 0.8)), LogSumProx(5.0)]
+once = 0.25
+etas = [0.0, -0.0, once, once, once + 0.0, 5e-324, 1.0, 0.5]
+for h in terms():
+    for f in terms():
+        if "zero" not in (h.kind, f.kind) and not h.kind == f.kind == "l1":
+            continue
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((6, 8))
+        p = BilevelProblem(
+            CompositeObjective(ScaledSqNorm(1.3, center=rng.standard_normal(8)), f),
+            CompositeObjective(LeastSquares(a, rng.standard_normal(6)), h))
+        gamma = 0.9 / p.surrogate_lipschitz(1.0)
+        assert gamma * 5e-324 == 0.0
+        step = p.step_map(gamma)
+        y = 3.0 * np.random.default_rng(0).standard_normal(8)
+        digest = hashlib.sha256()
+        for j in range(50):
+            y = step(etas[j % len(etas)], y, y if j % 2 else np.empty(8))
+            digest.update(y.tobytes())
+        print(f"({h.kind}, {f.kind})", digest.hexdigest())
 """
 
 
@@ -225,6 +265,16 @@ def main(argv: list[str]) -> int:
         print(f"{label}: FAILED: {exc}")
         return 1
     print(f"{label}: " + ("identical" if mine == theirs else f"sha256 {mine} vs {theirs}"))
+    try:
+        mine, theirs = (dict(line.rsplit(" ", 1) for line in
+                             python_in(checkout, "-c", PAIR_CHECK).splitlines())
+                        for checkout in (ROOT, other))
+    except RuntimeError as exc:
+        print(f"prox pairs: FAILED: {exc}")
+        return 1
+    for pair in sorted(mine.keys() | theirs.keys()):
+        a, b = mine.get(pair), theirs.get(pair)
+        print(f"{pair} prox, 50 steps: " + ("identical" if a == b else f"sha256 {a} vs {b}"))
     return 1 if failed else 0
 
 

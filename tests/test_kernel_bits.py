@@ -15,7 +15,7 @@ a buffer shared between closures, or one left stale, fails it.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbo.bilevel import (BilevelProblem, CompositeObjective, accelerated_constants,
@@ -41,9 +41,12 @@ def float_soft_threshold(t, v):
 
 
 def float_term_prox(term, scale, v):
-    """prox of scale*term at v, for the terms the problems below use."""
+    """prox of scale*term at v, for the terms the problems below use. At
+    scale 0.0 every term but l1, which thresholds at 0, keeps v."""
     if term.kind == "l1":
         return float_soft_threshold(scale * term.weight, v)
+    if scale == 0.0:
+        return v
     if term.kind == "ball":
         norm = math.sqrt(v.dot(v))
         return v if norm <= term.radius else (term.radius / norm) * v
@@ -155,6 +158,12 @@ CONTRACT_PROBLEMS = {**PROBLEMS, **PAIR_PROBLEMS}
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(CONTRACT_PROBLEMS)), gamma_scale=GAMMA_SCALES,
        etas=st.lists(ETAS, min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+# gamma * eta underflows to 0.0 while eta > 0: the upper-only pairs keep
+# v but for l1, which thresholds at 0
+@example(name="(zero, l1)", gamma_scale=1e-3, etas=[5e-324], seed=0)
+@example(name="(zero, ball)", gamma_scale=1e-3, etas=[5e-324], seed=0)
+@example(name="(zero, box)", gamma_scale=1e-3, etas=[5e-324], seed=0)
+@example(name="(zero, logsum)", gamma_scale=1e-3, etas=[5e-324], seed=0)
 def test_step_writes_the_float_step_into_out_and_only_reads_y(name, gamma_scale, etas,
                                                              seed):
     # out is a separate array, then y itself (the docstring allows it); the

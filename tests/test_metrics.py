@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import quad_problem
-from sbo.bilevel import CompositeObjective, accelerated_run, projection_problem
+from sbo.bilevel import (CompositeObjective, accelerated_constants, accelerated_run,
+                         projection_problem)
 from sbo.errors import ConfigurationError, ContractViolation
 from sbo.functions import LeastSquares
 from sbo.metrics import (dist_to_lower_set, fit_rate, infeasibility, residual_norm,
@@ -160,6 +161,28 @@ def _iterative_ls_ball(a, b, radius, eta, x):
     return accelerated_run(projection_problem(lower, x), eta, x, 50_000)[0]
 
 
+def _longdouble_ls_ball(a, b, radius, eta, x):
+    """The iteration of `_iterative_ls_ball` written out in np.longdouble,
+    with its float64 step size and momentum, ending once the iterate stops
+    changing. Its rounding floor lies far below the float64 run's, which
+    can end over 1e-12 from the exact projection (phillips at eta = 1e-2)."""
+    lower = CompositeObjective(LeastSquares(a, b), BallProx(radius))
+    gamma, _, momentum = accelerated_constants(projection_problem(lower, x), eta)
+    ld = np.longdouble
+    a, b, x = (np.asarray(v, dtype=ld) for v in (a, b, x))
+    gamma, eta, momentum, radius = ld(gamma), ld(eta), ld(momentum), ld(radius)
+    u = y = x
+    for _ in range(50_000):
+        v = y - gamma * (a.T @ (a @ y - b) + eta * (y - x))
+        norm = np.sqrt(v @ v)
+        u_next = v if norm <= radius else (radius / norm) * v
+        if np.array_equal(u_next, u):
+            break
+        y = u_next + momentum * (u_next - u)
+        u = u_next
+    return u
+
+
 def _assert_kkt(a, b, radius, eta, x, u, active):
     """u is feasible and, with a multiplier mu >= 0 that vanishes inside the
     ball, solves (A^T A + eta I + mu I) u = A^T b + eta x to 1e-10."""
@@ -190,17 +213,19 @@ def test_ls_ball_projector_solves_kkt(log_eta, which, n, scale, active, seed):
 
 
 # The iterative projector contracts by 1 - sqrt(eta/L) per iteration, so 50k
-# of them reach 1e-12 from any query once eta >= 1e-2; at the instances'
-# weight they do so only where the ball is well active, which the unit ball
-# of the nonconvex instances is (checked below).
+# of them reach 1e-12 from any query once eta >= 1e-2, in long double (the
+# example's float64 run ends 1.19e-12 away, its long double run 5.3e-14); at
+# the instances' weight they do so only where the ball is well active, which
+# the unit ball of the nonconvex instances is (checked below).
 @settings(max_examples=6, deadline=None)
 @given(log_eta=st.floats(-2.0, 0.0), **_FREDHOLM)
+@example(log_eta=-2.0, which="phillips", n=16, scale=5.0, active=False, seed=3)
 def test_ls_ball_projector_matches_iterative(log_eta, which, n, scale, active, seed):
     eta = 10.0 ** log_eta
     a, b, x, radius = _ls_ball_query(which, n, eta, scale, active, seed)
     u = ls_ball_projector(np.linalg.svd(a), b, radius, eta)(x)
     _assert_kkt(a, b, radius, eta, x, u, active)
-    assert np.linalg.norm(u - _iterative_ls_ball(a, b, radius, eta, x)) <= 1e-12
+    assert np.linalg.norm(u - _longdouble_ls_ball(a, b, radius, eta, x)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [8, 16])
