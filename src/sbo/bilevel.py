@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -170,66 +170,65 @@ def accelerated_constants(problem: BilevelProblem,
     return 1.0 / lipschitz, kappa, (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
 
-@np.errstate(over="ignore")
-def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray, iters: int,
-                    y0: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) after `iters` accelerated prox-gradient steps on the surrogate
-    at the constant weight eta (`accelerated_constants`), untraced, from x0
-    and the extrapolated point y0 (x0 if None): x is the last iterate and y
-    the next step's start, so runs chained on (x, y) have one run's bits.
-    A non-finite iterate raises DivergenceError with its step index as k.
-    The run ignores overflow warnings: a finite iterate whose squares
-    overflow is settled by `check_finite` and by the ball projection.
+def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
+                    stops: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One untraced run of accelerated prox-gradient steps on the surrogate
+    at the constant weight eta (`accelerated_constants`) from x0, checked
+    when it is called: it yields (x, y) after each step count in `stops`, a
+    nonempty increasing list of positive integers, where x is the last
+    iterate and y the next step's start. x0 is only read: x, the next
+    iterate and y are three arrays of the run's own, and it writes the two
+    it yields again when it resumes. A non-finite iterate raises
+    DivergenceError with its step index as k. The steps ignore overflow
+    warnings in an errstate left before each yield: a finite iterate whose
+    squares overflow is settled by `check_finite` and by the ball projection.
 
-    x0 and y0 are only read: the run keeps x, the next iterate and y in
-    three arrays of its own, which the step and the extrapolation write
-    into, and returns two of them.
-
-    A run whose state repeats exactly ends by the cycle's period, with the
-    bits of the full run. The state after step j is (x_j, x_{j-1}); it fixes
-    y_j, and the step is a pure function of y. The buffers are reused, so
-    the state is compared as bytes copied out of them: a checkpoint keeps
-    the bytes of x_m and x_{m-1}, which no later write to a buffer changes.
-    So if the state after step j has the bytes of the state after step
-    m < j, then x_iters = x_{j + (iters - j) mod (j - m)}, and the horizon
-    shrinks to that step. The state is checkpointed after steps 1, 2, 3, 4,
-    6, 8, 11, 14, 18, ...: a checkpoint at m puts the next at m + m // 4 + 1.
-    A step compares its squared norm with the checkpoint's, and its bytes
-    only when the two are equal (-0.0 is not 0.0). A cycle of period lam
-    entered at step mu is seen lam steps after the first checkpoint
-    m >= max(mu, 4 (lam - 1)), so a run computes at most
-    min(iters, 1.25 max(mu, 4 lam) + 2 lam) steps: a long cycle entered
-    early is seen later than by checkpoints at powers of two, whose bound
-    is 2 max(mu, lam) + 2 lam."""
+    A stretch between stops whose state repeats exactly ends by the cycle's
+    period, with the bits of the full run: the state after step j,
+    (x_j, x_{j-1}), fixes y_j and so every later step. Each stretch copies
+    the state's bytes out of the buffers at checkpoints after its steps 1,
+    2, 3, 4, 6, 8, 11, 14, ... (m + m // 4 + 1 follows m). A step compares
+    its squared norm with the checkpoint's, and its bytes only when the two
+    are equal (-0.0 is not 0.0). When the state after step j repeats that
+    after step m, the stretch's `iters` steps shrink to
+    j + (iters - j) mod (j - m). A cycle of period lam entered at step mu is
+    seen lam steps after the first checkpoint m >= max(mu, 4 (lam - 1)), so
+    a stretch computes at most min(iters, 1.25 max(mu, 4 lam) + 2 lam)
+    steps, against 2 max(mu, lam) + 2 lam for checkpoints at powers of two."""
     require_strongly_convex_upper(problem, "accelerated run")
-    if not (eta > 0 and iters >= 1):
-        raise ConfigurationError(
-            f"accelerated run requires eta > 0 and iters >= 1; got {eta!r} and {iters!r}")
+    if not (eta > 0 and stops and stops[0] >= 1 and list(stops) == sorted(set(stops))):
+        raise ConfigurationError("accelerated run requires eta > 0 and increasing stops >= 1; "
+                                 f"got {eta!r} and {stops!r}")
     x = np.array(x0, dtype=float)
-    y = x.copy() if y0 is None else np.array(y0, dtype=float)
     problem._check_dim(x)
-    problem._check_dim(y)
-    x_next = np.empty(x.shape)
+    return _accelerated_stretches(problem, eta, x, stops)
+
+
+def _accelerated_stretches(problem: BilevelProblem, eta: float, x: np.ndarray,
+                           stops: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    y, x_next = x.copy(), np.empty(x.shape)
     gamma, _, momentum = accelerated_constants(problem, eta)
     step, momentum = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    j, mark, next_mark, mark_sq, mark_x, mark_prev = 0, 0, 1, math.nan, None, None
-    while j < iters:
-        step(eta, y, x_next)
-        sq = x_next.dot(x_next)
-        if not math.isfinite(sq):
-            check_finite(x_next, j, x, "accelerated run")
-        subtract(x_next, x, y)  # y = x_next + momentum * (x_next - x)
-        multiply(momentum, y, y)
-        add(x_next, y, y)
-        j += 1
-        if sq == mark_sq and x_next.tobytes() == mark_x and x.tobytes() == mark_prev:
-            iters = j + (iters - j) % (j - mark)
-        if j == next_mark:
-            mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
-            mark_x, mark_prev = x_next.tobytes(), x.tobytes()
-        x, x_next = x_next, x
-    return x, y
+    for done, stop in zip([0, *stops], stops):
+        iters, j, mark, next_mark, mark_sq = stop - done, 0, 0, 1, math.nan
+        with np.errstate(over="ignore"):
+            while j < iters:
+                step(eta, y, x_next)
+                sq = x_next.dot(x_next)
+                if not math.isfinite(sq):
+                    check_finite(x_next, done + j, x, "accelerated run")
+                subtract(x_next, x, y)  # y = x_next + momentum * (x_next - x)
+                multiply(momentum, y, y)
+                add(x_next, y, y)
+                j += 1
+                if sq == mark_sq and x_next.tobytes() == mark_x and x.tobytes() == mark_prev:
+                    iters = j + (iters - j) % (j - mark)
+                if j == next_mark:
+                    mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
+                    mark_x, mark_prev = x_next.tobytes(), x.tobytes()
+                x, x_next = x_next, x
+        yield x, y
 
 
 def require_strongly_convex_upper(problem: BilevelProblem, who: str) -> None:

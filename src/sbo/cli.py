@@ -436,7 +436,11 @@ def _selftest_samples(spec: str):
         params.update(typed_items(parse_items(parts[2].split(","), "selftest parameter"),
                                   {"exp": float, "coeff": float}, "selftest parameter"))
     exponent, coeff = params["exp"], params["coeff"]
-    return [(k, coeff * k ** exponent) for k in range(1, 1001)]
+    try:
+        return [(k, coeff * k ** exponent) for k in range(1, 1001)]
+    except OverflowError:
+        raise ConfigurationError(f"selftest powerlaw exp={exponent!r}, coeff={coeff!r} "
+                                 "overflows for k <= 1000") from None
 
 
 def _row_samples(row: dict, base_dir: Path) -> tuple[list, tuple]:

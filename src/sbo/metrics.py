@@ -69,14 +69,14 @@ def residual_norm(problem, x: np.ndarray, gamma_hat: float) -> Optional[float]:
 
 
 def fit_rate(samples: Sequence, window: tuple, min_samples: int = 5) -> RateFit:
-    """Least-squares line through (ln k, ln value) over positive samples with
-    k inside [window[0], window[1]]; the slope is the empirical rate
-    exponent. Samples are (k, value) pairs; a None value is skipped.
+    """Least-squares line through (ln k, ln value) over the samples with a
+    finite positive value and k inside [window[0], window[1]]; the slope is
+    the empirical rate exponent. Samples are (k, value) pairs; value may be None.
     """
     k_lo, k_hi = window
     pts = []
     for k, v in samples:
-        if v is not None and v > 0 and k_lo <= k <= k_hi and k > 0:
+        if v is not None and 0 < v < math.inf and k_lo <= k <= k_hi and k > 0:
             pts.append((math.log(k), math.log(v)))
     distinct_k = len({lk for lk, _ in pts})
     if len(pts) < min_samples or distinct_k < 2:

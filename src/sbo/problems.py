@@ -322,7 +322,7 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
         g_star = mu_f * x_dag
         ref.subgradient = SubgradientAtOpt(g_star, float(np.linalg.norm(g_star)))
     elif f_star_budget > 0:
-        x_star, _ = accelerated_run(problem, F_STAR_WEIGHT, x_dag, f_star_budget)
+        (x_star, _), = accelerated_run(problem, F_STAR_WEIGHT, x_dag, [f_star_budget])
         g_star = min_norm_l1_subgradient(mu_f * x_star, lam, x_star)
         g_norm = float(np.linalg.norm(g_star))
         alpha = ref.weak_sharp.alpha

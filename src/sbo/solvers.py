@@ -405,7 +405,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     stepsize exactly 1/(L_h + eta*L_f), and momentum factor
     (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f)
     (`bilevel.accelerated_constants`). Returns the last iterate (no
-    averaging): one `bilevel.accelerated_run` per stretch between trace points.
+    averaging): one `bilevel.accelerated_run` that stops at every trace point.
     """
     require_strongly_convex_upper(problem, "accelerated solver")
     upper, lower = problem.upper.smooth, problem.lower.smooth
@@ -430,24 +430,19 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     }
 
     clock = _Clock()
-    x, y = problem.initial_point, None
     trace: list[TraceRecord] = []
-
-    k = 0
-    for k_trace in sorted(_trace_ks(cfg)):  # the steps up to the next trace point
-        try:
-            x, y = accelerated_run(problem, eta, x, k_trace - k, y)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"accelerated solver: non-finite iterate at step {k + exc.k}", k=k + exc.k,
-                last_finite=exc.last_finite, trace=trace, config=cfg_echo) from None
-        k = k_trace
-        trace.append(_eval_record(problem, x, k, eta, None, clock))
+    ks = sorted(_trace_ks(cfg))
+    try:
+        for k, (x, y) in zip(ks, accelerated_run(problem, eta, problem.initial_point, ks)):
+            trace.append(_eval_record(problem, x, k, eta, None, clock))
+    except DivergenceError as exc:
+        raise DivergenceError(
+            f"accelerated solver: non-finite iterate at step {exc.k}", k=exc.k,
+            last_finite=exc.last_finite, trace=trace, config=cfg_echo) from None
 
     return RunReport(
         solver="r_vfista", config=cfg_echo, x_final=x, trace=trace,
-        extras={"y_last": y},
-        wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
+        extras={"y_last": y}, wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
     )
 
 
@@ -528,8 +523,9 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         ln_j = max(math.log(j_budget), math.log(2.0))  # J_0 = 1 would give eta = 0
         eta_k = 16.0 * (l_h + ETA_BAR) * (ln_j / j_budget) ** 2
         try:
-            xhat = accelerated_run(projection_problem(problem.lower, z), eta_k,
-                                   _clip(xhat, -INNER_START_BOX, INNER_START_BOX), j_budget)[0]
+            (xhat, _), = accelerated_run(projection_problem(problem.lower, z), eta_k,
+                                         _clip(xhat, -INNER_START_BOX, INNER_START_BOX),
+                                         [j_budget])
         except DivergenceError as exc:
             raise DivergenceError(
                 f"outer solver: non-finite inner iterate {exc.k} at step {k}", k=k,

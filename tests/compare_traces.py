@@ -4,9 +4,13 @@ this checkout and another.
 Each configs/*.cfg is run through `sbo run` at solver.K = 20 and at its
 shipped solver.K. So are MANUFACTURE_RUN, the one run that reaches the
 f_star manufacture of rank_deficient_ls (no shipped config sets
-f_star_budget), ACCELERATED_RUN, an r_vfista run whose iterates move
+f_star_budget), and ACCELERATED_RUN, an r_vfista run whose iterates move
 for its whole horizon (the shipped r_vfista config sits at x* from its
-first step), and the shipped ipr_vfista config on other instances and
+first step). r_vfista makes one accelerated run that stops at each trace
+point, so ACCELERATED_RUN runs again at solver.trace_every = 1, where
+every stretch between stops is one step, and the shipped r_vfista config
+at solver.trace_every = 7, where stretches meet the fixed point and end
+early. So is the shipped ipr_vfista config on other instances and
 budgets (IPR_RUNS): phillips at solver.K = 64 and foxgood at K = 32, whose
 inner runs fall into cycles of period 1 to 90 after 40 to 110 steps;
 baart at K = 32, whose inner runs never repeat their state; and baart at
@@ -148,6 +152,11 @@ def runs() -> list[tuple[str, dict]]:
             out.append((f"{path.stem} K={big_k}", {**cfg, "solver.K": str(big_k)}))
     out.append(("rank_deficient_ls f_star manufacture", MANUFACTURE_RUN))
     out.append(("rank_deficient_ls r_vfista K=2000", ACCELERATED_RUN))
+    out.append(("rank_deficient_ls r_vfista K=2000 trace_every=1",
+                {**ACCELERATED_RUN, "solver.trace_every": "1"}))
+    out.append(("r_vfista_weak_sharp trace_every=7",
+                {**parse_kv_file(CONFIGS / "r_vfista_weak_sharp.cfg"),
+                 "solver.trace_every": "7"}))
     ipr = parse_kv_file(CONFIGS / "nonconvex_phillips_ipr.cfg")
     out += [(label, {**ipr, **change}) for label, change in IPR_RUNS.items()]
     return out

@@ -105,7 +105,7 @@ def test_a_nan_eta_or_strong_convexity_is_refused_by_name():
         p.regularized_value(float("nan"), np.ones(1))
     nan_mu = quad_problem([1.0], [0.0], [float("nan")], [0.0])
     with pytest.raises(ConfigurationError, match=r"strongly convex.*mu_f"):
-        accelerated_run(nan_mu, 1.0, np.array([3.0]), 5)
+        accelerated_run(nan_mu, 1.0, np.array([3.0]), [5])
 
 
 def test_unsupported_prox_pair_rejected_at_problem_build():
@@ -198,7 +198,7 @@ def test_accelerated_run_is_the_r_vfista_loop_bit_for_bit(name, eta, iters):
     x0 = p.initial_point.copy()
     rep = solve_r_vfista(p, SolverConfig(big_k=iters, schedule=FixedEtaSchedule(eta),
                                          trace_every=iters))
-    assert np.array_equal(accelerated_run(p, eta, x0, iters)[0], rep.x_final)
+    assert np.array_equal(next(accelerated_run(p, eta, x0, [iters]))[0], rep.x_final)
     assert np.array_equal(x0, p.initial_point)  # x0 is not written to
     gamma, kappa, momentum = accelerated_constants(p, eta)
     assert (gamma, kappa, momentum) == (rep.config["gamma"], rep.config["kappa"],
@@ -206,64 +206,65 @@ def test_accelerated_run_is_the_r_vfista_loop_bit_for_bit(name, eta, iters):
 
 
 @pytest.mark.parametrize("name", ["rank_deficient_ls lam=0.1", "ipr anchor", "l1-l1 pair"])
-@pytest.mark.parametrize("cuts", [(1,), (7, 8), (3, 50, 51)])
-def test_accelerated_runs_chained_on_their_x_and_y_have_the_bits_of_one_run(name, cuts):
+@pytest.mark.parametrize("stops", [(1,), (7, 8), (3, 50, 51, 60)])
+def test_accelerated_run_yields_the_bits_of_the_full_loop_at_each_stop(name, stops):
     p, eta = _KERNEL_PROBLEMS[name], 0.5
-    want_x, want_y = full_accelerated_loop(p, eta, p.initial_point, 60, with_y=True)
-    x, y, done = p.initial_point, None, 0
-    for cut in (*cuts, 60):
-        x, y = accelerated_run(p, eta, x, cut - done, y)
-        done = cut
-    assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
-    assert accelerated_run(p, eta, p.initial_point, 60, p.initial_point)[1].tobytes() == (
-        want_y.tobytes())
+    run = accelerated_run(p, eta, p.initial_point, stops)
+    for stop, (x, y) in zip(stops, run, strict=True):
+        want_x, want_y = full_accelerated_loop(p, eta, p.initial_point, stop, with_y=True)
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 @pytest.mark.parametrize("name", ["rank_deficient_ls lam=0.1", "ipr anchor", "l1-l1 pair"])
 @pytest.mark.parametrize("iters", [1, 2, 7])
-def test_accelerated_runs_write_no_array_they_are_given(name, iters):
-    # the run steps in three arrays of its own: x0 and y0 keep their bytes,
-    # and so do the first run's (x, y) when a second run is chained on them
-    # as solve_r_vfista chains its stretches
+def test_accelerated_run_writes_no_array_it_is_given(name, iters):
+    # the run copies x0 when it is called and steps in three arrays of its
+    # own: x0 keeps its bytes, and a write to x0 after the call changes
+    # nothing the run yields
     p, eta = _KERNEL_PROBLEMS[name], 0.5
-    rng = np.random.default_rng(iters)
-    x0, y0 = rng.standard_normal(p.dimension), rng.standard_normal(p.dimension)
-    given = x0.tobytes(), y0.tobytes()
-    accelerated_run(p, eta, x0, iters)
-    x, y = accelerated_run(p, eta, x0, iters, y0)
-    assert (x0.tobytes(), y0.tobytes()) == given
-    first = x.tobytes(), y.tobytes()
-    x2, y2 = accelerated_run(p, eta, x, iters, y)
-    assert (x.tobytes(), y.tobytes()) == first
-    assert not any(np.shares_memory(a, b) for a in (x2, y2) for b in (x, y, x0, y0))
+    x0 = np.random.default_rng(iters).standard_normal(p.dimension)
+    given = x0.tobytes()
+    want = [full_accelerated_loop(p, eta, x0, stop).tobytes() for stop in (iters, 2 * iters)]
+    run = accelerated_run(p, eta, x0, [iters, 2 * iters])
+    for (x, y), want_x in zip(run, want, strict=True):
+        assert x0.tobytes() == given and x.tobytes() == want_x
+        assert not any(np.shares_memory(a, x0) for a in (x, y))
+    run = accelerated_run(p, eta, x0, [iters])
+    x0[:] = np.nan
+    assert next(run)[0].tobytes() == want[0]
 
 
 def test_accelerated_run_refuses_what_the_accelerated_solver_refuses():
     p = make_1d_problem()
     x0 = np.array([3.0])
+    # at the call, before any step
     for eta in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigurationError, match="eta > 0"):
-            accelerated_run(p, eta, x0, 5)
-    with pytest.raises(ConfigurationError, match="iters >= 1"):
-        accelerated_run(p, 1.0, x0, 0)
+            accelerated_run(p, eta, x0, [5])
+    for stops in ([], [0], [-1, 5], [0, 5], [5, 3], [1, 4, 2], [3, 3]):
+        with pytest.raises(ConfigurationError, match=r"increasing stops >= 1; got 1.0 and \["):
+            accelerated_run(p, 1.0, x0, stops)
     nonconvex = BilevelProblem(CompositeObjective(MoreauLogSum(1e-2, 1e-1, 1), ZeroProx()),
                                p.lower)
     with pytest.raises(ConfigurationError, match="strongly convex"):
-        accelerated_run(nonconvex, 1.0, x0, 5)
+        accelerated_run(nonconvex, 1.0, x0, [5])
     with pytest.raises(ContractViolation):
-        accelerated_run(p, 1.0, np.ones(2), 5)
-    with pytest.raises(ContractViolation):
-        accelerated_run(p, 1.0, x0, 5, np.ones(2))
+        accelerated_run(p, 1.0, np.ones(2), [5])
 
 
-def test_accelerated_run_divergence_names_its_step():
-    # one lower gradient per step: the 4th is NaN, at step 3
+@pytest.mark.parametrize("stops", [[10], [2, 10], [3, 4], [1, 2, 3, 4, 5]])
+def test_accelerated_run_divergence_names_its_step(stops):
+    # one lower gradient per step: the 4th is NaN, at step 3 of the run,
+    # whichever stretch it falls in
     lower = CompositeObjective(GradientTurnsNan(np.array([1.0, 2.0]), 3), ZeroProx())
     p = BilevelProblem(CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx()),
                        lower)
+    yields = 0
     with np.errstate(invalid="ignore"):
-        with pytest.raises(DivergenceError, match="non-finite iterate at step 3") as err:
-            accelerated_run(p, 0.5, np.ones(2), 10)
+        with pytest.raises(DivergenceError, match="non-finite iterate at step 3$") as err:
+            for _ in accelerated_run(p, 0.5, np.ones(2), stops):
+                yields += 1
+    assert yields == sum(stop <= 3 for stop in stops)
     assert err.value.k == 3
     assert np.isfinite(err.value.last_finite).all()
 
@@ -278,11 +279,22 @@ def _ball_problem_started_at_1e160():
 def test_accelerated_loops_take_a_start_whose_squares_overflow_without_warning():
     # pytest turns warnings into errors: an overflow warning would fail this
     p = _ball_problem_started_at_1e160()
-    x, _ = accelerated_run(p, 0.5, p.initial_point, 3)
+    (x, _), = accelerated_run(p, 0.5, p.initial_point, [3])
     assert np.linalg.norm(x) <= 1.0 + 1e-12
     rep = solve_r_vfista(p, SolverConfig(big_k=3, schedule=FixedEtaSchedule(0.5)))
     assert np.linalg.norm(rep.x_final) <= 1.0 + 1e-12
     assert rep.x_final.tobytes() == x.tobytes()
+
+
+def test_accelerated_run_leaves_the_callers_errstate_between_yields():
+    # the squares of the start overflow in the first step, which the run
+    # ignores though the caller raises on overflow; between yields the
+    # caller's errstate holds
+    p = _ball_problem_started_at_1e160()
+    with np.errstate(over="raise"):
+        before = np.geterr()
+        for _ in accelerated_run(p, 0.5, p.initial_point, [1, 2, 5]):
+            assert np.geterr() == before
 
 
 def test_step_map_checks_gamma_once():
@@ -338,9 +350,10 @@ def ipr_inner_runs(tmp_path_factory):
     for name in ("nonconvex_phillips", "nonconvex_baart"):
         recorded = runs[name] = []
 
-        def recording_run(problem, eta, x0, iters, recorded=recorded):
+        def recording_run(problem, eta, x0, stops, recorded=recorded):
+            (iters,) = stops
             recorded.append((problem, eta, x0, iters))
-            return accelerated_run(problem, eta, x0, iters)
+            return accelerated_run(problem, eta, x0, stops)
 
         cfg = {**parse_kv_file(IPR_CONFIG), "instance.name": name,
                "output.dir": str(tmp_path_factory.mktemp(name))}
@@ -362,7 +375,7 @@ def test_accelerated_run_has_the_bits_of_the_full_loop_on_ipr_inner_runs(
     assert iters == (k + 1) ** 2
     want = full_accelerated_loop(p, eta, x0, iters)
     steps = count_steps(monkeypatch, p)
-    assert accelerated_run(p, eta, x0, iters)[0].tobytes() == want.tobytes()
+    assert next(accelerated_run(p, eta, x0, [iters]))[0].tobytes() == want.tobytes()
     if period is None:
         assert len(steps) == iters
     else:
@@ -376,7 +389,7 @@ def test_accelerated_run_has_the_bits_of_the_full_loop_on_ipr_inner_runs(
 def test_accelerated_run_ends_a_period_3_cycle_at_every_remainder(ipr_inner_runs):
     p, eta, x0, _ = ipr_inner_runs["nonconvex_phillips"][31]
     for iters in range(74, 86):  # the repeat is seen at step 77
-        assert (accelerated_run(p, eta, x0, iters)[0].tobytes()
+        assert (next(accelerated_run(p, eta, x0, [iters]))[0].tobytes()
                 == full_accelerated_loop(p, eta, x0, iters).tobytes())
 
 
@@ -385,7 +398,7 @@ def test_accelerated_run_stops_at_a_weak_sharp_fixed_point(monkeypatch):
     eta = p.reference.weak_sharp.alpha / (2.0 * p.reference.subgradient.norm)
     want = full_accelerated_loop(p, eta, p.initial_point, 500)
     steps = count_steps(monkeypatch, p)
-    assert accelerated_run(p, eta, p.initial_point, 500)[0].tobytes() == want.tobytes()
+    assert next(accelerated_run(p, eta, p.initial_point, [500]))[0].tobytes() == want.tobytes()
     assert len(steps) == 3  # x_3 = x_2 = x_1
 
 
@@ -411,7 +424,7 @@ def test_accelerated_run_keeps_states_apart_that_differ_in_the_sign_of_a_zero(it
     p = _momentum_free_problem(1, np.negative)
     want = full_accelerated_loop(p, 0.5, np.zeros(1), iters)
     assert np.signbit(want[0]) == (iters % 2 == 1)
-    assert accelerated_run(p, 0.5, np.zeros(1), iters)[0].tobytes() == want.tobytes()
+    assert next(accelerated_run(p, 0.5, np.zeros(1), [iters]))[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("iters,computed", [(12, 12), (100, 37)])
@@ -424,7 +437,8 @@ def test_accelerated_run_takes_an_equal_norm_for_no_repeat(monkeypatch, iters, c
     p = _momentum_free_problem(7, lambda y: np.roll(y, 1))
     x0 = np.arange(1.0, 8.0)
     steps = count_steps(monkeypatch, p)
-    assert accelerated_run(p, 0.5, x0, iters)[0].tobytes() == np.roll(x0, iters).tobytes()
+    assert next(accelerated_run(p, 0.5, x0, [iters]))[0].tobytes() == (
+        np.roll(x0, iters).tobytes())
     assert len(steps) == computed
 
 
@@ -461,7 +475,7 @@ def test_accelerated_run_sees_a_cycle_within_its_bound(mu, lam, iters, seed):
     p.step_map = _table_walk(states, mu, steps)
     want = full_accelerated_loop(p, 0.5, states[0], iters)
     steps.clear()
-    assert accelerated_run(p, 0.5, states[0], iters)[0].tobytes() == want.tobytes()
+    assert next(accelerated_run(p, 0.5, states[0], [iters]))[0].tobytes() == want.tobytes()
     assert len(steps) <= min(iters, 1.25 * max(mu, 4 * lam) + 2 * lam)
 
 
@@ -471,3 +485,16 @@ def test_the_shipped_ipr_config_computes_under_a_quarter_of_its_inner_budget(mon
     steps = count_steps(monkeypatch, BilevelProblem)
     run_from_config({**parse_kv_file(IPR_CONFIG), "output.dir": str(tmp_path)})
     assert len(steps) < 11440 / 4
+
+
+R_VFISTA_CONFIG = IPR_CONFIG.parent / "r_vfista_weak_sharp.cfg"
+
+
+def test_the_shipped_r_vfista_config_computes_under_two_fifths_of_its_steps(monkeypatch,
+                                                                            tmp_path):
+    # each stretch between trace points checkpoints afresh, and the iterates
+    # sit at x* from step 1 on: a stretch of two or more steps sees the fixed
+    # point at its second step, so 196 of the 500 steps are computed
+    steps = count_steps(monkeypatch, BilevelProblem)
+    run_from_config({**parse_kv_file(R_VFISTA_CONFIG), "output.dir": str(tmp_path)})
+    assert len(steps) <= 196

@@ -117,6 +117,27 @@ def test_cmd_run_rerun_is_byte_identical(tmp_path):
     assert b1 == b2
 
 
+def test_cmd_run_timings_fill_only_the_elapsed_ns_column(tmp_path):
+    traces = []
+    for timings in ("0", "1"):
+        cfg = write_config(tmp_path / f"t{timings}.cfg",
+                           **{"output.dir": str(tmp_path / f"o{timings}"),
+                              "output.timings": timings})
+        assert main(["run", str(cfg)]) == 0
+        traces.append((tmp_path / f"o{timings}" / "trace.csv").read_bytes().splitlines())
+    plain, timed = traces
+    assert plain[0] == timed[0] == CSV_HEADER.encode()
+    assert len(plain) == len(timed) > 2
+    col = CSV_HEADER.split(",").index("elapsed_ns")
+    elapsed = []
+    for a, b in zip(plain[1:], timed[1:]):
+        a, b = a.split(b","), b.split(b",")
+        assert a[:col] + a[col + 1:] == b[:col] + b[col + 1:]
+        assert a[col] == b"" and b[col].isdigit()
+        elapsed.append(int(b[col]))
+    assert elapsed == sorted(elapsed)
+
+
 def test_cmd_run_writes_plots(tmp_path):
     cfg = write_config(
         tmp_path / "p.cfg",
@@ -493,6 +514,26 @@ def test_cmd_rates_row_that_cannot_run_fails_and_later_rows_run(tmp_path,
     assert lines[0].startswith("FAIL gone:") and "nosuch.cfg" in lines[0]
     assert lines[1].startswith("FAIL typo:") and "'exq'" in lines[1]
     assert lines[2].startswith("PASS after:")
+
+
+@pytest.mark.parametrize("params,reason", [
+    # k**400 overflows a double from k = 6 on
+    ("exp=400", "selftest powerlaw exp=400.0, coeff=1.0 overflows for k <= 1000"),
+    # 1e308 * k is inf from k = 2 on: one finite sample is left
+    ("exp=1,coeff=1e308", "rate fit needs at least 5 positive samples"),
+])
+def test_cmd_rates_selftest_row_that_overflows_fails_and_later_rows_run(
+        tmp_path, capsys, params, reason):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"label=x config=selftest:powerlaw:{params} metric=value slope=-1 "
+                     "tol=0.1\n"
+                     "label=after config=selftest:powerlaw:exp=-1,coeff=7 "
+                     "metric=value slope=-1 tol=0.01\n")
+    assert main(["rates", str(suite)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"FAIL x: {reason}")
+    assert lines[1].startswith("PASS after:")
 
 
 @pytest.mark.parametrize("params,named", [

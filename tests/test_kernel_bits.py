@@ -192,7 +192,7 @@ LONG_RUN_PROBLEMS = ("rank_deficient_ls (upper l1)", "ipr anchor (lower ball)")
 def test_accelerated_run_is_the_float_loop_bit_for_bit_over_1000_steps(name, eta):
     p = PROBLEMS[name]
     x0 = np.linspace(-1.0, 1.0, p.dimension)
-    got, _ = accelerated_run(p, eta, x0, 1000)
+    (got, _), = accelerated_run(p, eta, x0, [1000])
     want, _ = float_accelerated(p, eta, x0, 1000)
     assert got.tobytes() == want.tobytes()
     if name.startswith("ipr"):  # the ball's scaling branch ran

@@ -142,7 +142,8 @@ def test_approximate_projector_matches_exact(rd_instance):
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.standard_normal(rd_instance.dimension)
-        approx, _ = accelerated_run(projection_problem(rd_instance.lower, x), 1e-7, x, 60_000)
+        (approx, _), = accelerated_run(projection_problem(rd_instance.lower, x), 1e-7, x,
+                                       [60_000])
         assert np.linalg.norm(approx - proj_exact(x)) <= 1e-2
 
 
@@ -158,7 +159,7 @@ def _ls_ball_query(which, n, eta, scale, active, seed):
 
 def _iterative_ls_ball(a, b, radius, eta, x):
     lower = CompositeObjective(LeastSquares(a, b), BallProx(radius))
-    return accelerated_run(projection_problem(lower, x), eta, x, 50_000)[0]
+    return next(accelerated_run(projection_problem(lower, x), eta, x, [50_000]))[0]
 
 
 def _longdouble_ls_ball(a, b, radius, eta, x):
@@ -345,6 +346,19 @@ def test_fit_rate_skips_none_and_nonpositive_samples():
     samples += [(60, None), (70, -2.0)]
     fit = fit_rate(samples, (1, 100))
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_fit_rate_skips_non_finite_samples(bad):
+    # an infinite sample would give slope nan and a RuntimeWarning
+    law = [(k, 3.0 / k**2) for k in range(1, 200)]
+    want = fit_rate(law, (1, 1000))
+    got = fit_rate(law[:100] + [(150, bad)] + law[100:], (1, 1000))
+    assert [float.hex(v) for v in (got.slope, got.intercept, got.r_squared)] == (
+        [float.hex(v) for v in (want.slope, want.intercept, want.r_squared)])
+    assert got.n_samples == want.n_samples == 199
+    with pytest.raises(ConfigurationError, match="needs at least 5 positive samples"):
+        fit_rate([(k, bad) for k in range(1, 100)], (1, 99))
 
 
 def test_trace_metrics_flow_through_solver(rd_instance):

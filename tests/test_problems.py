@@ -216,8 +216,8 @@ def test_nonconvex_reference_stability(nonconvex_instance):
     ref = p.reference
     assert ref.notes["h_star_method"] == ref.notes["projector_method"] == "closed_form"
     x0 = p.initial_point
-    iterative, _ = accelerated_run(projection_problem(p.lower, x0), ref.notes["h_star_eta"],
-                                   x0, 100_000)
+    (iterative, _), = accelerated_run(projection_problem(p.lower, x0),
+                                      ref.notes["h_star_eta"], x0, [100_000])
     h_iterative = p.lower.value(iterative)
     assert abs(h_iterative - ref.h_star) <= 1e-6 * abs(ref.h_star)
 

@@ -295,13 +295,13 @@ def test_ir_ista_divergence_inside_a_block_is_caught_at_its_step(fill, trace_eve
 
 @pytest.mark.parametrize("bad_step,trace_every", [
     (64, 200),  # step 64 opens the second full block
-    (90, 30),   # step 90 opens a block whose step 119 rewrites the row of step 89
-    (64, 1),    # every block is one step, written over the row it reads
+    (90, 30),   # step 90 opens a block of 30 steps after a trace point
+    (64, 1),    # every block is one step, read from row 0 and written to row 1
 ])
 def test_ir_ista_divergence_at_the_first_step_of_a_block_keeps_the_iterate_before(
         bad_step, trace_every):
-    # last_finite is the block's previous iterate, whose row the block's
-    # own steps write over before the flush finds the bad one
+    # last_finite is the iterate before the block, which row 0 keeps while
+    # the block's steps write rows 1 on and the flush finds the bad row
     with pytest.raises(DivergenceError, match=f"at step {bad_step}$") as err:
         solve_ir_ista(blocked_problem(bad_step),
                       SolverConfig(big_k=200, schedule=DiminishingSchedule(),
