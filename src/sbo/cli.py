@@ -56,43 +56,36 @@ def parse_kv_file(path) -> dict:
     return parse_kv_lines(read_text_lines(path))
 
 
-class _Keys:
-    """Typed reads of a parsed config that remember which keys were read,
-    so that a key nothing reads can be refused."""
-
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.read: set[str] = set()
-
-    def get(self, key: str, default: str | None = None, kind: type = float,
-            keyword: str | None = None, required: bool = False):
-        """The value parsed as `kind` (`problems.parse_value`); `keyword` (e.g.
-        "auto") passes through; an absent key without default gives None."""
-        self.read.add(key)
-        text = self.cfg.get(key, default)
-        if text is None and required:
-            raise ConfigurationError(f"missing required config key {key!r}")
-        if text is None or text == keyword:
-            return text
-        return parse_value(f"config key {key!r}", text, kind)
-
-    def refuse_unread(self, skip: tuple) -> None:
-        """Refuse the first key not read, outside the sections in `skip`."""
-        for key in sorted(self.cfg):
-            if key not in self.read and not key.startswith(skip):
-                raise ConfigurationError(f"unknown config key {key!r}")
+# The config keys outside instance.*, with the kind of each: output.* (read
+# by `sbo run` only), the keys every solver needs and each solver's own.
+# solver.gamma = auto and solver.eta = weak_sharp pass through untyped if taken.
+_OUTPUT_KEYS = {"output.dir": str, "output.timings": bool, "output.plots": str}
+_RUN_KEYS = {"solver.name": str, "solver.K": int}
+_IR_ISTA_KEYS = {"solver.gamma": float, "solver.trace_every": int, "solver.eta": float}
+_SOLVER_KEYS = {
+    "ir_ista": _IR_ISTA_KEYS,
+    "r_ista_const": {**_IR_ISTA_KEYS, "solver.p": float},
+    "r_vfista": {"solver.trace_every": int, "solver.eta": float, "solver.p": float},
+    "ipr_vfista": {"solver.allow_large_step": bool},
+}
+_KEYWORDS = {"solver.gamma": "auto", "solver.eta": "weak_sharp"}
 
 
-def instance_from_config(cfg: dict) -> InstanceSpec:
-    keys = _Keys(cfg)
-    name = keys.get("instance.name", kind=str, required=True)
-    n = keys.get("instance.n", kind=int, required=True)
-    seed = keys.get("instance.seed", kind=int)
-    params = {
-        key.split(".", 1)[1]: value for key, value in cfg.items()
-        if key.startswith("instance.") and key not in keys.read
-    }
-    return InstanceSpec(name=name, n=n, seed=seed, params=params)
+def _section(cfg: dict, skip: tuple) -> dict:
+    """The entries of cfg outside the sections in `skip`."""
+    return {key: text for key, text in cfg.items() if not key.startswith(skip)}
+
+
+def _instance_spec(items: dict, prefix: str, what: str) -> InstanceSpec:
+    """The instance of `items`: name and n (required) and seed under
+    `prefix`, typed and named as `what`; the other keys are its params."""
+    kinds = {prefix + "name": str, prefix + "n": int, prefix + "seed": int}
+    head = typed_items({key: items[key] for key in kinds if key in items}, kinds, what,
+                       required=(prefix + "name", prefix + "n"))
+    params = {key[len(prefix):]: text for key, text in items.items()
+              if key.startswith(prefix) and key not in kinds}
+    return InstanceSpec(name=head[prefix + "name"], n=head[prefix + "n"],
+                        seed=head.get(prefix + "seed"), params=params)
 
 
 def _resolve_eta(spec: str | float, problem: BilevelProblem) -> float:
@@ -110,43 +103,42 @@ def _resolve_eta(spec: str | float, problem: BilevelProblem) -> float:
 
 def run_from_config(cfg: dict) -> RunReport:
     """Build the instance and solver from a parsed config and execute. A key
-    outside instance.* and output.* that the solver does not read is refused
+    outside instance.* and output.* that the solver does not take is refused
     before the instance is built; `build_instance` refuses instance.* keys."""
-    keys = _Keys(cfg)
-    solver = keys.get("solver.name", kind=str, required=True)
-    big_k = keys.get("solver.K", kind=int, required=True)
-    if solver == "ipr_vfista":
-        nc = NcConfig(big_k=big_k, allow_large_step=keys.get(
-            "solver.allow_large_step", "0", kind=bool))
-    elif solver in ("ir_ista", "r_ista_const", "r_vfista"):
-        # the accelerated solver's gamma is fixed by its eta
-        gamma = ("auto" if solver == "r_vfista"
-                 else keys.get("solver.gamma", "auto", keyword="auto"))
-        trace_every = keys.get("solver.trace_every", kind=int)
-        eta = keys.get("solver.eta", keyword="weak_sharp")
-        if eta is None and solver == "r_ista_const":
-            schedule = ConstantIstaSchedule(p=keys.get("solver.p", "1"))
-        elif eta is None and solver == "r_vfista":
-            schedule = ConstantVfistaSchedule(p=keys.get("solver.p", "3"))
-        else:  # replaced by the fixed schedule below when eta is set
-            schedule = DiminishingSchedule()
-    else:
+    solver = cfg.get("solver.name")
+    if solver is not None and solver not in _SOLVER_KEYS:
         raise ConfigurationError(
-            f"unknown solver {solver!r}; pick one of ir_ista, r_ista_const, "
-            "r_vfista, ipr_vfista"
-        )
-    keys.refuse_unread(skip=("instance.", "output."))
+            f"unknown solver {solver!r}; pick one of {', '.join(_SOLVER_KEYS)}")
+    kinds = {**_RUN_KEYS, **_SOLVER_KEYS.get(solver, {})}
+    items = _section(cfg, ("instance.", "output."))
+    keywords = {key: text for key, text in items.items()
+                if key in kinds and _KEYWORDS.get(key) == text}
+    keys = typed_items({key: text for key, text in items.items() if key not in keywords},
+                       kinds, "config key", required=tuple(_RUN_KEYS)) | keywords
+    if "solver.p" in keys and "solver.eta" in keys:
+        raise ConfigurationError("config key 'solver.p' sets the constant schedule, "
+                                 "and solver.eta a fixed one: give one of them")
+    big_k, eta = keys["solver.K"], keys.get("solver.eta")
+    if solver == "r_ista_const" and eta is None:
+        schedule = ConstantIstaSchedule(p=keys.get("solver.p", 1.0))
+    elif solver == "r_vfista" and eta is None:
+        schedule = ConstantVfistaSchedule(p=keys.get("solver.p", 3.0))
+    else:  # replaced by the fixed schedule below when eta is set
+        schedule = DiminishingSchedule()
     build_start = time.perf_counter_ns()
-    problem = build_instance(instance_from_config(cfg))
+    problem = build_instance(_instance_spec(cfg, "instance.", "config key"))
     build_ns = time.perf_counter_ns() - build_start
 
     if solver == "ipr_vfista":
-        report = solve_ipr_vfista(problem, nc)
+        report = solve_ipr_vfista(problem, NcConfig(
+            big_k=big_k, allow_large_step=keys.get("solver.allow_large_step", False)))
     else:
         if eta is not None:
             schedule = FixedEtaSchedule(_resolve_eta(eta, problem))
-        sc = SolverConfig(big_k=big_k, schedule=schedule, gamma=gamma,
-                          trace_every=trace_every)
+        # the accelerated solver's gamma is fixed by its eta
+        sc = SolverConfig(big_k=big_k, schedule=schedule,
+                          gamma=keys.get("solver.gamma", "auto"),
+                          trace_every=keys.get("solver.trace_every"))
         solve = solve_r_vfista if solver == "r_vfista" else solve_ir_ista
         report = solve(problem, sc)
     report.build_ns = build_ns
@@ -336,12 +328,11 @@ def render_svg(xs, ys, logx: bool = False, logy: bool = False,
 def cmd_run(config_path: str) -> int:
     try:
         cfg = parse_kv_file(config_path)
-        keys = _Keys(cfg)
-        out_dir = Path(keys.get("output.dir", kind=str, required=True))
-        timings = keys.get("output.timings", "0", kind=bool)
-        plots = [m.strip() for m in keys.get("output.plots", "", kind=str).split(",")
-                 if m.strip()]
-        keys.refuse_unread(skip=("instance.", "solver."))
+        output = typed_items(_section(cfg, ("instance.", "solver.")), _OUTPUT_KEYS,
+                             "config key", required=("output.dir",))
+        out_dir = Path(output["output.dir"])
+        timings = output.get("output.timings", False)
+        plots = [m.strip() for m in output.get("output.plots", "").split(",") if m.strip()]
         for metric in plots:
             if metric not in TRACE_COLUMNS:
                 raise ConfigurationError(
@@ -366,7 +357,8 @@ def cmd_run(config_path: str) -> int:
             f"last_finite.{name} = {_fmt(value)}"
             for name, value in (finite[-1] if finite else {}).items()]
         rc, files = EXIT_DIVERGED, {
-            "trace.csv": trace_to_csv(exc.trace), "report.txt": "\n".join(lines) + "\n"}
+            "trace.csv": trace_to_csv(exc.trace, include_timings=timings),
+            "report.txt": "\n".join(lines) + "\n"}
     else:
         report.config.update(instance_keys)
         attach_rate_fits(report)
@@ -404,14 +396,12 @@ _ROW_KEYS = {"label": str, "config": str, "metric": str, "mode": str,
 
 def _parse_suite_row(line: str, lineno: int) -> dict:
     try:
-        row = typed_items(parse_items(line.split(), "suite item"), _ROW_KEYS, "suite key")
+        row = typed_items(parse_items(line.split(), "suite item"), _ROW_KEYS, "suite key",
+                          required=("metric", "slope", "tol", "config"))
         if "ks" in row:
             row["ks"] = [parse_value("suite key 'ks'", k, int) for k in row["ks"].split(",")]
     except ConfigurationError as exc:
         raise ParseError(str(exc), lineno) from None
-    for req in ("metric", "slope", "tol", "config"):
-        if req not in row:
-            raise ParseError(f"suite row missing {req!r}", lineno)
     if (row.get("mode", "finals") != "finals" or row.get("bound", "upper") != "upper"
             or ("mode" in row) != ("ks" in row)):
         raise ParseError("suite rows take bound=upper only, and mode=finals and ks "
@@ -523,11 +513,8 @@ def parse_instance_arg(spec: str) -> InstanceSpec:
     """name:key=value,key=value with n required, seed optional. The name is
     given before the colon only: a `name` item repeats it."""
     name, _, rest = spec.partition(":")
-    cfg = {"instance.name": name}
-    if rest:
-        items = parse_items(rest.split(","), "instance parameter", ("name",))
-        cfg.update((f"instance.{key}", value) for key, value in items.items())
-    return instance_from_config(cfg)
+    items = parse_items(rest.split(","), "instance parameter", ("name",)) if rest else {}
+    return _instance_spec({"name": name, **items}, "", "instance parameter")
 
 
 def cmd_gen(spec: str, out: str) -> int:

@@ -72,9 +72,13 @@ def parse_items(items, what: str, given=()) -> dict[str, str]:
     return out
 
 
-def typed_items(items: dict, kinds: dict, what: str) -> dict:
-    """`items` with each value parsed by `parse_value` as kinds[key]; a key
-    not in `kinds` is refused, naming it as `what` and the keys taken."""
+def typed_items(items: dict, kinds: dict, what: str, required=()) -> dict:
+    """`items` with each value parsed by `parse_value` as kinds[key]. A key
+    of `required` that is absent is refused, and then a key not in `kinds`,
+    naming it as `what` (and the keys taken)."""
+    for key in required:
+        if key not in items:
+            raise ConfigurationError(f"missing {what} {key!r}")
     for key in items:
         if key not in kinds:
             raise ConfigurationError(
@@ -622,9 +626,9 @@ def generate_instance_arrays(spec: InstanceSpec):
         if spec.params or spec.seed is not None:
             raise ConfigurationError(f"{spec.name} takes no parameter but n")
         return inverse_problem(spec.name, spec.n)
+    if spec.name in _INSTANCES and spec.name not in ("rank_deficient_ls", "l1_weak_sharp"):
+        raise ConfigurationError(f"no array form for instance {spec.name!r}")
+    problem = build_instance(spec)  # which refuses an unknown name
     if spec.name == "rank_deficient_ls":
-        ls = build_instance(spec).lower.smooth
-        return ls.a, ls.b
-    if spec.name == "l1_weak_sharp":
-        return None, build_instance(spec).upper.smooth.center
-    raise ConfigurationError(f"no array form for instance {spec.name!r}")
+        return problem.lower.smooth.a, problem.lower.smooth.b
+    return None, problem.upper.smooth.center

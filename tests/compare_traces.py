@@ -30,6 +30,12 @@ every plot that differs or is written on one side only. Use it to show
 that a change keeps the traces, reports and plots, or to bound how far it
 moves them.
 
+Then RATES_SUITE, `sbo rates configs/rates_quick.txt`, runs once in each
+checkout, as the runs are, and the script prints "identical" when the two
+exit codes and standard outputs are the same, else both exit codes and
+the lines that differ. The suite types its configs through
+`run_from_config` as `sbo run` does, and ignores their output.* keys.
+
 Last, PROJECTOR_CHECK sends 300 seeded queries per family (phillips, baart
 and foxgood at n = 32, PROJECTOR_WEIGHT, the unit ball) through
 `problems.ls_ball_projector` in each checkout, in a subprocess as the runs
@@ -50,6 +56,7 @@ pytest does not collect this file. Run from the repository root:
 It exits 1 if a run fails in either checkout, else 0.
 """
 
+import difflib
 import os
 import pathlib
 import subprocess
@@ -92,6 +99,8 @@ IPR_RUNS = {"nonconvex_phillips_ipr K=64": {"solver.K": "64"},
             "nonconvex_baart ipr_vfista K=64": {"instance.name": "nonconvex_baart",
                                                 "solver.K": "64"}}
 
+
+RATES_SUITE = ROOT / "configs" / "rates_quick.txt"
 
 # Prints the sha256 of the bytes ls_ball_projector returns for 300 seeded
 # queries per family, at scales 1e-2 to 1e6.
@@ -175,11 +184,16 @@ def run_in(checkout: pathlib.Path, cfg: dict, work: pathlib.Path) -> dict[str, s
             for out in (work / "out").iterdir()}
 
 
-def python_in(checkout: pathlib.Path, *args: str) -> str:
-    """The standard output of python with args, run in a subprocess on the
-    sbo package under checkout/src."""
+def run_python(checkout: pathlib.Path, *args: str) -> subprocess.CompletedProcess:
+    """python with args, run in a subprocess on the sbo package under
+    checkout/src, with its output captured as text."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def python_in(checkout: pathlib.Path, *args: str) -> str:
+    """The standard output of `run_python`, or a RuntimeError when it fails."""
+    done = run_python(checkout, *args)
     if done.returncode != 0:
         raise RuntimeError(f"exit {done.returncode} in {checkout}: {done.stderr.strip()}")
     return done.stdout
@@ -266,6 +280,14 @@ def main(argv: list[str]) -> int:
             failed = True
             continue
         print(f"{label}: " + ("identical" if not findings else "; ".join(findings)))
+    mine, theirs = (run_python(checkout, "-m", "sbo.cli", "rates", str(RATES_SUITE))
+                    for checkout in (ROOT, other))
+    differing = [line for line in difflib.ndiff(mine.stdout.splitlines(),
+                                                theirs.stdout.splitlines())
+                 if line[:1] in "-+"]
+    print(f"sbo rates {RATES_SUITE.name}: " + (
+        "identical" if (mine.returncode, mine.stdout) == (theirs.returncode, theirs.stdout)
+        else f"exit {mine.returncode} vs {theirs.returncode}; " + "; ".join(differing)))
     label = "ls_ball_projector, 300 queries per family"
     try:
         mine, theirs = (python_in(checkout, "-c", PROJECTOR_CHECK).strip()

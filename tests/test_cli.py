@@ -192,10 +192,42 @@ def test_cmd_run_unknown_plot_name_exits_2_before_the_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cmd_run_missing_key_exits_2(tmp_path, capsys):
-    p = tmp_path / "c.cfg"
-    p.write_text("instance.name = l1_weak_sharp\n")
-    assert main(["run", str(p)]) == 2
+@pytest.mark.parametrize("key", ["solver.name", "solver.K", "instance.name",
+                                 "instance.n", "output.dir"])
+def test_cmd_run_missing_key_exits_2(tmp_path, capsys, key):
+    cfg = write_config(tmp_path / "c.cfg")
+    cfg.write_text("".join(line for line in cfg.read_text().splitlines(keepends=True)
+                           if not line.startswith(f"{key} =")))
+    assert main(["run", str(cfg)]) == 2
+    assert f"missing config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("solver", ["r_ista_const", "r_vfista"])
+def test_cmd_run_refuses_p_with_eta_naming_p(tmp_path, capsys, solver):
+    # solver.p sets the constant schedule, which a fixed eta replaces
+    cfg = write_config(tmp_path / "c.cfg", **{"solver.name": solver, "solver.p": "4"})
+    assert main(["run", str(cfg)]) == 2
+    assert "'solver.p'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("solver,takes", [
+    ("ir_ista", "solver.K, solver.eta, solver.gamma, solver.name, solver.trace_every"),
+    ("r_ista_const",
+     "solver.K, solver.eta, solver.gamma, solver.name, solver.p, solver.trace_every"),
+    ("r_vfista", "solver.K, solver.eta, solver.name, solver.p, solver.trace_every"),
+    ("ipr_vfista", "solver.K, solver.allow_large_step, solver.name"),
+], ids=["ir_ista", "r_ista_const", "r_vfista", "ipr_vfista"])
+def test_cmd_run_unknown_solver_key_lists_the_keys_the_solver_takes(
+        tmp_path, capsys, solver, takes):
+    cfg = tmp_path / "c.cfg"
+    entries = {**RD_IR_ISTA, "solver.name": solver, "solver.bogus": "1",
+               "output.dir": str(tmp_path / "out")}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown config key 'solver.bogus'; it takes {takes}\n")
 
 
 def test_cmd_run_report_echoes_resolved_config(tmp_path):
@@ -258,6 +290,14 @@ def test_cmd_run_divergence_exits_3_with_partial_trace(tmp_path, capsys,
                  if "inf" not in row and "nan" not in row]
     assert f"last_finite.k = {finite_ks[-1]}\n" in report
     assert finite_ks[-1] != lines[-1].split(",")[0]
+    # with output.timings = 1 the partial trace keeps its timings too
+    cfg.write_text(cfg.read_text() + "output.timings = 1\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(cfg)]) == 3
+    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()[1:]
+    elapsed = [int(row.rsplit(",", 1)[1]) for row in rows]
+    assert len(elapsed) >= 2 and elapsed[0] >= 0
+    assert all(a <= b for a, b in zip(elapsed, elapsed[1:]))
 
 
 def _ipr_config_diverging_at_outer_step_2(path, monkeypatch, **overrides):
@@ -699,6 +739,7 @@ def test_cmd_rates_bad_suite_exits_2(tmp_path, capsys):
     suite = tmp_path / "suite.txt"
     suite.write_text("label=x config=y\n")  # missing metric/slope/tol
     assert main(["rates", str(suite)]) == 2
+    assert capsys.readouterr().err == "suite error: line 1: missing suite key 'metric'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +973,10 @@ def test_a_seeded_family_past_physical_memory_exits_2_before_any_allocation(
 
 def test_cmd_gen_rejects_bad_spec(tmp_path, capsys):
     assert main(["gen", "phillips", "--out", str(tmp_path / "x.txt")]) == 2
+    # sbo gen reads no config: n is an instance parameter
+    assert capsys.readouterr().err == "config error: missing instance parameter 'n'\n"
     assert main(["gen", "nosuch:n=4", "--out", str(tmp_path / "x.txt")]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "config error: unknown instance name 'nosuch'\n"
     assert main(["gen", "rank_deficient_ls:n=10,rnk=3",
                  "--out", str(tmp_path / "x.txt")]) == 2
     assert "'rnk'" in capsys.readouterr().err
@@ -954,3 +997,15 @@ def test_cmd_gen_refuses_a_bad_item_naming_it(tmp_path, capsys, spec, named):
     assert main(["gen", spec, "--out", str(tmp_path / "x.txt")]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def test_readme_library_sketch_runs_as_written(capsys):
+    readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) == pytest.approx(-1.0, abs=0.25)

@@ -515,6 +515,13 @@ def test_typed_items_types_the_values_and_refuses_a_key_naming_the_keys_taken():
         typed_items({"n": "3.5"}, kinds, "row key")
 
 
+def test_typed_items_refuses_an_absent_required_key_by_name():
+    kinds = {"label": str, "n": int}
+    assert typed_items({"n": "3"}, kinds, "row key", required=("n",)) == {"n": 3}
+    with pytest.raises(ConfigurationError, match=re.escape("missing row key 'label'")):
+        typed_items({"n": "3"}, kinds, "row key", required=("n", "label"))
+
+
 # ---------------------------------------------------------------------------
 # the memory guard: every family refuses, before it allocates, an n whose
 # build would peak past physical memory
