@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilevel import BilevelProblem
 from .errors import ConfigurationError, DivergenceError, ParseError, SboError
 from .metrics import default_fit_window, fit_rate
 from .problems import (InstanceSpec, build_instance, generate_instance_arrays,
@@ -88,19 +87,6 @@ def _instance_spec(items: dict, prefix: str, what: str) -> InstanceSpec:
                         seed=head.get(prefix + "seed"), params=params)
 
 
-def _resolve_eta(spec: str | float, problem: BilevelProblem) -> float:
-    if spec == "weak_sharp":
-        ref = problem.reference
-        if (ref is None or ref.weak_sharp is None or ref.weak_sharp.order != 1.0
-                or ref.subgradient is None or ref.subgradient.norm == 0.0):
-            raise ConfigurationError(
-                "eta = weak_sharp needs reference truth with order-1 weak-sharp "
-                "constants and a subgradient at the optimum"
-            )
-        return ref.weak_sharp.alpha / (2.0 * ref.subgradient.norm)
-    return spec
-
-
 def run_from_config(cfg: dict) -> RunReport:
     """Build the instance and solver from a parsed config and execute. A key
     outside instance.* and output.* that the solver does not take is refused
@@ -119,12 +105,6 @@ def run_from_config(cfg: dict) -> RunReport:
         raise ConfigurationError("config key 'solver.p' sets the constant schedule, "
                                  "and solver.eta a fixed one: give one of them")
     big_k, eta = keys["solver.K"], keys.get("solver.eta")
-    if solver == "r_ista_const" and eta is None:
-        schedule = ConstantIstaSchedule(p=keys.get("solver.p", 1.0))
-    elif solver == "r_vfista" and eta is None:
-        schedule = ConstantVfistaSchedule(p=keys.get("solver.p", 3.0))
-    else:  # replaced by the fixed schedule below when eta is set
-        schedule = DiminishingSchedule()
     build_start = time.perf_counter_ns()
     problem = build_instance(_instance_spec(cfg, "instance.", "config key"))
     build_ns = time.perf_counter_ns() - build_start
@@ -133,8 +113,23 @@ def run_from_config(cfg: dict) -> RunReport:
         report = solve_ipr_vfista(problem, NcConfig(
             big_k=big_k, allow_large_step=keys.get("solver.allow_large_step", False)))
     else:
+        if eta == "weak_sharp":
+            ref = problem.reference
+            if (ref is None or ref.weak_sharp is None or ref.weak_sharp.order != 1.0
+                    or ref.subgradient is None or ref.subgradient.norm == 0.0):
+                raise ConfigurationError(
+                    "eta = weak_sharp needs reference truth with order-1 weak-sharp "
+                    "constants and a subgradient at the optimum"
+                )
+            eta = ref.weak_sharp.alpha / (2.0 * ref.subgradient.norm)
         if eta is not None:
-            schedule = FixedEtaSchedule(_resolve_eta(eta, problem))
+            schedule = FixedEtaSchedule(eta)
+        elif solver == "r_ista_const":
+            schedule = ConstantIstaSchedule(p=keys.get("solver.p", 1.0))
+        elif solver == "r_vfista":
+            schedule = ConstantVfistaSchedule(p=keys.get("solver.p", 3.0))
+        else:
+            schedule = DiminishingSchedule()
         # the accelerated solver's gamma is fixed by its eta
         sc = SolverConfig(big_k=big_k, schedule=schedule,
                           gamma=keys.get("solver.gamma", "auto"),
@@ -168,9 +163,14 @@ def trace_to_csv(trace, include_timings: bool = False) -> str:
 
 
 def read_trace_csv(path) -> dict[str, list]:
-    lines = read_text_lines(path)
+    return parse_trace_lines(read_text_lines(path), path)
+
+
+def parse_trace_lines(lines, source) -> dict[str, list]:
+    """The columns of trace.csv lines by name, each field a float or None
+    when empty; a ParseError names the line, and `source` the header's file."""
     if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(f"unexpected trace header in {path}", 1)
+        raise ParseError(f"unexpected trace header in {source}", 1)
     cols: dict[str, list] = {name: [] for name in TRACE_COLUMNS}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -362,15 +362,13 @@ def cmd_run(config_path: str) -> int:
     else:
         report.config.update(instance_keys)
         attach_rate_fits(report)
-        rc, files = EXIT_OK, {
-            "trace.csv": trace_to_csv(report.trace, include_timings=timings),
-            "report.txt": report_to_text(report)}
-        xs = [r.k for r in report.trace]
+        trace = trace_to_csv(report.trace, include_timings=timings)
+        rc, files = EXIT_OK, {"trace.csv": trace, "report.txt": report_to_text(report)}
+        cols = parse_trace_lines(trace.splitlines(), "trace.csv")  # plot what it holds
         for metric in plots:
             try:
                 files[f"plot_{metric}.svg"] = render_svg(
-                    xs, [getattr(r, metric) for r in report.trace], logx=True, logy=True,
-                    ylabel=metric)
+                    cols["k"], cols[metric], logx=True, logy=True, ylabel=metric)
             except ConfigurationError as exc:
                 print(f"config error: cannot plot {metric!r}: {exc}", file=sys.stderr)
                 rc = EXIT_CONFIG
@@ -402,6 +400,11 @@ def _parse_suite_row(line: str, lineno: int) -> dict:
             row["ks"] = [parse_value("suite key 'ks'", k, int) for k in row["ks"].split(",")]
     except ConfigurationError as exc:
         raise ParseError(str(exc), lineno) from None
+    if row["tol"] < 0:
+        raise ParseError(f"suite key 'tol' must be >= 0; got {row['tol']!r}", lineno)
+    if "kmin" in row and "kmax" in row and row["kmin"] > row["kmax"]:
+        raise ParseError(f"suite key 'kmin' = {row['kmin']} is above 'kmax' = "
+                         f"{row['kmax']}: the fit window would be empty", lineno)
     if (row.get("mode", "finals") != "finals" or row.get("bound", "upper") != "upper"
             or ("mode" in row) != ("ks" in row)):
         raise ParseError("suite rows take bound=upper only, and mode=finals and ks "

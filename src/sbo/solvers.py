@@ -194,22 +194,21 @@ class RunReport:
     build_ns: int = 0  # set by cli.run_from_config: the instance build's time
 
 
-def geometric_trace_ks(big_k: int, n_points: int = 200) -> list[int]:
-    """~n_points log-spaced integers in [1, K], always including 1 and K."""
+def trace_stops(big_k: int, every: Optional[int] = None,
+                n_points: int = 200) -> list[int]:
+    """The sorted steps at which a run of K >= 1 steps records: every
+    `every`-th step plus K, or, when every is None, ~n_points log-spaced
+    steps in [1, K] that include 1 and K."""
+    if big_k < 1:
+        raise ConfigurationError("K must be >= 1")
+    if every is not None:
+        if every < 1:
+            raise ConfigurationError("trace_every must be >= 1")
+        return sorted({*range(every, big_k + 1, every), big_k})
     if big_k <= n_points:
         return list(range(1, big_k + 1))
     ks = np.unique(np.round(np.geomspace(1.0, float(big_k), n_points)).astype(int))
     return [int(k) for k in ks]
-
-
-def _trace_ks(cfg: SolverConfig) -> set[int]:
-    if cfg.trace_every is not None:
-        if cfg.trace_every < 1:
-            raise ConfigurationError("trace_every must be >= 1")
-        ks = set(range(cfg.trace_every, cfg.big_k + 1, cfg.trace_every))
-        ks.add(cfg.big_k)
-        return ks
-    return set(geometric_trace_ks(cfg.big_k))
 
 
 @dataclass
@@ -316,8 +315,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
         raise ConfigurationError(
             "the accelerated constant schedule belongs to the accelerated solver"
         )
-    if cfg.big_k < 1:
-        raise ConfigurationError("K must be >= 1")
+    stops = trace_stops(cfg.big_k, cfg.trace_every)
 
     if cfg.gamma == "auto":
         if isinstance(cfg.schedule, FixedEtaSchedule):
@@ -366,7 +364,7 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     trace: list[TraceRecord] = []
 
     k = 0
-    for k_trace in sorted(_trace_ks(cfg)):
+    for k_trace in stops:
         while k < k_trace:  # one block of steps k .. k+size-1, then its flush
             size = min(AVERAGING_BLOCK, k_trace - k)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -414,8 +412,7 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
         raise ConfigurationError(
             "accelerated solver takes the accelerated constant schedule or an explicit eta"
         )
-    if cfg.big_k < 1:
-        raise ConfigurationError("K must be >= 1")
+    ks = trace_stops(cfg.big_k, cfg.trace_every)
     eta_of, sched_params = cfg.schedule.resolve(0.0, l_f, l_h, mu_f, cfg.big_k)
     eta = eta_of(0)
     gamma, kappa, momentum = accelerated_constants(problem, eta)
@@ -431,7 +428,6 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
 
     clock = _Clock()
     trace: list[TraceRecord] = []
-    ks = sorted(_trace_ks(cfg))
     try:
         for k, (x, y) in zip(ks, accelerated_run(problem, eta, problem.initial_point, ks)):
             trace.append(_eval_record(problem, x, k, eta, None, clock))
@@ -480,8 +476,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         raise ConfigurationError(
             "outer solver addresses problems with no upper nonsmooth term"
         )
-    if cfg.big_k < 1:
-        raise ConfigurationError("K must be >= 1")
+    dist_ks = set(trace_stops(cfg.big_k, n_points=DIST_POINTS))
 
     l_f, l_h = upper.lipschitz, lower.lipschitz
     big_k = cfg.big_k
@@ -501,7 +496,6 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         )
 
     window_start = big_k // 2
-    dist_ks = set(geometric_trace_ks(big_k, DIST_POINTS))
     cfg_echo = {
         "solver": "ipr_vfista", "K": big_k, "a": INNER_BUDGET_EXPONENT,
         "eta_bar": ETA_BAR, "gamma_hat": gamma_hat, "total_inner": total_inner,

@@ -2,9 +2,12 @@
 this checkout and another.
 
 Each configs/*.cfg is run through `sbo run` at solver.K = 20 and at its
-shipped solver.K. So are MANUFACTURE_RUN, the one run that reaches the
-f_star manufacture of rank_deficient_ls (no shipped config sets
-f_star_budget), and ACCELERATED_RUN, an r_vfista run whose iterates move
+shipped solver.K, and once more at solver.K = 20 with output.plots set to
+every column of its golden trace (tests/fixtures/traces/) that has two or
+more points a log-log plot shows, so that a plot of every such column is
+compared, not only the shipped output.plots. So are MANUFACTURE_RUN, the
+one run that reaches the f_star manufacture of rank_deficient_ls (no
+shipped config sets f_star_budget), and ACCELERATED_RUN, an r_vfista run whose iterates move
 for its whole horizon (the shipped r_vfista config sits at x* from its
 first step). r_vfista makes one accelerated run that stops at each trace
 point, so ACCELERATED_RUN runs again at solver.trace_every = 1, where
@@ -57,6 +60,7 @@ It exits 1 if a run fails in either checkout, else 0.
 """
 
 import difflib
+import math
 import os
 import pathlib
 import subprocess
@@ -66,8 +70,8 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from gen_golden_traces import CONFIGS, SHORT_K  # noqa: E402
-from sbo.cli import parse_kv_file  # noqa: E402
+from gen_golden_traces import CONFIGS, GOLDEN_TRACES, SHORT_K  # noqa: E402
+from sbo.cli import parse_kv_file, read_trace_csv  # noqa: E402
 
 IGNORED_COLUMNS = ("elapsed_ns",)
 IGNORED_REPORT_KEYS = ("wall_clock_ns", "metrics_ns", "build_ns")
@@ -152,6 +156,15 @@ for h in terms():
 """
 
 
+def plottable_columns(trace_csv: pathlib.Path) -> list[str]:
+    """The columns of a trace with two or more points a log-log plot shows:
+    k > 0 and a finite value > 0."""
+    cols = read_trace_csv(trace_csv)
+    return [name for name, values in cols.items()
+            if sum(k > 0 and v is not None and 0 < v < math.inf
+                   for k, v in zip(cols["k"], values)) >= 2]
+
+
 def runs() -> list[tuple[str, dict]]:
     """(label, config) of every compared run."""
     out = []
@@ -159,6 +172,9 @@ def runs() -> list[tuple[str, dict]]:
         cfg = parse_kv_file(path)
         for big_k in sorted({SHORT_K, int(cfg["solver.K"])}):
             out.append((f"{path.stem} K={big_k}", {**cfg, "solver.K": str(big_k)}))
+        plots = ",".join(plottable_columns(GOLDEN_TRACES / f"{path.stem}.csv"))
+        out.append((f"{path.stem} K={SHORT_K} plots={plots}",
+                    {**cfg, "solver.K": str(SHORT_K), "output.plots": plots}))
     out.append(("rank_deficient_ls f_star manufacture", MANUFACTURE_RUN))
     out.append(("rank_deficient_ls r_vfista K=2000", ACCELERATED_RUN))
     out.append(("rank_deficient_ls r_vfista K=2000 trace_every=1",

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from compare_traces import plottable_columns
 from conftest import DiagQuadratic, quad_problem
 from sbo.bilevel import BilevelProblem, CompositeObjective, ReferenceTruth
 from sbo.cli import main as cli_main
@@ -371,6 +372,23 @@ def test_10_generator_fixtures():
 # ---------------------------------------------------------------------------
 
 
+TIMING_FOOTER = ("wall_clock_ns = ", "metrics_ns = ", "build_ns = ")
+
+
+def run_outputs(out: pathlib.Path, body: dict) -> dict:
+    """The bytes of every file `sbo run` writes for the config `body` into
+    out, with the timing footer dropped from report.txt."""
+    cfg = out.with_suffix(".cfg")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in body.items())
+                   + f"output.dir = {out}\n")
+    assert cli_main(["run", str(cfg)]) == 0
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    files["report.txt"] = b"".join(
+        line for line in files["report.txt"].splitlines(keepends=True)
+        if not line.decode().startswith(TIMING_FOOTER))
+    return files
+
+
 def test_11_determinism(tmp_path):
     ok = True
     configs = {
@@ -382,16 +400,15 @@ def test_11_determinism(tmp_path):
                "solver.name": "ir_ista", "solver.K": "3000"},
     }
     for tag, body in configs.items():
-        blobs = []
-        for attempt in ("x", "y"):
-            out = tmp_path / f"{tag}_{attempt}"
-            cfg = tmp_path / f"{tag}_{attempt}.cfg"
-            cfg.write_text("".join(f"{k} = {v}\n" for k, v in body.items())
-                           + f"output.dir = {out}\n")
-            assert cli_main(["run", str(cfg)]) == 0
-            blobs.append((out / "trace.csv").read_bytes())
-        ok &= blobs[0] == blobs[1]
-    announce(11, ok, "reruns of acceptance configs give byte-identical traces")
+        # plot every column the trace fills with two or more log-log points
+        run_outputs(tmp_path / f"{tag}_probe", body)
+        plots = plottable_columns(tmp_path / f"{tag}_probe" / "trace.csv")
+        x, y = (run_outputs(tmp_path / f"{tag}_{attempt}",
+                            {**body, "output.plots": ",".join(plots)})
+                for attempt in ("x", "y"))
+        ok &= x == y and len(x) == 2 + len(plots) >= 5
+    announce(11, ok, "reruns of acceptance configs give byte-identical traces, reports "
+             "(but for the timing footer) and plots of every filled column")
 
 
 # ---------------------------------------------------------------------------

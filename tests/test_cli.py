@@ -164,6 +164,18 @@ def test_cmd_run_plot_with_fewer_than_two_points_exits_2_and_keeps_the_run(tmp_p
     assert "final.f_bar" in (out / "report.txt").read_text()
 
 
+def test_cmd_run_plots_elapsed_ns_only_when_trace_csv_holds_it(tmp_path, capsys):
+    # plots are drawn from trace.csv, whose elapsed_ns is empty without timings
+    cfg = write_config(tmp_path / "p.cfg", **{"output.plots": "elapsed_ns"})
+    assert main(["run", str(cfg)]) == 2
+    assert "cannot plot 'elapsed_ns'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plot_elapsed_ns.svg").exists()
+    cfg = write_config(tmp_path / "t.cfg", **{"output.plots": "elapsed_ns",
+                                              "output.timings": "1"})
+    assert main(["run", str(cfg)]) == 0
+    assert (tmp_path / "out" / "plot_elapsed_ns.svg").read_text().count("<polyline") == 1
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"solver.name": "fista"}, "unknown solver 'fista'; pick one of ir_ista"),
     ({"instance.name": "rank_deficient_ls", "instance.n": "10"},
@@ -210,6 +222,20 @@ def test_cmd_run_refuses_p_with_eta_naming_p(tmp_path, capsys, solver):
     assert main(["run", str(cfg)]) == 2
     assert "'solver.p'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cmd_run_ir_ista_at_a_fixed_eta_halves_gamma_where_eta_gamma_mu_f_is_1(
+        tmp_path):
+    # l1_weak_sharp has L_h = 0 and mu_f = L_f = 1, so 1/(L_h + eta*L_f) would
+    # make eta*gamma*mu_f = 1; the solver takes gamma = 0.5/eta instead
+    cfg = write_config(tmp_path / "c.cfg", **{"solver.name": "ir_ista",
+                                              "solver.eta": "0.25"})
+    assert main(["run", str(cfg)]) == 0
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "out" / "report.txt").read_text().splitlines())
+    assert report["config.gamma"] == "2.0" and report["config.schedule"] == "fixed"
+    assert report["final.subopt"] == "0.0"
+    assert 0.0 <= float(report["final.infeas"]) <= 1e-80
 
 
 @pytest.mark.parametrize("solver,takes", [
@@ -441,6 +467,16 @@ NONCONVEX = {"instance.name": "nonconvex_phillips", "instance.n": "8",
     ({"instance.seed": "-1"}, "instance key 'seed'"),
     ({"instance.name": "l1_weak_sharp", "instance.n": "-3", "instance.rank": None},
      "instance key 'n'"),
+    *[({"solver.name": solver, "solver.K": "0"}, "K must be >= 1")
+      for solver in ("ir_ista", "r_ista_const", "r_vfista")],
+    ({**NONCONVEX, "solver.name": "ipr_vfista", "solver.K": "0"}, "K must be >= 1"),
+    ({"solver.name": "r_ista_const", "solver.K": "1"},
+     "constant-regularization schedule requires K > 1"),
+    ({"solver.name": "r_vfista", "solver.K": "1"},
+     "accelerated constant schedule requires K > 1"),
+    ({"solver.trace_every": "0"}, "trace_every must be >= 1"),
+    ({"solver.name": "r_vfista", "solver.eta": "0.25", "solver.trace_every": "0"},
+     "trace_every must be >= 1"),
 ])
 def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
                                                      overrides, named):
@@ -690,6 +726,24 @@ def test_cmd_rates_row_with_a_key_it_would_not_read_exits_2(tmp_path, capsys, ro
     assert main(["rates", str(suite)]) == 2
     captured = capsys.readouterr()
     assert "line 2" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("items,message", [
+    ("tol=-1", "suite key 'tol' must be >= 0; got -1.0"),
+    ("tol=1 kmin=40 kmax=10",
+     "suite key 'kmin' = 40 is above 'kmax' = 10: the fit window would be empty"),
+], ids=["tol", "kmin-above-kmax"])
+def test_cmd_rates_row_that_can_never_pass_exits_2_naming_the_key(tmp_path, capsys,
+                                                                 items, message):
+    _rank_deficient_config(tmp_path / "rd.cfg")
+    suite = tmp_path / "suite.txt"
+    suite.write_text(
+        "label=ok config=selftest:powerlaw metric=value slope=-1 tol=0.01\n"
+        f"label=x config=rd.cfg metric=infeas slope=-1 {items}\n")
+    assert main(["rates", str(suite)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"suite error: line 2: {message}\n"
+    assert captured.out == ""
 
 
 def test_cmd_rates_finals_row_honours_kmin(tmp_path, capsys):

@@ -19,9 +19,9 @@ from sbo.problems import (InstanceSpec, baart_solution, build_instance,
                           foxgood_solution, gen_baart, gen_foxgood,
                           gen_l1_weak_sharp, gen_phillips,
                           gen_rank_deficient_ls, gen_sec61_inverse,
-                          inverse_problem, load_instance, parse_items,
-                          parse_kv_lines, parse_value, phillips_solution,
-                          save_instance, typed_items)
+                          inverse_problem, load_instance, ls_ball_projector,
+                          parse_items, parse_kv_lines, parse_value,
+                          phillips_solution, save_instance, typed_items)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -237,6 +237,24 @@ def test_nonconvex_rejects_bad_smoothing():
     with pytest.raises(ConfigurationError, match="sqrt"):
         build_instance(InstanceSpec("nonconvex_phillips", 8, params={
             "delta": "0.04", "epsilon": "0.1"}))
+
+
+@pytest.mark.parametrize("which", ["phillips", "baart", "foxgood"])
+def test_nonconvex_lower_solution_set_is_one_kkt_point(which):
+    # the ball binds (||x_dag|| > 1), so the minimizer x* of h over the unit
+    # ball has a multiplier mu > 0 and h + (mu/2)(||x||^2 - 1) is mu-strongly
+    # convex: X* = {x*}, and h(x) - h* >= (mu/2)||x - x*||^2 on the ball
+    p = build_instance(InstanceSpec(f"nonconvex_{which}", 32))
+    a, b = inverse_problem(which, 32)
+    x_star = ls_ball_projector(np.linalg.svd(a), b, 1.0, 0.0)(p.initial_point)
+    h = p.lower.smooth
+    grad = h.gradient(x_star)
+    mu = -float(grad @ x_star)
+    assert abs(np.linalg.norm(x_star) - 1.0) <= 1e-14
+    assert mu > 0.0
+    assert np.linalg.norm(grad + mu * x_star) <= 1e-13
+    ref = p.reference
+    assert 0.0 <= ref.h_star - h.value(x_star) <= ref.h_star_tol
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,12 @@ def test_ir_ista_constant_weight_sum_closed_form(eta, big_k):
         rep.extras["Gamma_K"], rel=1e-9)
 
 
+def test_constant_weight_sum_where_eta_gamma_mu_f_underflows():
+    # eta*gamma*mu_f rounds to 0, so theta stays 1 and Gamma_K = eta*K
+    assert 1e-200 * 1e-200 == 0.0
+    assert _log_constant_weight_sum(1e-200, 1e-200, 1000) == math.log(1e-200 * 1000)
+
+
 def test_ir_ista_refuses_weights_that_would_overflow():
     # theta grows by 4/3 per step: Gamma_K ~ 4 * (4/3)^K passes 1e300 at
     # K ~ 2396 and theta itself overflows at K ~ 2467
