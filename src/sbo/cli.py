@@ -416,6 +416,16 @@ def _parse_suite_row(line: str, lineno: int) -> dict:
     elif row["metric"] not in _FITTABLE:
         raise ParseError(f"metric {row['metric']!r} is not a fittable trace column; "
                          f"pick one of {', '.join(_FITTABLE)}", lineno)
+    row.setdefault("min_samples", 5)
+    if "ks" in row:
+        ks = row["ks"]
+        if min(ks) < 1:
+            raise ParseError(f"suite key 'ks' takes K >= 1; got {min(ks)}", lineno)
+        lo, hi = row.get("kmin", min(ks)), row.get("kmax", max(ks))
+        inside, need = len({k for k in ks if lo <= k <= hi}), max(2, row["min_samples"])
+        if inside < need:
+            raise ParseError(f"suite key 'ks' has {inside} distinct K in the fit window "
+                             f"[{lo}, {hi}]; the fit needs at least {need}", lineno)
     return row
 
 
@@ -467,7 +477,7 @@ def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
     try:
         samples, (kmin, kmax) = _row_samples(row, base_dir)
         fit = fit_rate(samples, (row.get("kmin", kmin), row.get("kmax", kmax)),
-                       min_samples=row.get("min_samples", 5))
+                       min_samples=row["min_samples"])
     except (SboError, OSError) as exc:
         return False, f"FAIL {label}: {exc}"
     ok = abs(fit.slope - expected) <= tol if row.get("bound") != "upper" \

@@ -194,20 +194,19 @@ class RunReport:
     build_ns: int = 0  # set by cli.run_from_config: the instance build's time
 
 
-def trace_stops(big_k: int, every: Optional[int] = None,
-                n_points: int = 200) -> list[int]:
+def trace_stops(big_k: int, every: Optional[int] = None) -> list[int]:
     """The sorted steps at which a run of K >= 1 steps records: every
-    `every`-th step plus K, or, when every is None, ~n_points log-spaced
-    steps in [1, K] that include 1 and K."""
+    `every`-th step plus K, or, when every is None, ~200 log-spaced steps
+    in [1, K] that include 1 and K."""
     if big_k < 1:
         raise ConfigurationError("K must be >= 1")
     if every is not None:
         if every < 1:
             raise ConfigurationError("trace_every must be >= 1")
         return sorted({*range(every, big_k + 1, every), big_k})
-    if big_k <= n_points:
+    if big_k <= 200:
         return list(range(1, big_k + 1))
-    ks = np.unique(np.round(np.geomspace(1.0, float(big_k), n_points)).astype(int))
+    ks = np.unique(np.round(np.geomspace(1.0, float(big_k), 200)).astype(int))
     return [int(k) for k in ks]
 
 
@@ -224,13 +223,11 @@ class _Clock:
 
 
 def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
-                 clock: _Clock, gamma_hat: Optional[float] = None,
-                 with_dist: bool = False) -> TraceRecord:
+                 clock: _Clock, gamma_hat: Optional[float] = None) -> TraceRecord:
     """The trace record of x at step k; its elapsed_ns is the solver time
     so far, and the time the record takes goes to clock.metrics_ns. The
     projector columns are evaluated where the reference has a projector:
-    residual_sq when gamma_hat is given, dist_lower with with_dist or when
-    the projector is exact."""
+    dist_lower always, residual_sq when gamma_hat is given."""
     start = time.perf_counter_ns()
     ref = problem.reference
     f_bar = problem.upper.value(x)
@@ -242,8 +239,7 @@ def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
         if ref.x_star is not None:
             d = x - ref.x_star
             dist_xsq = float(d @ d)
-        if with_dist or ref.projector_kind == "exact":
-            dist_lower = _metrics.dist_to_lower_set(problem, x)
+        dist_lower = _metrics.dist_to_lower_set(problem, x)
         if gamma_hat is not None:
             g = _metrics.residual_norm(problem, x, gamma_hat)
             residual_sq = None if g is None else g * g
@@ -446,9 +442,6 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
 # Inexactly projected outer loop for a smooth (possibly nonconvex) upper part
 # ---------------------------------------------------------------------------
 
-# Number of outer indices at which the projector-based dist_lower column is
-# evaluated (log-spaced, plus K).
-DIST_POINTS = 12
 # Cap on the inner iterations sum_{k<K} (k+1)^a of one run.
 MAX_TOTAL_INNER = 2_000_000
 # Each inner run starts from the outer iterate clipped to this box.
@@ -476,10 +469,11 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         raise ConfigurationError(
             "outer solver addresses problems with no upper nonsmooth term"
         )
-    dist_ks = set(trace_stops(cfg.big_k, n_points=DIST_POINTS))
+    big_k = cfg.big_k
+    if big_k < 1:
+        raise ConfigurationError("K must be >= 1")
 
     l_f, l_h = upper.lipschitz, lower.lipschitz
-    big_k = cfg.big_k
     gamma_hat = 1.0 / math.sqrt(big_k)
     if gamma_hat > 1.0 / (2.0 * l_f) and not cfg.allow_large_step:
         raise ConfigurationError(
@@ -504,8 +498,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
 
     clock = _Clock()
     xhat = np.array(problem.initial_point, copy=True)
-    trace: list[TraceRecord] = [_eval_record(problem, xhat, 0, None, None, clock,
-                                             with_dist=True)]
+    trace: list[TraceRecord] = [_eval_record(problem, xhat, 0, None, None, clock)]
     best = {"residual_sq": math.inf, "k": -1, "x": xhat}
 
     for k in range(big_k):
@@ -527,7 +520,6 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
         rec = _eval_record(
             problem, xhat, k + 1, eta_k, None, clock,
             gamma_hat=gamma_hat if k >= window_start else None,
-            with_dist=(k + 1) in dist_ks,
         )
         trace.append(rec)
         if rec.residual_sq is not None and rec.residual_sq < best["residual_sq"]:

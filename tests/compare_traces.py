@@ -42,8 +42,9 @@ the lines that differ. The suite types its configs through
 Last, PROJECTOR_CHECK sends 300 seeded queries per family (phillips, baart
 and foxgood at n = 32, PROJECTOR_WEIGHT, the unit ball) through
 `problems.ls_ball_projector` in each checkout, in a subprocess as the runs
-are, and prints "identical" when the sha256 of the concatenated output
-bytes is the same on both sides, else the two digests.
+are, and prints "identical" when all 900 outputs are the same doubles on
+both sides, else the largest relative difference ||u - v|| / max(||u||, ||v||)
+over the queries and how many differ.
 
 PAIR_CHECK does the same for the step of each of the 10 supported prox
 pairs, built as tests/test_kernel_bits.py's `_pair_problem` builds them:
@@ -106,20 +107,18 @@ IPR_RUNS = {"nonconvex_phillips_ipr K=64": {"solver.K": "64"},
 
 RATES_SUITE = ROOT / "configs" / "rates_quick.txt"
 
-# Prints the sha256 of the bytes ls_ball_projector returns for 300 seeded
-# queries per family, at scales 1e-2 to 1e6.
+# Prints what ls_ball_projector returns for 300 seeded queries per family,
+# at scales 1e-2 to 1e6: one line per query, its output's doubles as hex.
 PROJECTOR_CHECK = """
-import hashlib
 import numpy as np
 from sbo.problems import PROJECTOR_WEIGHT, inverse_problem, ls_ball_projector
-digest = hashlib.sha256()
 for which in ("phillips", "baart", "foxgood"):
     a, b = inverse_problem(which, 32)
     project = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)
     rng = np.random.default_rng(0)
     for _ in range(300):
-        digest.update(project(10.0 ** rng.uniform(-2.0, 6.0) * rng.standard_normal(32)).tobytes())
-print(digest.hexdigest())
+        u = project(10.0 ** rng.uniform(-2.0, 6.0) * rng.standard_normal(32))
+        print(" ".join(v.hex() for v in u.tolist()))
 """
 
 # Prints "(<lower kind>, <upper kind>) <sha256>" for each supported prox
@@ -268,6 +267,23 @@ def report_differences(mine: str, other: str) -> list[str]:
     return findings
 
 
+def projector_difference(mine: list[str], other: list[str]) -> str:
+    """The largest relative difference ||u - v|| / max(||u||, ||v||) between
+    the outputs of two PROJECTOR_CHECK runs, one line of hex doubles per
+    query, and how many queries differ."""
+    if len(mine) != len(other):
+        return f"{len(mine)} queries vs {len(other)}"
+    worst, differing = 0.0, 0
+    for a, b in zip(mine, other):
+        if a == b:
+            continue
+        u, v = ([float.fromhex(t) for t in line.split()] for line in (a, b))
+        scale = max(math.hypot(*u), math.hypot(*v))
+        worst = max(worst, math.hypot(*(x - y for x, y in zip(u, v))) / scale)
+        differing += 1
+    return f"max rel diff {worst:.2e} ({differing} of {len(mine)} queries differ)"
+
+
 def plot_differences(mine: dict[str, str], other: dict[str, str]) -> list[str]:
     """The plot_*.svg files that differ between two runs' outputs, or that
     one run wrote and the other did not."""
@@ -306,12 +322,12 @@ def main(argv: list[str]) -> int:
         else f"exit {mine.returncode} vs {theirs.returncode}; " + "; ".join(differing)))
     label = "ls_ball_projector, 300 queries per family"
     try:
-        mine, theirs = (python_in(checkout, "-c", PROJECTOR_CHECK).strip()
+        mine, theirs = (python_in(checkout, "-c", PROJECTOR_CHECK).splitlines()
                         for checkout in (ROOT, other))
     except RuntimeError as exc:
         print(f"{label}: FAILED: {exc}")
         return 1
-    print(f"{label}: " + ("identical" if mine == theirs else f"sha256 {mine} vs {theirs}"))
+    print(f"{label}: " + ("identical" if mine == theirs else projector_difference(mine, theirs)))
     try:
         mine, theirs = (dict(line.rsplit(" ", 1) for line in
                              python_in(checkout, "-c", PAIR_CHECK).splitlines())

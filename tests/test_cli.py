@@ -732,7 +732,15 @@ def test_cmd_rates_row_with_a_key_it_would_not_read_exits_2(tmp_path, capsys, ro
     ("tol=-1", "suite key 'tol' must be >= 0; got -1.0"),
     ("tol=1 kmin=40 kmax=10",
      "suite key 'kmin' = 40 is above 'kmax' = 10: the fit window would be empty"),
-], ids=["tol", "kmin-above-kmax"])
+    ("tol=1 mode=finals ks=0,100 min_samples=2", "suite key 'ks' takes K >= 1; got 0"),
+    ("tol=1 mode=finals ks=100,200",
+     "suite key 'ks' has 2 distinct K in the fit window [100, 200]; the fit needs "
+     "at least 5"),
+    ("tol=1 mode=finals ks=50,100,200 min_samples=2 kmin=100 kmax=150",
+     "suite key 'ks' has 1 distinct K in the fit window [100, 150]; the fit needs "
+     "at least 2"),
+], ids=["tol", "kmin-above-kmax", "ks-below-1", "ks-fewer-than-min-samples",
+        "ks-one-inside-the-window"])
 def test_cmd_rates_row_that_can_never_pass_exits_2_naming_the_key(tmp_path, capsys,
                                                                  items, message):
     _rank_deficient_config(tmp_path / "rd.cfg")
@@ -783,10 +791,11 @@ def test_cmd_rates_finals_row_at_one_k_fails_naming_the_reason(tmp_path, capsys)
     suite.write_text(
         "label=one-k config=rd.cfg metric=infeas slope=-1 tol=5 mode=finals "
         "ks=100,100,100 min_samples=3\n")
-    assert main(["rates", str(suite)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "FAIL one-k: rate fit needs at least 3 positive samples, at two or more k, "
-        "in window [100, 100]; found 3 at 1 k"]
+    assert main(["rates", str(suite)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("suite error: line 1: suite key 'ks' has 1 distinct K in the "
+                            "fit window [100, 100]; the fit needs at least 3\n")
+    assert captured.out == ""
 
 
 def test_cmd_rates_bad_suite_exits_2(tmp_path, capsys):

@@ -184,19 +184,20 @@ def _longdouble_ls_ball(a, b, radius, eta, x):
     return u
 
 
-def _assert_kkt(a, b, radius, eta, x, u, active):
-    """u is feasible and, with a multiplier mu >= 0 that vanishes inside the
-    ball, solves (A^T A + eta I + mu I) u = A^T b + eta x to 1e-10."""
+def _assert_kkt(a, b, radius, eta, x, u):
+    """u lies in the ball and, with a multiplier mu >= 0 that vanishes inside
+    it, solves (A^T A + eta I + mu I) u = A^T b + eta x, to 1e-10 relative to
+    ||A^T b + eta x||; on the sphere mu is the one u's residual implies."""
     m = a.T @ a + eta * np.eye(x.size)
     rhs = a.T @ b + eta * x
-    if active:
-        assert np.linalg.norm(u) == pytest.approx(radius, rel=1e-14)
+    tol = 1e-10 * np.linalg.norm(rhs)
+    norm_u = np.linalg.norm(u)
+    assert norm_u <= radius * (1.0 + 1e-14)
+    mu = 0.0
+    if norm_u >= radius * (1.0 - 1e-14):  # on the sphere
         mu = float((rhs - m @ u) @ u) / float(u @ u)
-        assert mu > 0.0
-    else:
-        assert np.linalg.norm(u) < radius
-        mu = 0.0
-    assert np.linalg.norm(m @ u + mu * u - rhs) <= 1e-10
+        assert mu * norm_u >= -tol
+    assert np.linalg.norm(m @ u + mu * u - rhs) <= tol
 
 
 _FREDHOLM = dict(which=st.sampled_from(["phillips", "baart", "foxgood"]),
@@ -204,13 +205,31 @@ _FREDHOLM = dict(which=st.sampled_from(["phillips", "baart", "foxgood"]),
                  active=st.booleans(), seed=st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(log_eta=st.floats(-8.0, 0.0), **_FREDHOLM)
-def test_ls_ball_projector_solves_kkt(log_eta, which, n, scale, active, seed):
+# The free minimizers have norms 0.4 to 3.3, so small queries leave the ball
+# inactive for a large radius and active for a small one; large ones make it
+# active. The examples pin both, a query whose squares overflow, and four
+# where the ball barely binds (free minimizer norms 3.0003 to 3.0016), so
+# the multiplier is small against d.
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(["phillips", "baart", "foxgood"]),
+       n=st.sampled_from([4, 8, 16, 32]), log_eta=st.floats(-9.0, 0.0),
+       radius=st.floats(0.1, 10.0),
+       scale=st.just(0.0) | st.floats(-3.0, 150.0).map(lambda t: 10.0 ** t),
+       seed=st.integers(0, 2**32 - 1))
+@example(which="phillips", n=8, log_eta=-3.0, radius=10.0, scale=0.0, seed=0)
+@example(which="baart", n=16, log_eta=-6.0, radius=5.0, scale=1e-2, seed=1)
+@example(which="foxgood", n=32, log_eta=-6.0, radius=0.1, scale=1.0, seed=2)
+@example(which="phillips", n=32, log_eta=-9.0, radius=1.0, scale=1e150, seed=3)
+@example(which="phillips", n=64, log_eta=-9.0, radius=3.0, scale=0.0, seed=0)
+@example(which="phillips", n=64, log_eta=-3.0, radius=3.0, scale=0.0, seed=0)
+@example(which="phillips", n=100, log_eta=-9.0, radius=3.0, scale=0.0, seed=0)
+@example(which="phillips", n=100, log_eta=-3.0, radius=3.0, scale=0.0, seed=0)
+def test_ls_ball_projector_solves_kkt(which, n, log_eta, radius, scale, seed):
+    a, b = inverse_problem(which, n)
     eta = 10.0 ** log_eta
-    a, b, x, radius = _ls_ball_query(which, n, eta, scale, active, seed)
+    x = scale * np.random.default_rng(seed).standard_normal(n)
     u = ls_ball_projector(np.linalg.svd(a), b, radius, eta)(x)
-    _assert_kkt(a, b, radius, eta, x, u, active)
+    _assert_kkt(a, b, radius, eta, x, u)
 
 
 # The iterative projector contracts by 1 - sqrt(eta/L) per iteration, so 50k
@@ -225,7 +244,7 @@ def test_ls_ball_projector_matches_iterative(log_eta, which, n, scale, active, s
     eta = 10.0 ** log_eta
     a, b, x, radius = _ls_ball_query(which, n, eta, scale, active, seed)
     u = ls_ball_projector(np.linalg.svd(a), b, radius, eta)(x)
-    _assert_kkt(a, b, radius, eta, x, u, active)
+    _assert_kkt(a, b, radius, eta, x, u)
     assert np.linalg.norm(u - _longdouble_ls_ball(a, b, radius, eta, x)) <= 1e-12
 
 
@@ -235,54 +254,8 @@ def test_ls_ball_projector_matches_iterative_at_instance_weight(which, n):
     a, b = inverse_problem(which, n)
     x = np.random.default_rng(n).standard_normal(n)
     u = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)(x)
-    _assert_kkt(a, b, 1.0, PROJECTOR_WEIGHT, x, u, active=True)
+    _assert_kkt(a, b, 1.0, PROJECTOR_WEIGHT, x, u)
     assert np.linalg.norm(u - _iterative_ls_ball(a, b, 1.0, PROJECTOR_WEIGHT, x)) <= 1e-12
-
-
-def _bisection_ls_ball_projector(svd, b, radius, eta):
-    """The oracle: `ls_ball_projector` as it was written before its Newton
-    search, a bisection of [0, ||r||/radius] for the ball multiplier."""
-    u_mat, s, vt = svd
-    pad = (0, vt.shape[0] - s.size)
-    d = eta + np.pad(s * s, pad)
-    sb = np.pad(s * (u_mat.T @ b)[:s.size], pad)
-
-    def norm(v):
-        return math.sqrt(v.dot(v))
-
-    def project(x):
-        r = sb + eta * (vt @ x)
-        lo = mu = 0.0
-        if norm(r / d) > radius:
-            mu = norm(r) / radius
-            while lo < 0.5 * (lo + mu) < mu:
-                mid = 0.5 * (lo + mu)
-                lo, mu = (mid, mu) if norm(r / (d + mid)) > radius else (lo, mid)
-        return vt.T @ (r / (d + mu))
-
-    return project
-
-
-# The free minimizers have norms 0.4 to 3.3, so small queries leave the ball
-# inactive for a large radius and active for a small one; large ones make it
-# active. The examples pin both.
-@settings(max_examples=300, deadline=None)
-@given(which=st.sampled_from(["phillips", "baart", "foxgood"]),
-       n=st.sampled_from([4, 8, 16, 32]), log_eta=st.floats(-9.0, 0.0),
-       radius=st.floats(0.1, 10.0),
-       scale=st.just(0.0) | st.floats(-3.0, 150.0).map(lambda t: 10.0 ** t),
-       seed=st.integers(0, 2**32 - 1))
-@example(which="phillips", n=8, log_eta=-3.0, radius=10.0, scale=0.0, seed=0)
-@example(which="baart", n=16, log_eta=-6.0, radius=5.0, scale=1e-2, seed=1)
-@example(which="foxgood", n=32, log_eta=-6.0, radius=0.1, scale=1.0, seed=2)
-@example(which="phillips", n=32, log_eta=-9.0, radius=1.0, scale=1e150, seed=3)
-def test_ls_ball_projector_has_the_bits_of_the_bisection(which, n, log_eta, radius,
-                                                         scale, seed):
-    a, b = inverse_problem(which, n)
-    svd, eta = np.linalg.svd(a), 10.0 ** log_eta
-    x = scale * np.random.default_rng(seed).standard_normal(n)
-    u = ls_ball_projector(svd, b, radius, eta)(x)
-    assert u.tobytes() == _bisection_ls_ball_projector(svd, b, radius, eta)(x).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])

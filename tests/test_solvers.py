@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DiagQuadratic, GradientTurnsNan, quad_problem
-from sbo.bilevel import BilevelProblem, CompositeObjective, check_finite
+from sbo.bilevel import BilevelProblem, CompositeObjective, ReferenceTruth, check_finite
 from sbo.errors import ConfigurationError, DivergenceError
 from sbo.functions import MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.prox import BallProx, L1Prox, ZeroProx
@@ -549,8 +549,19 @@ def test_ipr_iterates_stay_in_lower_domain():
     lower = CompositeObjective(DiagQuadratic(np.array([1.0, 0.0])), BallProx(1.0))
     upper = CompositeObjective(ScaledSqNorm(1.0, center=np.array([0.0, 3.0])),
                                ZeroProx())
-    p = BilevelProblem(upper, lower, initial_point=np.array([0.5, 0.0]))
-    rep = solve_ipr_vfista(p, NcConfig(big_k=6))
+
+    def project(x):  # onto X* = {x : x_0 = 0, |x_1| <= 1}
+        return np.array([0.0, min(max(x[1], -1.0), 1.0)])
+
+    ref = ReferenceTruth(h_star=0.0, projector=project, projector_kind="approximate")
+    p = BilevelProblem(upper, lower, reference=ref, initial_point=np.array([0.5, 0.0]))
+    rep = solve_ipr_vfista(p, NcConfig(big_k=16))
+    # an approximate projector is read at every record, as an exact one is
+    assert [r.k for r in rep.trace] == list(range(17))
+    assert all(r.dist_lower is not None for r in rep.trace)
+    assert rep.trace[0].dist_lower == 0.5
+    x = rep.x_final
+    assert rep.trace[-1].dist_lower == float(np.linalg.norm(x - project(x)))
     for r in rep.trace:
         assert r.h_bar < math.inf
     assert np.linalg.norm(rep.x_final) <= 1.0 + 1e-9
