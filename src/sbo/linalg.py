@@ -64,17 +64,17 @@ def spectral_norm_sq(a: np.ndarray) -> float:
         return 0.0
     e = math.frexp(scale)[1]
     a = np.ldexp(a, -e)
+    a_t, tiny = a.T, np.finfo(float).tiny
     n = a.shape[1]
     v = np.ones(n) / np.sqrt(n)
-    for _ in range(5000):
-        w = a @ v
-        bv = a.T @ w
-        norm_bv = float(np.linalg.norm(bv))
+    for _ in range(5000):  # norms as sqrt(v.dot(v)): np.linalg.norm without its dispatch
+        bv = a_t.dot(a.dot(v))
+        norm_bv = math.sqrt(bv.dot(bv))
         if norm_bv == 0.0:
             break
-        lam = float(v @ bv)
-        residual = float(np.linalg.norm(bv - lam * v))
-        if residual <= 1e-8 * max(lam, np.finfo(float).tiny):
+        lam = float(v.dot(bv))
+        r = bv - lam * v
+        if math.sqrt(r.dot(r)) <= 1e-8 * max(lam, tiny):
             return _unscaled(lam, e)
         v = bv / norm_bv
     return _unscaled(float(np.linalg.eigvalsh(a.T @ a)[-1]), e)

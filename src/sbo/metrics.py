@@ -52,7 +52,8 @@ def dist_to_lower_set(problem, x: np.ndarray) -> Optional[float]:
     ref = problem.reference
     if ref is None or ref.projector is None:
         return None
-    return float(np.linalg.norm(x - ref.projector(x)))
+    d = x - ref.projector(x)
+    return math.sqrt(d.dot(d))  # np.linalg.norm without its dispatch
 
 
 def residual_norm(problem, x: np.ndarray, gamma_hat: float) -> Optional[float]:
@@ -65,7 +66,8 @@ def residual_norm(problem, x: np.ndarray, gamma_hat: float) -> Optional[float]:
     if not gamma_hat > 0:
         raise ContractViolation("residual map requires gamma_hat > 0")
     step = x - gamma_hat * problem.upper.smooth.gradient(x)
-    return float(np.linalg.norm(x - ref.projector(step))) / gamma_hat
+    d = x - ref.projector(step)
+    return math.sqrt(d.dot(d)) / gamma_hat
 
 
 def fit_rate(samples: Sequence, window: tuple, min_samples: int = 5) -> RateFit:

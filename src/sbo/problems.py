@@ -403,9 +403,10 @@ def ls_ball_projector(svd, b: np.ndarray, radius: float,
     PROJECTOR_WEIGHT (n = 32), in 3 to 12 norm evaluations. A finite r
     whose squares overflow takes ||r|| through r scaled by a power of two."""
     u_mat, s, vt = svd
-    pad = (0, vt.shape[0] - s.size)  # zero singular values of a wide A
-    d = eta + np.pad(s * s, pad)
-    sb = np.pad(s * (u_mat.T @ b)[:s.size], pad)
+    d = np.full(vt.shape[0], eta)  # rows past s.size: zero singular values of a wide A
+    d[:s.size] += s * s
+    sb = np.zeros(vt.shape[0])
+    sb[:s.size] = s * (u_mat.T @ b)[:s.size]
     d_max = float(d.max())
 
     def norm(v: np.ndarray) -> float:

@@ -162,7 +162,7 @@ class BallProx:
 
     def value(self, x: np.ndarray) -> float:
         # small slack so points produced by the projection itself pass
-        if np.linalg.norm(x) <= self.radius * (1.0 + 1e-12):
+        if math.sqrt(x.dot(x)) <= self.radius * (1.0 + 1e-12):
             return 0.0
         return math.inf
 

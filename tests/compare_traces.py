@@ -53,6 +53,13 @@ the sha256 of 50 chained `step_map` steps, whose eta sequence holds 0.0,
 whose product with gamma underflows to 0.0. It prints "identical" per
 pair. No shipped run reaches the six pairs no instance builds.
 
+LIPSCHITZ_CHECK runs `linalg.spectral_norm_sq` in each checkout, in a
+subprocess as the runs are, on the phillips, baart and foxgood matrices
+at n = 8, 16, 32, 64 and 128 and on the A of `rank_deficient_ls` at
+n = 50, rank 25 for seeds 0 to 15 (the benchmark's instance seeds). It
+prints "identical" when all 31 results are the same doubles on both
+sides, else how many differ and the largest relative difference.
+
 pytest does not collect this file. Run from the repository root:
 
     python tests/compare_traces.py OTHER_CHECKOUT
@@ -152,6 +159,18 @@ for h in terms():
             y = step(etas[j % len(etas)], y, y if j % 2 else np.empty(8))
             digest.update(y.tobytes())
         print(f"({h.kind}, {f.kind})", digest.hexdigest())
+"""
+
+# Prints "<matrix> <hex double>" of spectral_norm_sq, one line per matrix.
+LIPSCHITZ_CHECK = """
+from sbo.linalg import spectral_norm_sq
+from sbo.problems import gen_rank_deficient_ls, inverse_problem
+for which in ("phillips", "baart", "foxgood"):
+    for n in (8, 16, 32, 64, 128):
+        print(f"{which}_n{n}", spectral_norm_sq(inverse_problem(which, n)[0]).hex())
+for seed in range(16):
+    a = gen_rank_deficient_ls(50, 25, seed=seed).lower.smooth.a
+    print(f"rank_deficient_ls_seed{seed}", spectral_norm_sq(a).hex())
 """
 
 
@@ -284,6 +303,16 @@ def projector_difference(mine: list[str], other: list[str]) -> str:
     return f"max rel diff {worst:.2e} ({differing} of {len(mine)} queries differ)"
 
 
+def lipschitz_difference(mine: dict[str, str], other: dict[str, str]) -> str:
+    """How many of the matrices of two LIPSCHITZ_CHECK runs, each a dict of
+    matrix name to hex double, differ, and the largest relative difference."""
+    if mine.keys() != other.keys():
+        return f"matrices {sorted(mine)} vs {sorted(other)}"
+    diffs = [abs(x - y) / max(abs(x), abs(y)) for x, y in
+             ((float.fromhex(mine[m]), float.fromhex(other[m])) for m in mine) if x != y]
+    return f"max rel diff {max(diffs):.2e} ({len(diffs)} of {len(mine)} matrices differ)"
+
+
 def plot_differences(mine: dict[str, str], other: dict[str, str]) -> list[str]:
     """The plot_*.svg files that differ between two runs' outputs, or that
     one run wrote and the other did not."""
@@ -338,6 +367,15 @@ def main(argv: list[str]) -> int:
     for pair in sorted(mine.keys() | theirs.keys()):
         a, b = mine.get(pair), theirs.get(pair)
         print(f"{pair} prox, 50 steps: " + ("identical" if a == b else f"sha256 {a} vs {b}"))
+    label = "spectral_norm_sq, 31 matrices"
+    try:
+        mine, theirs = (dict(line.split() for line in
+                             python_in(checkout, "-c", LIPSCHITZ_CHECK).splitlines())
+                        for checkout in (ROOT, other))
+    except RuntimeError as exc:
+        print(f"{label}: FAILED: {exc}")
+        return 1
+    print(f"{label}: " + ("identical" if mine == theirs else lipschitz_difference(mine, theirs)))
     return 1 if failed else 0
 
 

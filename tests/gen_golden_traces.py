@@ -11,10 +11,20 @@ as trustworthy as the code that wrote them. Run this script only at a
 commit whose traces you trust (one that passed the acceptance gate before
 the change under test), never to make a failing comparison pass.
 
-Run from the repository root:  PYTHONPATH=src python tests/gen_golden_traces.py
+Config stems given on the command line (`nonconvex_phillips_ipr` for
+configs/nonconvex_phillips_ipr.cfg) rewrite only the golden traces of those
+configs; with no argument every golden trace is rewritten. Name only the
+configs a change moves: on a host whose BLAS rounds differently from the
+one that wrote the files, a full rewrite also changes the last digits of
+traces the change did not touch.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/gen_golden_traces.py [CONFIG_STEM ...]
 """
 
 import pathlib
+import sys
 import tempfile
 
 from sbo.cli import main as sbo_main, parse_kv_file
@@ -57,13 +67,18 @@ def run_trace(path: pathlib.Path, big_k: int, work: pathlib.Path) -> str:
     return (work / "out" / "trace.csv").read_text(encoding="utf-8")
 
 
-def main() -> None:
+def main(stems: list[str]) -> None:
+    unknown = set(stems) - {path.stem for path in CONFIGS.glob("*.cfg")}
+    if unknown:
+        raise SystemExit(f"no config configs/<stem>.cfg for {sorted(unknown)}")
     GOLDEN_TRACES.mkdir(parents=True, exist_ok=True)
     for path, big_k, out in golden_runs():
+        if stems and path.stem not in stems:
+            continue
         with tempfile.TemporaryDirectory() as work:
             out.write_text(run_trace(path, big_k, pathlib.Path(work)), encoding="utf-8")
         print(f"wrote {out.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -4,11 +4,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbo.errors import ContractViolation, ParseError, PowerIterationError
 from sbo.functions import LeastSquares
 from sbo.linalg import (as_matrix, as_vector, format_matrix, format_vector,
                         min_norm_ls, parse_matrix_lines, spectral_norm_sq)
+from sbo.problems import inverse_problem
 
 
 def test_as_vector_rejects_nonfinite():
@@ -94,12 +97,60 @@ def test_lipschitz_refuses_an_inflation_that_overflows():
     assert err.value.best_estimate == pytest.approx(1.34e154**2, rel=1e-15)
 
 
-def test_spectral_norm_sq_scaling_by_powers_of_two_is_exact():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((7, 5))
+def _reference_spectral_norm_sq(a):
+    """The power iteration written with np.linalg.norm, @ and a per-step
+    np.finfo, as spectral_norm_sq was before it took its norms as
+    sqrt(v.dot(v))."""
+    e = math.frexp(float(np.abs(a).max()))[1]
+    a = np.ldexp(a, -e)
+    n = a.shape[1]
+    v = np.ones(n) / np.sqrt(n)
+    for _ in range(5000):
+        w = a @ v
+        bv = a.T @ w
+        norm_bv = float(np.linalg.norm(bv))
+        if norm_bv == 0.0:
+            break
+        lam = float(v @ bv)
+        residual = float(np.linalg.norm(bv - lam * v))
+        if residual <= 1e-8 * max(lam, np.finfo(float).tiny):
+            return math.ldexp(lam, 2 * e)
+        v = bv / norm_bv
+    return math.ldexp(float(np.linalg.eigvalsh(a.T @ a)[-1]), 2 * e)
+
+
+def _scaled_gaussian(m, n, seed, decade):
+    return 10.0 ** decade * np.random.default_rng(seed).standard_normal((m, n))
+
+
+MATRICES = st.builds(_scaled_gaussian, st.integers(1, 12), st.integers(1, 12),
+                     st.integers(0, 2**32 - 1), st.integers(-150, 150))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=MATRICES)
+@example(a=inverse_problem("phillips", 32)[0])
+@example(a=inverse_problem("baart", 32)[0])
+@example(a=inverse_problem("foxgood", 32)[0])
+def test_spectral_norm_sq_is_the_double_of_the_norm_dispatching_loop(a):
+    assert spectral_norm_sq(a) == _reference_spectral_norm_sq(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=MATRICES, k=st.integers(-1100, 1100))
+@example(a=np.random.default_rng(9).standard_normal((7, 5)), k=-300)
+@example(a=np.random.default_rng(9).standard_normal((7, 5)), k=-40)
+@example(a=np.random.default_rng(9).standard_normal((7, 5)), k=40)
+@example(a=np.random.default_rng(9).standard_normal((7, 5)), k=300)
+def test_spectral_norm_sq_scaling_by_powers_of_two_is_exact(a, k):
+    # k is clamped to the range that keeps every entry of A * 2^k and the
+    # result * 4^k normal and finite, so the range's ends are drawn often
     base = spectral_norm_sq(a)
-    for e in (-300, -40, 40, 300):
-        assert spectral_norm_sq(np.ldexp(a, e)) == math.ldexp(base, 2 * e)
+    e_min = math.frexp(float(np.abs(a).min()))[1]
+    e_max = math.frexp(float(np.abs(a).max()))[1]
+    e_base = math.frexp(base)[1]
+    k = min(max(k, -1021 - e_min, (-1020 - e_base) // 2), 1024 - e_max, (1024 - e_base) // 2)
+    assert spectral_norm_sq(np.ldexp(a, k)) == math.ldexp(base, 2 * k)
 
 
 def test_min_norm_ls_identity_and_rank_deficient():
