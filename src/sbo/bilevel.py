@@ -15,6 +15,10 @@ from .errors import ConfigurationError, ContractViolation, DivergenceError
 from .functions import ScaledSqNorm, SmoothFunction
 from .prox import CombinedProx, ZeroProx
 
+# The states in each of the two generations of an accelerated run's window
+# (see accelerated_run)
+CYCLE_WINDOW = 256
+
 
 class CompositeObjective:
     """smooth + prox-friendly nonsmooth part."""
@@ -189,13 +193,23 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     the state's bytes out of the buffers at checkpoints after its steps 1,
     2, 3, 4, 6, 8, 11, 14, ... (m + m // 4 + 1 follows m). A step compares
     its squared norm with the checkpoint's, and its bytes only when the two
-    are equal (-0.0 is not 0.0). When the state after step j repeats that
-    after step m, the stretch's `iters` steps shrink to
-    j + (iters - j) mod (j - m). A cycle of period lam entered at step mu is
-    seen lam steps after the first checkpoint m >= max(mu, 4 (lam - 1)), so
-    a stretch computes at most min(iters, 1.25 max(mu, 4 lam) + 2 lam)
-    steps, against 2 max(mu, lam) + 2 lam for checkpoints at powers of two."""
+    are equal (-0.0 is not 0.0). The first step whose squared norm is the
+    checkpoint's but whose bytes are not opens the stretch's window: a dict
+    from states to steps, kept as two generations of CYCLE_WINDOW states
+    each and seeded, like each later generation, with the checkpoint. From
+    then on each step looks its state up in the window and adds it, and
+    that one lookup also makes the checkpoint test. When the state after
+    step j repeats that after step m, the stretch's `iters` steps shrink to
+    j + (iters - j) mod (j - m). A cycle of period lam <= CYCLE_WINDOW
+    entered at step mu, with the window open by then, is seen at step
+    mu + lam, where the state first repeats. Otherwise it is seen lam steps
+    after the first checkpoint m >= max(mu, 4 (lam - 1)), so a stretch
+    computes at most min(iters, 1.25 max(mu, 4 lam) + 2 lam) steps. While
+    the window is shut a step does no more than compare a squared norm."""
     require_strongly_convex_upper(problem, "accelerated run")
+    for stop in stops:
+        if isinstance(stop, bool) or not isinstance(stop, (int, np.integer)):
+            raise ConfigurationError(f"accelerated run requires integer stops; got {stop!r}")
     if not (eta > 0 and stops and stops[0] >= 1 and list(stops) == sorted(set(stops))):
         raise ConfigurationError("accelerated run requires eta > 0 and increasing stops >= 1; "
                                  f"got {eta!r} and {stops!r}")
@@ -212,6 +226,8 @@ def _accelerated_stretches(problem: BilevelProblem, eta: float, x: np.ndarray,
     multiply, add, subtract = np.multiply, np.add, np.subtract
     for done, stop in zip([0, *stops], stops):
         iters, j, mark, next_mark, mark_sq = stop - done, 0, 0, 1, math.nan
+        newer = None  # the window's newer generation (state -> step), once open
+        next_look = 1  # the next checkpoint, or the next step once the window is open
         with np.errstate(over="ignore"):
             while j < iters:
                 step(eta, y, x_next)
@@ -222,11 +238,31 @@ def _accelerated_stretches(problem: BilevelProblem, eta: float, x: np.ndarray,
                 multiply(momentum, y, y)
                 add(x_next, y, y)
                 j += 1
-                if sq == mark_sq and x_next.tobytes() == mark_x and x.tobytes() == mark_prev:
-                    iters = j + (iters - j) % (j - mark)
-                if j == next_mark:
-                    mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
-                    mark_x, mark_prev = x_next.tobytes(), x.tobytes()
+                if sq == mark_sq:  # never once the window is open: mark_sq is then NaN
+                    state = x_next.tobytes(), x.tobytes()
+                    if state == mark_state:
+                        iters = j + (iters - j) % (j - mark)
+                    else:  # the gate: the window opens, seeded with the checkpoint
+                        newer, older, x_bytes = {mark_state: mark}, {}, state[1]
+                        mark_sq, next_look = math.nan, j
+                if j == next_look:
+                    if newer is None:
+                        mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
+                        mark_state = x_next.tobytes(), x.tobytes()
+                        next_look = next_mark
+                    else:  # it holds the checkpoint: one lookup makes both tests
+                        state = x_next.tobytes(), x_bytes
+                        x_bytes = state[0]
+                        seen = newer.setdefault(state, j)
+                        if seen == j:
+                            seen = older.get(state, j)
+                        if seen < j:
+                            iters = j + (iters - j) % (j - seen)
+                        elif len(newer) > CYCLE_WINDOW:
+                            newer, older = {mark_state: mark}, newer
+                        if j == next_mark:
+                            mark, next_mark, mark_state = j, j + j // 4 + 1, state
+                        next_look = j + 1
                 x, x_next = x_next, x
         yield x, y
 

@@ -15,6 +15,7 @@ instance is bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import os
@@ -491,6 +492,16 @@ _INSTANCES = {
 }
 
 
+@functools.cache
+def _parameter_kinds(generator) -> dict:
+    """The kind of each parameter of `generator` but n, read from its
+    signature at its first build: the annotation, where Optional[int]
+    counts as int."""
+    return {key: (get_args(p.annotation) or (p.annotation,))[0]
+            for key, p in inspect.signature(generator, eval_str=True).parameters.items()
+            if key != "n"}
+
+
 def build_instance(spec: InstanceSpec) -> BilevelProblem:
     """Build a bilevel problem from a named instance specification. Only the
     keys present are parsed; any key the instance does not take, a value out
@@ -499,10 +510,8 @@ def build_instance(spec: InstanceSpec) -> BilevelProblem:
         generator, fixed = _INSTANCES[spec.name]
     except KeyError:
         raise ConfigurationError(f"unknown instance name {spec.name!r}")
-    # a key's kind is its annotation; Optional[int] counts as int
-    kinds = {key: (get_args(p.annotation) or (p.annotation,))[0]
-             for key, p in inspect.signature(generator, eval_str=True).parameters.items()
-             if key != "n" and key not in fixed}
+    kinds = {key: kind for key, kind in _parameter_kinds(generator).items()
+             if key not in fixed}
     params = dict(spec.params)
     if spec.seed is not None:
         params["seed"] = spec.seed

@@ -14,8 +14,9 @@ point, so ACCELERATED_RUN runs again at solver.trace_every = 1, where
 every stretch between stops is one step, and the shipped r_vfista config
 at solver.trace_every = 7, where stretches meet the fixed point and end
 early. So is the shipped ipr_vfista config on other instances and
-budgets (IPR_RUNS): phillips at solver.K = 64 and foxgood at K = 32, whose
-inner runs fall into cycles of period 1 to 90 after 40 to 110 steps;
+budgets (IPR_RUNS): phillips at solver.K = 64 and foxgood at K = 32 and
+64, whose inner runs fall into cycles of period 1 to 90 after 40 to 125
+steps, each seen one period after it starts (`bilevel.CYCLE_WINDOW`);
 baart at K = 32, whose inner runs never repeat their state; and baart at
 K = 64, where 7 inner runs of up to J = 4096 steps reach a fixed point
 only after 1,383 to 2,646 steps. Each run goes once on this
@@ -101,12 +102,15 @@ ACCELERATED_RUN = {
 }
 
 # The shipped ipr_vfista config at K = 64 (89,440 budgeted inner steps,
-# inner runs up to J = 4096, which end by the period of the cycle their
-# state falls into, up to 90), on foxgood at K = 32, on baart at K = 32
+# inner runs up to J = 4096, which end one period after their state falls
+# into a cycle, of period up to 90), on foxgood at K = 32 and at K = 64
+# (periods up to 63, 3,809 inner steps computed), on baart at K = 32
 # (inner runs that never repeat their state) and on baart at K = 64 (fixed
 # points reached after 1,383 to 2,646 steps).
 IPR_RUNS = {"nonconvex_phillips_ipr K=64": {"solver.K": "64"},
             "nonconvex_foxgood ipr_vfista K=32": {"instance.name": "nonconvex_foxgood"},
+            "nonconvex_foxgood ipr_vfista K=64": {"instance.name": "nonconvex_foxgood",
+                                                  "solver.K": "64"},
             "nonconvex_baart ipr_vfista K=32": {"instance.name": "nonconvex_baart"},
             "nonconvex_baart ipr_vfista K=64": {"instance.name": "nonconvex_baart",
                                                 "solver.K": "64"}}

@@ -1,14 +1,16 @@
 import pathlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GradientTurnsNan, quad_problem
 from sbo import solvers
-from sbo.bilevel import (BilevelProblem, CompositeObjective, accelerated_constants,
-                         accelerated_run, projection_problem)
+from sbo.bilevel import (CYCLE_WINDOW, BilevelProblem, CompositeObjective,
+                         accelerated_constants, accelerated_run, projection_problem)
 from sbo.cli import parse_kv_file, run_from_config
 from sbo.errors import ConfigurationError, ContractViolation, DivergenceError
 from sbo.functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
@@ -244,6 +246,13 @@ def test_accelerated_run_refuses_what_the_accelerated_solver_refuses():
     for stops in ([], [0], [-1, 5], [0, 5], [5, 3], [1, 4, 2], [3, 3]):
         with pytest.raises(ConfigurationError, match=r"increasing stops >= 1; got 1.0 and \["):
             accelerated_run(p, 1.0, x0, stops)
+    for stops, value in (([2.5], 2.5), ([True], True), ([1, 2.0], 2.0),
+                         ([np.float64(3.0)], np.float64(3.0))):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"integer stops; got {value!r}")):
+            accelerated_run(p, 1.0, x0, stops)
+    # numpy integers are stops
+    assert len(list(accelerated_run(p, 1.0, x0, list(np.array([1, 3]))))) == 2
     nonconvex = BilevelProblem(CompositeObjective(MoreauLogSum(1e-2, 1e-1, 1), ZeroProx()),
                                p.lower)
     with pytest.raises(ConfigurationError, match="strongly convex"):
@@ -325,6 +334,25 @@ def full_accelerated_loop(problem, eta, x0, iters, with_y=False):
     return (x, y) if with_y else x
 
 
+def first_repeat_steps(problem, eta, x0, iters):
+    """The steps a run of `iters` steps from x0 computes when it ends one
+    period after its state first repeats: the full loop, with the state
+    after every step from step 1 on kept in a dict."""
+    gamma, _, momentum = accelerated_constants(problem, eta)
+    step, momentum = problem.step_map(gamma), np.array(momentum)
+    x = y = np.asarray(x0, dtype=float)
+    seen = {}
+    for j in range(1, iters + 1):
+        x_next = step(eta, y, np.empty_like(y))
+        y = x_next + momentum * (x_next - x)
+        state = x_next.tobytes(), x.tobytes()
+        if state in seen:
+            return j + (iters - j) % (j - seen[state])
+        seen[state] = j
+        x = x_next
+    return iters
+
+
 def count_steps(monkeypatch, owner):
     """A list that grows by one at each step of the step maps `owner` (a
     problem, or the BilevelProblem class) binds from now on."""
@@ -364,9 +392,9 @@ def ipr_inner_runs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name,k,period", [
-    ("nonconvex_phillips", 31, 3),   # J = 1024: its steps past 77 are 2 mod 3
-    ("nonconvex_phillips", 27, 12),  # J = 784: 8 mod 12
-    ("nonconvex_phillips", 19, 1),
+    ("nonconvex_phillips", 31, 3),   # J = 1024: the state after step 70 is that after 67
+    ("nonconvex_phillips", 27, 12),  # J = 784: after 107 it is that after 95
+    ("nonconvex_phillips", 19, 1),   # J = 400: after 92 it is that after 91
     ("nonconvex_baart", 31, None),   # never repeats
 ])
 def test_accelerated_run_has_the_bits_of_the_full_loop_on_ipr_inner_runs(
@@ -388,7 +416,7 @@ def test_accelerated_run_has_the_bits_of_the_full_loop_on_ipr_inner_runs(
 
 def test_accelerated_run_ends_a_period_3_cycle_at_every_remainder(ipr_inner_runs):
     p, eta, x0, _ = ipr_inner_runs["nonconvex_phillips"][31]
-    for iters in range(74, 86):  # the repeat is seen at step 77
+    for iters in range(64, 76):  # the repeat is seen at step 70
         assert (next(accelerated_run(p, eta, x0, [iters]))[0].tobytes()
                 == full_accelerated_loop(p, eta, x0, iters).tobytes())
 
@@ -427,13 +455,15 @@ def test_accelerated_run_keeps_states_apart_that_differ_in_the_sign_of_a_zero(it
     assert next(accelerated_run(p, 0.5, np.zeros(1), [iters]))[0].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("iters,computed", [(12, 12), (100, 37)])
+@pytest.mark.parametrize("iters,computed", [(12, 12), (100, 9)])
 def test_accelerated_run_takes_an_equal_norm_for_no_repeat(monkeypatch, iters, computed):
     # a rotation of 7 small integers: every step has the same squared norm
-    # and the state repeats after 7 steps. The cycle starts at step 0, but
-    # it is first seen at step 36, 7 steps after the checkpoint at 29, the
-    # first whose spacing (29 // 4 + 1 = 8) reaches the period: a long cycle
-    # with no transient is the case where quarter spacing waits longest
+    # and the state repeats after 7 steps. Step 2 has the squared norm of
+    # the checkpoint at step 1 but not its bytes, so the window opens there
+    # and the state after step 8, that after step 1, is seen one period
+    # after the run enters the cycle: 100 steps shrink to
+    # 8 + (100 - 8) mod 7 = 9. Quarter-spaced checkpoints alone see it only
+    # at step 36, 7 steps after the checkpoint at 29
     p = _momentum_free_problem(7, lambda y: np.roll(y, 1))
     x0 = np.arange(1.0, 8.0)
     steps = count_steps(monkeypatch, p)
@@ -479,11 +509,67 @@ def test_accelerated_run_sees_a_cycle_within_its_bound(mu, lam, iters, seed):
     assert len(steps) <= min(iters, 1.25 * max(mu, 4 * lam) + 2 * lam)
 
 
-def test_the_shipped_ipr_config_computes_under_a_quarter_of_its_inner_budget(monkeypatch,
-                                                                             tmp_path):
-    # sum_{k<32} (k+1)^2 = 11440 budgeted steps; 2399 computed
+def _equal_norm_states(count, dimension, seed):
+    """`count` distinct states of `dimension` entries, all of squared norm
+    dimension - 2: entries in {-1, 1} but for the last two, which are 0.0
+    or -0.0, so some states differ only in the sign of a zero."""
+    codes = np.random.default_rng(seed).choice(2 ** dimension, count, replace=False)
+    bits = codes[:, None] // 2 ** np.arange(dimension) % 2
+    states = np.where(bits == 1, 1.0, -1.0)
+    states[:, -2:] *= 0.0
+    return list(states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=st.integers(0, 300), lam=st.integers(1, CYCLE_WINDOW), iters=st.integers(1, 1200),
+       seed=st.integers(0, 2**32 - 1))
+@example(mu=300, lam=CYCLE_WINDOW, iters=1200, seed=0)
+@example(mu=0, lam=CYCLE_WINDOW, iters=600, seed=1)
+def test_accelerated_run_sees_a_short_cycle_one_period_after_it_starts(mu, lam, iters, seed):
+    # every state has the squared norm of every checkpoint, so the window
+    # opens at step 2 and holds every later state: a period within the
+    # window is seen at the step where the state first repeats
+    states = _equal_norm_states(mu + lam, 10, seed)
+    steps = []
+    p = _momentum_free_problem(10, None)
+    p.step_map = _table_walk(states, mu, steps)
+    want = full_accelerated_loop(p, 0.5, states[0], iters)
+    computed = first_repeat_steps(p, 0.5, states[0], iters)
+    steps.clear()
+    assert next(accelerated_run(p, 0.5, states[0], [iters]))[0].tobytes() == want.tobytes()
+    assert len(steps) == computed
+
+
+def test_the_window_of_states_holds_at_most_two_generations():
+    # 12 windows of distinct states of one squared norm: the window is open
+    # from step 2 and never sees a repeat. Its two generations keep at most
+    # CYCLE_WINDOW states and the checkpoint each, every state two strings
+    # of 12 doubles (129 bytes each as objects), their tuple, the step index
+    # and a dict slot: under 512 bytes a state. Keeping all 3,072 states
+    # would take more than four times the bound
+    iters = 12 * CYCLE_WINDOW
+    states = _equal_norm_states(iters + 1, 12, 0)
+    steps = []
+    p = _momentum_free_problem(12, None)
+    p.step_map = _table_walk(states, iters, steps)
+    tracemalloc.start()
+    try:
+        (x, _), = accelerated_run(p, 0.5, states[0], [iters])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.tobytes() == states[iters].tobytes() and len(steps) == iters
+    assert peak < 2 * (CYCLE_WINDOW + 1) * 512
+
+
+def test_the_shipped_ipr_config_computes_under_a_quarter_of_its_inner_budget(
+        monkeypatch, tmp_path, ipr_inner_runs):
+    # sum_{k<32} (k+1)^2 = 11440 budgeted steps; 2176 computed, each inner
+    # run ending one period after its state first repeats
+    oracle = sum(first_repeat_steps(*run) for run in ipr_inner_runs["nonconvex_phillips"])
     steps = count_steps(monkeypatch, BilevelProblem)
     run_from_config({**parse_kv_file(IPR_CONFIG), "output.dir": str(tmp_path)})
+    assert len(steps) == oracle
     assert len(steps) < 11440 / 4
 
 

@@ -1,8 +1,10 @@
+import inspect
 import math
 import pathlib
 import re
 import string
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -442,6 +444,27 @@ def test_build_instance_takes_integral_numbers_for_integer_keys():
         p = build_instance(InstanceSpec("rank_deficient_ls", 8, seed=1,
                                         params={"rank": rank, "lam": 0}))
         assert np.linalg.matrix_rank(p.lower.smooth.a) == 2
+
+
+def test_build_instance_reads_each_generators_signature_once(monkeypatch):
+    # the first build of a generator reads its signature; later builds, and
+    # the refusals they make, take the kinds it gave
+    calls = []
+
+    def signature(generator, **kwargs):
+        calls.append(generator)
+        return inspect.signature(generator, **kwargs)
+
+    problems_mod._parameter_kinds.cache_clear()
+    monkeypatch.setattr(problems_mod, "inspect", types.SimpleNamespace(signature=signature))
+    spec = InstanceSpec("nonconvex_phillips", 8, params={"delta": "0.005"})
+    first, second = build_instance(spec), build_instance(spec)
+    assert first.lower.smooth.a.tobytes() == second.lower.smooth.a.tobytes()
+    assert calls == [problems_mod.gen_nonconvex_sec6]
+    with pytest.raises(ConfigurationError, match="instance key 'with_reference'"):
+        build_instance(InstanceSpec("nonconvex_baart", 8, params={"with_reference": "0"}))
+    build_instance(InstanceSpec("sec61_phillips", 8))
+    assert calls == [problems_mod.gen_nonconvex_sec6, problems_mod.gen_sec61_inverse]
 
 
 # parse_value reads every config, instance and suite key; its refusals
