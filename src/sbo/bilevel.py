@@ -189,23 +189,22 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
 
     A stretch between stops whose state repeats exactly ends by the cycle's
     period, with the bits of the full run: the state after step j,
-    (x_j, x_{j-1}), fixes y_j and so every later step. Each stretch copies
-    the state's bytes out of the buffers at checkpoints after its steps 1,
-    2, 3, 4, 6, 8, 11, 14, ... (m + m // 4 + 1 follows m). A step compares
-    its squared norm with the checkpoint's, and its bytes only when the two
-    are equal (-0.0 is not 0.0). The first step whose squared norm is the
-    checkpoint's but whose bytes are not opens the stretch's window: a dict
-    from states to steps, kept as two generations of CYCLE_WINDOW states
-    each and seeded, like each later generation, with the checkpoint. From
-    then on each step looks its state up in the window and adds it, and
-    that one lookup also makes the checkpoint test. When the state after
+    (x_j, x_{j-1}), fixes y_j and so every later step. When the state after
     step j repeats that after step m, the stretch's `iters` steps shrink to
-    j + (iters - j) mod (j - m). A cycle of period lam <= CYCLE_WINDOW
-    entered at step mu, with the window open by then, is seen at step
-    mu + lam, where the state first repeats. Otherwise it is seen lam steps
-    after the first checkpoint m >= max(mu, 4 (lam - 1)), so a stretch
-    computes at most min(iters, 1.25 max(mu, 4 lam) + 2 lam) steps. While
-    the window is shut a step does no more than compare a squared norm."""
+    j + (iters - j) mod (j - m). Each stretch starts afresh and copies the
+    state's bytes out of the buffers at checkpoints after its steps 1, 2, 3,
+    4, 6, 8, 11, 14, ... (m + m // 4 + 1 follows m). While its window is
+    shut a step only compares its squared norm with the checkpoint's. The
+    first step where the two are equal opens the window: a dict from states
+    to steps, kept as two generations of CYCLE_WINDOW states each and
+    seeded, like each later generation, with the checkpoint. From that step
+    on each step looks its state up in the window and adds it, and that
+    lookup is the only comparison of bytes (-0.0 is not 0.0). A cycle of
+    period lam <= CYCLE_WINDOW entered at step mu, with the window open by
+    then, is seen at step mu + lam, where the state first repeats. Any
+    other is seen where the first checkpoint m >= max(mu, 4 (lam - 1))
+    repeats, lam steps after it (that repeat opens a shut window), so a
+    stretch computes at most min(iters, 1.25 max(mu, 4 lam) + 2 lam) steps."""
     require_strongly_convex_upper(problem, "accelerated run")
     for stop in stops:
         if isinstance(stop, bool) or not isinstance(stop, (int, np.integer)):
@@ -225,9 +224,8 @@ def _accelerated_stretches(problem: BilevelProblem, eta: float, x: np.ndarray,
     step, momentum = problem.step_map(gamma), np.array(momentum)  # 0-d: see step_map
     multiply, add, subtract = np.multiply, np.add, np.subtract
     for done, stop in zip([0, *stops], stops):
-        iters, j, mark, next_mark, mark_sq = stop - done, 0, 0, 1, math.nan
+        iters, j, next_mark, mark_sq = stop - done, 0, 1, math.nan
         newer = None  # the window's newer generation (state -> step), once open
-        next_look = 1  # the next checkpoint, or the next step once the window is open
         with np.errstate(over="ignore"):
             while j < iters:
                 step(eta, y, x_next)
@@ -238,31 +236,23 @@ def _accelerated_stretches(problem: BilevelProblem, eta: float, x: np.ndarray,
                 multiply(momentum, y, y)
                 add(x_next, y, y)
                 j += 1
-                if sq == mark_sq:  # never once the window is open: mark_sq is then NaN
-                    state = x_next.tobytes(), x.tobytes()
-                    if state == mark_state:
-                        iters = j + (iters - j) % (j - mark)
-                    else:  # the gate: the window opens, seeded with the checkpoint
-                        newer, older, x_bytes = {mark_state: mark}, {}, state[1]
-                        mark_sq, next_look = math.nan, j
-                if j == next_look:
-                    if newer is None:
-                        mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
-                        mark_state = x_next.tobytes(), x.tobytes()
-                        next_look = next_mark
-                    else:  # it holds the checkpoint: one lookup makes both tests
-                        state = x_next.tobytes(), x_bytes
-                        x_bytes = state[0]
-                        seen = newer.setdefault(state, j)
-                        if seen == j:
-                            seen = older.get(state, j)
-                        if seen < j:
-                            iters = j + (iters - j) % (j - seen)
-                        elif len(newer) > CYCLE_WINDOW:
-                            newer, older = {mark_state: mark}, newer
-                        if j == next_mark:
-                            mark, next_mark, mark_state = j, j + j // 4 + 1, state
-                        next_look = j + 1
+                if sq == mark_sq:  # the gate; mark_sq is NaN once the window is open
+                    newer, older, x_bytes, mark_sq = {mark_state: mark}, {}, x.tobytes(), math.nan
+                if newer is not None:
+                    state = x_next.tobytes(), x_bytes
+                    x_bytes = state[0]
+                    seen = newer.setdefault(state, j)
+                    if seen == j:
+                        seen = older.get(state, j)
+                    if seen < j:
+                        iters = j + (iters - j) % (j - seen)
+                    elif len(newer) > CYCLE_WINDOW:
+                        newer, older = {mark_state: mark}, newer
+                    if j == next_mark:
+                        mark, next_mark, mark_state = j, j + j // 4 + 1, state
+                elif j == next_mark:
+                    mark, next_mark, mark_sq = j, j + j // 4 + 1, sq
+                    mark_state = x_next.tobytes(), x.tobytes()
                 x, x_next = x_next, x
         yield x, y
 

@@ -482,12 +482,14 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
             f"(gamma_hat = {gamma_hat:.6g} > {1.0 / (2.0 * l_f):.6g}). "
             "Set allow_large_step to run anyway."
         )
-    total_inner = big_k * (big_k + 1) * (2 * big_k + 1) // 6  # sum_{k<K} (k+1)^a, a = 2
-    if total_inner > MAX_TOTAL_INNER:
-        raise ConfigurationError(
-            f"inner budget sum_k (k+1)^a = {total_inner} exceeds the cap "
-            f"{MAX_TOTAL_INNER}; lower K"
-        )
+    total_inner = 0  # sum_{k<K} (k+1)^a, summed only up to the cap
+    for k in range(big_k):
+        total_inner += (k + 1) ** INNER_BUDGET_EXPONENT
+        if total_inner > MAX_TOTAL_INNER:
+            raise ConfigurationError(
+                f"inner budget sum_k (k+1)^a of K = {big_k} exceeds the cap "
+                f"{MAX_TOTAL_INNER}; lower K"
+            )
 
     window_start = big_k // 2
     cfg_echo = {

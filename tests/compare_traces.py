@@ -40,32 +40,32 @@ exit codes and standard outputs are the same, else both exit codes and
 the lines that differ. The suite types its configs through
 `run_from_config` as `sbo run` does, and ignores their output.* keys.
 
-Last, PROJECTOR_CHECK sends 300 seeded queries per family (phillips, baart
-and foxgood at n = 32, PROJECTOR_WEIGHT, the unit ball) through
-`problems.ls_ball_projector` in each checkout, in a subprocess as the runs
-are, and prints "identical" when all 900 outputs are the same doubles on
-both sides, else the largest relative difference ||u - v|| / max(||u||, ||v||)
-over the queries and how many differ.
-
-PAIR_CHECK does the same for the step of each of the 10 supported prox
-pairs, built as tests/test_kernel_bits.py's `_pair_problem` builds them:
-the sha256 of 50 chained `step_map` steps, whose eta sequence holds 0.0,
--0.0, one eta object twice, an equal eta of another object and an eta > 0
-whose product with gamma underflows to 0.0. It prints "identical" per
-pair. No shipped run reaches the six pairs no instance builds.
-
-LIPSCHITZ_CHECK runs `linalg.spectral_norm_sq` in each checkout, in a
-subprocess as the runs are, on the phillips, baart and foxgood matrices
-at n = 8, 16, 32, 64 and 128 and on the A of `rank_deficient_ls` at
-n = 50, rank 25 for seeds 0 to 15 (the benchmark's instance seeds). It
-prints "identical" when all 31 results are the same doubles on both
-sides, else how many differ and the largest relative difference.
+Last, each check of CHECKS runs its snippet once in each checkout, in a
+subprocess as the runs are, and the script prints "identical" when both
+print the same lines, else how many lines differ and, over the differing
+lines whose words agree, the largest relative difference
+||u - v|| / max(||u||, ||v||) of their numbers (hex doubles and integers;
+a sha256 compares as text). PROJECTOR_CHECK prints the output of
+`problems.ls_ball_projector` for 300 seeded queries per family (phillips,
+baart and foxgood at n = 32, PROJECTOR_WEIGHT, the unit ball). PAIR_CHECK
+prints, for each of the 10 supported prox pairs built as
+tests/test_kernel_bits.py's `_pair_problem` builds them, the sha256 of 50
+chained `step_map` steps, whose eta sequence holds 0.0, -0.0, one eta
+object twice, an equal eta of another object and an eta > 0 whose product
+with gamma underflows to 0.0; no shipped run reaches the six pairs no
+instance builds. LIPSCHITZ_CHECK prints `linalg.spectral_norm_sq` of the
+phillips, baart and foxgood matrices at n = 8, 16, 32, 64 and 128 and of
+the A of `rank_deficient_ls` at n = 50, rank 25 for seeds 0 to 15 (the
+benchmark's instance seeds). STEPS_CHECK prints the accelerated steps
+computed by the shipped ipr_vfista config, by each IPR_RUNS run, by the
+shipped r_vfista_weak_sharp config and by MANUFACTURE_RUN, so a change to
+the accelerated loop that moves a count shows without a benchmark.
 
 pytest does not collect this file. Run from the repository root:
 
     python tests/compare_traces.py OTHER_CHECKOUT
 
-It exits 1 if a run fails in either checkout, else 0.
+It exits 1 if a run or a check fails in either checkout, else 0.
 """
 
 import difflib
@@ -132,8 +132,8 @@ for which in ("phillips", "baart", "foxgood"):
         print(" ".join(v.hex() for v in u.tolist()))
 """
 
-# Prints "(<lower kind>, <upper kind>) <sha256>" for each supported prox
-# pair: the bytes of 50 chained steps, into a new array and into y in turn.
+# Prints "(<lower kind>, <upper kind>) sha256:<digest>" for each supported
+# prox pair: the bytes of 50 chained steps, into a new array and into y in turn.
 PAIR_CHECK = """
 import hashlib
 import numpy as np
@@ -162,7 +162,7 @@ for h in terms():
         for j in range(50):
             y = step(etas[j % len(etas)], y, y if j % 2 else np.empty(8))
             digest.update(y.tobytes())
-        print(f"({h.kind}, {f.kind})", digest.hexdigest())
+        print(f"({h.kind}, {f.kind}) sha256:{digest.hexdigest()}")
 """
 
 # Prints "<matrix> <hex double>" of spectral_norm_sq, one line per matrix.
@@ -176,6 +176,47 @@ for seed in range(16):
     a = gen_rank_deficient_ls(50, 25, seed=seed).lower.smooth.a
     print(f"rank_deficient_ls_seed{seed}", spectral_norm_sq(a).hex())
 """
+
+
+def step_runs() -> list[tuple[str, dict]]:
+    """(label, config) of every run STEPS_CHECK counts."""
+    ipr = parse_kv_file(CONFIGS / "nonconvex_phillips_ipr.cfg")
+    return [("nonconvex_phillips_ipr K=32", ipr),
+            *((label, {**ipr, **change}) for label, change in IPR_RUNS.items()),
+            ("r_vfista_weak_sharp", parse_kv_file(CONFIGS / "r_vfista_weak_sharp.cfg")),
+            ("rank_deficient_ls f_star manufacture", MANUFACTURE_RUN)]
+
+
+# Prints "<run> <steps>": the accelerated steps each of step_runs() computes,
+# counted by a problem that wraps the step of every accelerated run.
+STEPS_CHECK = """
+import sbo.bilevel as bilevel
+from sbo.cli import run_from_config
+stretches, steps = bilevel._accelerated_stretches, [0]
+class Counted:
+    def __init__(self, problem):
+        self.problem = problem
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+    def step_map(self, gamma):
+        step = self.problem.step_map(gamma)
+        def counted_step(eta, y, out):
+            steps[0] += 1
+            return step(eta, y, out)
+        return counted_step
+bilevel._accelerated_stretches = lambda problem, *args: stretches(Counted(problem), *args)
+for label, cfg in %r:
+    steps[0] = 0
+    run_from_config(cfg)
+    print(label, steps[0])
+""" % (step_runs(),)
+
+# (label, snippet) of every check that runs a snippet in each checkout and
+# compares the lines it prints.
+CHECKS = [("ls_ball_projector, 300 queries per family", PROJECTOR_CHECK),
+          ("prox pairs, 50 chained steps each", PAIR_CHECK),
+          ("spectral_norm_sq, 31 matrices", LIPSCHITZ_CHECK),
+          ("accelerated steps per run", STEPS_CHECK)]
 
 
 def plottable_columns(trace_csv: pathlib.Path) -> list[str]:
@@ -290,31 +331,38 @@ def report_differences(mine: str, other: str) -> list[str]:
     return findings
 
 
-def projector_difference(mine: list[str], other: list[str]) -> str:
-    """The largest relative difference ||u - v|| / max(||u||, ||v||) between
-    the outputs of two PROJECTOR_CHECK runs, one line of hex doubles per
-    query, and how many queries differ."""
+def _numbers(line: str) -> tuple[list[str], list[float]]:
+    """The words of a check's output line apart from its numbers: a word
+    float.hex writes or a decimal integer. A sha256:<digest> is a word."""
+    words, numbers = [], []
+    for word in line.split():
+        if "0x" in word:
+            numbers.append(float.fromhex(word))
+        elif word.lstrip("-").isdigit():
+            numbers.append(float(word))
+        else:
+            words.append(word)
+    return words, numbers
+
+
+def check_difference(mine: list[str], other: list[str]) -> str:
+    """"identical" when two checks printed the same lines, else how many
+    lines differ and the largest relative difference ||u - v|| / max(||u||,
+    ||v||) between the numbers u, v of two differing lines whose words are
+    the same."""
     if len(mine) != len(other):
-        return f"{len(mine)} queries vs {len(other)}"
-    worst, differing = 0.0, 0
-    for a, b in zip(mine, other):
-        if a == b:
-            continue
-        u, v = ([float.fromhex(t) for t in line.split()] for line in (a, b))
-        scale = max(math.hypot(*u), math.hypot(*v))
-        worst = max(worst, math.hypot(*(x - y for x, y in zip(u, v))) / scale)
-        differing += 1
-    return f"max rel diff {worst:.2e} ({differing} of {len(mine)} queries differ)"
-
-
-def lipschitz_difference(mine: dict[str, str], other: dict[str, str]) -> str:
-    """How many of the matrices of two LIPSCHITZ_CHECK runs, each a dict of
-    matrix name to hex double, differ, and the largest relative difference."""
-    if mine.keys() != other.keys():
-        return f"matrices {sorted(mine)} vs {sorted(other)}"
-    diffs = [abs(x - y) / max(abs(x), abs(y)) for x, y in
-             ((float.fromhex(mine[m]), float.fromhex(other[m])) for m in mine) if x != y]
-    return f"max rel diff {max(diffs):.2e} ({len(diffs)} of {len(mine)} matrices differ)"
+        return f"{len(mine)} lines vs {len(other)}"
+    differing = [(a, b) for a, b in zip(mine, other) if a != b]
+    if not differing:
+        return "identical"
+    diffs = []
+    for a, b in differing:
+        (a_words, u), (b_words, v) = _numbers(a), _numbers(b)
+        if a_words == b_words and len(u) == len(v):
+            scale = max(math.hypot(*u), math.hypot(*v))
+            diffs.append(math.hypot(*(x - y for x, y in zip(u, v))) / scale if scale else 0.0)
+    return f"{len(differing)} of {len(mine)} lines differ" + (
+        f", max rel diff {max(diffs):.2e}" if diffs else "")
 
 
 def plot_differences(mine: dict[str, str], other: dict[str, str]) -> list[str]:
@@ -353,33 +401,15 @@ def main(argv: list[str]) -> int:
     print(f"sbo rates {RATES_SUITE.name}: " + (
         "identical" if (mine.returncode, mine.stdout) == (theirs.returncode, theirs.stdout)
         else f"exit {mine.returncode} vs {theirs.returncode}; " + "; ".join(differing)))
-    label = "ls_ball_projector, 300 queries per family"
-    try:
-        mine, theirs = (python_in(checkout, "-c", PROJECTOR_CHECK).splitlines()
-                        for checkout in (ROOT, other))
-    except RuntimeError as exc:
-        print(f"{label}: FAILED: {exc}")
-        return 1
-    print(f"{label}: " + ("identical" if mine == theirs else projector_difference(mine, theirs)))
-    try:
-        mine, theirs = (dict(line.rsplit(" ", 1) for line in
-                             python_in(checkout, "-c", PAIR_CHECK).splitlines())
-                        for checkout in (ROOT, other))
-    except RuntimeError as exc:
-        print(f"prox pairs: FAILED: {exc}")
-        return 1
-    for pair in sorted(mine.keys() | theirs.keys()):
-        a, b = mine.get(pair), theirs.get(pair)
-        print(f"{pair} prox, 50 steps: " + ("identical" if a == b else f"sha256 {a} vs {b}"))
-    label = "spectral_norm_sq, 31 matrices"
-    try:
-        mine, theirs = (dict(line.split() for line in
-                             python_in(checkout, "-c", LIPSCHITZ_CHECK).splitlines())
-                        for checkout in (ROOT, other))
-    except RuntimeError as exc:
-        print(f"{label}: FAILED: {exc}")
-        return 1
-    print(f"{label}: " + ("identical" if mine == theirs else lipschitz_difference(mine, theirs)))
+    for label, snippet in CHECKS:
+        try:
+            mine, theirs = (python_in(checkout, "-c", snippet).splitlines()
+                            for checkout in (ROOT, other))
+        except RuntimeError as exc:
+            print(f"{label}: FAILED: {exc}")
+            failed = True
+            continue
+        print(f"{label}: {check_difference(mine, theirs)}")
     return 1 if failed else 0
 
 

@@ -13,6 +13,7 @@ import sbo.cli as cli_mod
 from sbo.cli import (CSV_HEADER, main, parse_kv_file, read_trace_csv,
                      render_svg, trace_to_csv)
 from sbo.errors import ParseError
+from sbo.metrics import fit_rate
 from sbo.problems import InstanceSpec, build_instance, gen_phillips, load_instance
 from sbo.solvers import TraceRecord
 
@@ -389,7 +390,7 @@ def test_cmd_run_output_dir_that_cannot_be_made_exits_2_naming_it(
 
 
 def test_cmd_run_refuses_a_huge_ipr_k_at_once(tmp_path, capsys):
-    # the inner budget K(K+1)(2K+1)/6 is about 3.3e35 here
+    # the inner budget sum_k (k+1)^2 is about 3.3e35 here; its sum stops at the cap
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("instance.name = nonconvex_phillips\ninstance.n = 8\n"
                    "solver.name = ipr_vfista\nsolver.K = 1000000000000\n"
@@ -763,6 +764,43 @@ def test_cmd_rates_finals_row_honours_kmin(tmp_path, capsys):
     assert main(["rates", str(suite)]) == 0
     out = capsys.readouterr().out
     assert "PASS finals" in out and "n=3" in out  # k = 50 is outside the window
+
+
+def _ipr_config(path):
+    path.write_text("instance.name = nonconvex_phillips\ninstance.n = 8\n"
+                    "solver.name = ipr_vfista\nsolver.K = 4\nsolver.allow_large_step = 1\n"
+                    f"output.dir = {path.parent / 'o'}\n")
+    return path
+
+
+def test_cmd_rates_residual_sq_finals_row_fits_each_ipr_runs_best_residual(
+        tmp_path, capsys, monkeypatch):
+    cfg = parse_kv_file(_ipr_config(tmp_path / "ipr.cfg"))
+    fitted = []
+
+    def recording_fit(samples, window, min_samples=5):
+        fitted.extend(samples)
+        return fit_rate(samples, window, min_samples)
+
+    monkeypatch.setattr(cli_mod, "fit_rate", recording_fit)
+    suite = tmp_path / "suite.txt"
+    suite.write_text("label=ipr config=ipr.cfg metric=residual_sq slope=0 tol=100 "
+                     "mode=finals ks=2,3,4,6 min_samples=4\n")
+    assert main(["rates", str(suite)]) == 0
+    assert "PASS ipr: metric=residual_sq" in capsys.readouterr().out
+    reports = [cli_mod.run_from_config({**cfg, "solver.K": str(k)}) for k in (2, 3, 4, 6)]
+    assert fitted == [(r.config["K"], r.extras["best_residual_sq"]) for r in reports]
+    # at K = 3 the best residual (k = 1) is not the last record's
+    assert reports[1].extras["best_residual_sq"] < reports[1].trace[-1].residual_sq
+
+
+def test_cmd_run_at_k_1_writes_no_rate_fit(tmp_path):
+    cfg = _ipr_config(tmp_path / "ipr.cfg")
+    cfg.write_text(cfg.read_text().replace("solver.K = 4", "solver.K = 1"))
+    assert main(["run", str(cfg)]) == 0
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "final.residual_sq = " in report
+    assert not [line for line in report.splitlines() if line.startswith("fit.")]
 
 
 def test_cmd_rates_runs_configs(tmp_path, capsys):

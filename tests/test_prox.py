@@ -98,6 +98,18 @@ def test_prox_ball_grid_oracle_1d():
         assert abs(got - want) <= 1e-3
 
 
+def test_ball_value_is_inf_past_its_slack_and_0_where_prox_ball_lands():
+    ball = BallProx(1.3)
+    rng = np.random.default_rng(2)
+    for scale in (1e-3, 1.0, 1e3, 1e150):
+        x = scale * rng.standard_normal(5)
+        assert ball.value(prox_ball(1.3, x)) == 0.0
+        unit = x / np.linalg.norm(x)
+        assert ball.value(1.3 * (1.0 + 1e-13) * unit) == 0.0
+        assert ball.value(1.3 * (1.0 + 1e-11) * unit) == math.inf
+    assert ball.value(np.array([3.0, 4.0])) == math.inf
+
+
 def test_prox_box_cases():
     lo, hi = -np.ones(3), np.ones(3)
     inside = np.array([0.2, -0.5, 0.9])

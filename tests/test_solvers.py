@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbo.solvers as solvers_mod
 from conftest import DiagQuadratic, GradientTurnsNan, quad_problem
-from sbo.bilevel import BilevelProblem, CompositeObjective, ReferenceTruth, check_finite
+from sbo.bilevel import (BilevelProblem, CompositeObjective, ReferenceTruth,
+                         accelerated_run, check_finite)
 from sbo.errors import ConfigurationError, DivergenceError
 from sbo.functions import MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.prox import BallProx, L1Prox, ZeroProx
@@ -159,7 +161,6 @@ def test_ir_ista_refuses_weights_that_would_overflow():
 def test_elapsed_ns_counts_solver_time_only(monkeypatch):
     # every record takes >= 30 ms; elapsed_ns must not count them, and the
     # report's metrics_ns must
-    import sbo.solvers as solvers_mod
     infeasibility = solvers_mod._metrics.infeasibility
 
     def slow_infeasibility(*args):
@@ -593,6 +594,27 @@ def test_ipr_inner_budget_cap():
     # sum_{k=1}^{200} k^2 = 2,686,700 inner iterations exceed the 2M cap
     with pytest.raises(ConfigurationError, match="cap 2000000; lower K$"):
         solve_ipr_vfista(p, NcConfig(big_k=200))
+
+
+def test_ipr_total_inner_follows_the_budget_exponent(monkeypatch):
+    lower = CompositeObjective(DiagQuadratic(np.array([2.0, 2.0])), ZeroProx())
+    upper = CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx())
+    p = BilevelProblem(upper, lower, initial_point=np.zeros(2))
+    budgets = []
+
+    def recording_run(problem, eta, x0, stops):
+        budgets.extend(stops)
+        return accelerated_run(problem, eta, x0, stops)
+
+    monkeypatch.setattr(solvers_mod, "INNER_BUDGET_EXPONENT", 3)
+    monkeypatch.setattr(solvers_mod, "accelerated_run", recording_run)
+    rep = solve_ipr_vfista(p, NcConfig(big_k=4))
+    assert budgets == [1, 8, 27, 64]
+    assert rep.extras["total_inner"] == rep.config["total_inner"] == sum(budgets)
+    assert rep.config["a"] == 3
+    # sum_{k=1}^{53} k^3 = 2,047,761 passes the cap, which a = 2 reaches at K = 182
+    with pytest.raises(ConfigurationError, match="K = 53 exceeds the cap 2000000; lower K$"):
+        solve_ipr_vfista(p, NcConfig(big_k=53))
 
 
 @settings(max_examples=300, deadline=None)
