@@ -54,8 +54,9 @@ class SubgradientAtOpt:
 class ReferenceTruth:
     """Ground truth attached to constructed instances; solvers never read it,
     only metric evaluation does. Tolerances record how the values were made:
-    analytic values default to 1e-10, values taken at a tiny weight recorded
-    in `notes` carry the bias that weight implies.
+    analytic values default to 1e-10, certified values carry their duality
+    gap, and values taken at a tiny weight recorded in `notes` carry the bias
+    that weight implies or their measured distance from a certified value.
     """
 
     h_star: Optional[float] = None

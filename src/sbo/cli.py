@@ -187,10 +187,7 @@ def parse_trace_lines(lines, source) -> dict[str, list]:
 
 def attach_rate_fits(report: RunReport) -> None:
     """Fit the default-window slope of every positive metric column."""
-    big_k = max((r.k for r in report.trace), default=0)
-    if big_k < 2:
-        return
-    window = default_fit_window(big_k)
+    window = default_fit_window(max((r.k for r in report.trace), default=0))
     for name in _FITTABLE:
         samples = [(r.k, getattr(r, name)) for r in report.trace]
         try:

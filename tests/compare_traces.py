@@ -3,11 +3,12 @@ this checkout and another.
 
 Each configs/*.cfg is run through `sbo run` at solver.K = 20 and at its
 shipped solver.K, and once more at solver.K = 20 with output.plots set to
-every column of its golden trace (tests/fixtures/traces/) that has two or
-more points a log-log plot shows, so that a plot of every such column is
-compared, not only the shipped output.plots. So are MANUFACTURE_RUN, the
+every column that has two or more points a log-log plot shows in its
+golden trace (tests/fixtures/traces/) of both checkouts, so that a plot of
+every such column is compared, not only the shipped output.plots. So are MANUFACTURE_RUN, the
 one run that reaches the f_star manufacture of rank_deficient_ls (no
-shipped config sets f_star_budget), and ACCELERATED_RUN, an r_vfista run whose iterates move
+shipped config sets f_star_budget; the benchmark's acceptance_convex
+workload does), and ACCELERATED_RUN, an r_vfista run whose iterates move
 for its whole horizon (the shipped r_vfista config sits at x* from its
 first step). r_vfista makes one accelerated run that stops at each trace
 point, so ACCELERATED_RUN runs again at solver.trace_every = 1, where
@@ -27,8 +28,8 @@ trace.csv files are byte-identical, so is every plot_*.svg, and so are
 the two report.txt files but for their timing footer (wall_clock_ns,
 metrics_ns, build_ns). Otherwise it prints the
 worst relative difference |a - b| / max(|a|, |b|) of every numeric trace
-column that differs (elapsed_ns is ignored), any field that is empty on
-one side only or a differing row count, every report key that differs,
+column that differs (elapsed_ns is ignored), how many fields of each
+column are filled on one side only, a differing row count, every report key that differs,
 with its worst relative difference when both values are numbers, and
 every plot that differs or is written on one side only. Use it to show
 that a change keeps the traces, reports and plots, or to bound how far it
@@ -60,6 +61,10 @@ benchmark's instance seeds). STEPS_CHECK prints the accelerated steps
 computed by the shipped ipr_vfista config, by each IPR_RUNS run, by the
 shipped r_vfista_weak_sharp config and by MANUFACTURE_RUN, so a change to
 the accelerated loop that moves a count shows without a benchmark.
+REFERENCE_CHECK prints the reference that `build_instance` attaches to
+`rank_deficient_ls` at n = 50, rank 25, lam 0 and 0.1, for seeds 0 to 15:
+f_star, f_star_tol and a digest of x_star (its squared norm and its sum),
+as hex doubles, or "none" where the instance carries no f_star.
 
 pytest does not collect this file. Run from the repository root:
 
@@ -68,6 +73,7 @@ pytest does not collect this file. Run from the repository root:
 It exits 1 if a run or a check fails in either checkout, else 0.
 """
 
+import collections
 import difflib
 import math
 import os
@@ -211,12 +217,30 @@ for label, cfg in %r:
     print(label, steps[0])
 """ % (step_runs(),)
 
+# Prints "<instance> <f_star> <f_star_tol> <||x_star||^2> <sum x_star>" as hex
+# doubles for each reference, or "<instance> none" where none is attached.
+REFERENCE_CHECK = """
+from sbo.problems import InstanceSpec, build_instance
+for lam in ("0", "0.1"):
+    for seed in range(16):
+        ref = build_instance(InstanceSpec("rank_deficient_ls", 50, seed,
+                                          {"rank": "25", "lam": lam})).reference
+        label = f"rank_deficient_ls_lam{lam}_seed{seed}"
+        if ref.f_star is None:
+            print(label, "none")
+            continue
+        x = ref.x_star
+        print(label, ref.f_star.hex(), float(ref.f_star_tol).hex(), float(x @ x).hex(),
+              float(x.sum()).hex())
+"""
+
 # (label, snippet) of every check that runs a snippet in each checkout and
 # compares the lines it prints.
 CHECKS = [("ls_ball_projector, 300 queries per family", PROJECTOR_CHECK),
           ("prox pairs, 50 chained steps each", PAIR_CHECK),
           ("spectral_norm_sq, 31 matrices", LIPSCHITZ_CHECK),
-          ("accelerated steps per run", STEPS_CHECK)]
+          ("accelerated steps per run", STEPS_CHECK),
+          ("rank_deficient_ls reference, 32 instances", REFERENCE_CHECK)]
 
 
 def plottable_columns(trace_csv: pathlib.Path) -> list[str]:
@@ -228,14 +252,17 @@ def plottable_columns(trace_csv: pathlib.Path) -> list[str]:
                    for k, v in zip(cols["k"], values)) >= 2]
 
 
-def runs() -> list[tuple[str, dict]]:
-    """(label, config) of every compared run."""
+def runs(other: pathlib.Path) -> list[tuple[str, dict]]:
+    """(label, config) of every compared run, other being the other
+    checkout."""
     out = []
     for path in sorted(CONFIGS.glob("*.cfg")):
         cfg = parse_kv_file(path)
         for big_k in sorted({SHORT_K, int(cfg["solver.K"])}):
             out.append((f"{path.stem} K={big_k}", {**cfg, "solver.K": str(big_k)}))
-        plots = ",".join(plottable_columns(GOLDEN_TRACES / f"{path.stem}.csv"))
+        golden = GOLDEN_TRACES.relative_to(ROOT) / f"{path.stem}.csv"
+        theirs = plottable_columns(other / golden)
+        plots = ",".join(name for name in plottable_columns(ROOT / golden) if name in theirs)
         out.append((f"{path.stem} K={SHORT_K} plots={plots}",
                     {**cfg, "solver.K": str(SHORT_K), "output.plots": plots}))
     out.append(("rank_deficient_ls f_star manufacture", MANUFACTURE_RUN))
@@ -300,14 +327,17 @@ def trace_differences(mine: str, other: str) -> list[str]:
         findings.append(f"{len(mine_rows) - 1} rows vs {len(other_rows) - 1}")
     header = mine_rows[0].split(",")
     worst = dict.fromkeys(header, 0.0)
+    one_sided = collections.Counter()
     for mine_row, other_row in zip(mine_rows[1:], other_rows[1:]):
         for name, a, b in zip(header, mine_row.split(","), other_row.split(",")):
             if name in IGNORED_COLUMNS or a == b:
                 continue
             if "" in (a, b):
-                findings.append(f"{name}: {a!r} vs {b!r} in row k = {mine_row.split(',')[0]}")
+                one_sided[name, "this checkout" if a else "the other checkout"] += 1
                 continue
             worst[name] = max(worst[name], _relative_difference(a, b))
+    findings += [f"{name}: filled on {side} only, in {rows} rows"
+                 for (name, side), rows in one_sided.items()]
     findings += [f"{name}: max rel diff {diff:.2e}" for name, diff in worst.items() if diff]
     return findings or ["differs only in ignored columns"]
 
@@ -380,7 +410,7 @@ def main(argv: list[str]) -> int:
         return 2
     other = pathlib.Path(argv[0]).resolve()
     failed = False
-    for label, cfg in runs():
+    for label, cfg in runs(other):
         try:
             with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
                 mine = run_in(ROOT, cfg, pathlib.Path(a))

@@ -57,22 +57,20 @@ def quad_problem(h_weights, h_center, f_weights, f_center,
 @pytest.fixture(scope="session")
 def rd_instance():
     """The rank-deficient family member shared by metric tests: cheap build,
-    analytic truths only (lam = 0 so x* and f* are exact)."""
+    lam = 0, so x* is the min-norm least-squares point."""
     return gen_rank_deficient_ls(12, 4, seed=11, mu_f=1.0, lam=0.0)
 
 
 @pytest.fixture(scope="session")
 def rd_instance_l1():
-    """Small lam > 0 member with a manufactured f*."""
-    return gen_rank_deficient_ls(12, 4, seed=11, mu_f=1.0, lam=0.1,
-                                 f_star_budget=300_000)
+    """Small lam > 0 member with a certified f*."""
+    return gen_rank_deficient_ls(12, 4, seed=11, mu_f=1.0, lam=0.1)
 
 
 @pytest.fixture(scope="session")
 def acceptance_instance():
     """The criterion instance: n = 50, rank = 25, lam = 0.1, mu_f = 1."""
-    return gen_rank_deficient_ls(50, 25, seed=7, mu_f=1.0, lam=0.1,
-                                 f_star_budget=1_500_000)
+    return gen_rank_deficient_ls(50, 25, seed=7, mu_f=1.0, lam=0.1)
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,7 @@ from sbo.cli import parse_kv_file, run_from_config
 from sbo.errors import ConfigurationError, ContractViolation, DivergenceError
 from sbo.functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from sbo.problems import (InstanceSpec, build_instance, gen_l1_weak_sharp,
-                          gen_nonconvex_sec6, gen_rank_deficient_ls, gen_sec61_inverse,
-                          min_norm_l1_subgradient)
+                          gen_nonconvex_sec6, gen_rank_deficient_ls, gen_sec61_inverse)
 from sbo.prox import BallProx, L1Prox, ZeroProx
 from sbo.solvers import FixedEtaSchedule, SolverConfig, solve_r_vfista
 
@@ -115,18 +114,6 @@ def test_unsupported_prox_pair_rejected_at_problem_build():
     lower = CompositeObjective(ZeroFunction(2), BallProx(1.0))
     with pytest.raises(ConfigurationError, match="supported pairs"):
         BilevelProblem(upper, lower)
-
-
-def test_min_norm_l1_subgradient():
-    grad = np.array([2.0, -0.3, 0.8])
-    x_star = np.array([1.0, 0.0, 0.0])
-    g = min_norm_l1_subgradient(grad, 0.5, x_star)
-    # active coordinate gets grad + lam*sign, zeros get soft threshold
-    assert np.allclose(g, [2.5, 0.0, 0.3])
-    # membership: g - grad must lie in lam * [-1, 1] with sign matching x*
-    s = (g - grad) / 0.5
-    assert np.all(np.abs(s) <= 1 + 1e-12)
-    assert s[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
