@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ParseError, SboError
 from .metrics import default_fit_window, fit_rate
-from .problems import (InstanceSpec, build_instance, generate_instance_arrays,
-                       parse_items, parse_kv_lines, parse_value, read_text_lines,
-                       save_instance, typed_items)
+from .problems import (InstanceSpec, _content_lines, build_instance,
+                       generate_instance_arrays, parse_items, parse_kv_lines,
+                       parse_value, read_text_lines, save_instance, typed_items)
 from .solvers import (SCHEMA_VERSION, ConstantIstaSchedule, ConstantVfistaSchedule,
                       DiminishingSchedule, FixedEtaSchedule, NcConfig,
                       RunReport, SolverConfig, TraceRecord, solve_ipr_vfista,
@@ -488,11 +488,8 @@ def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
 def cmd_rates(suite_path: str) -> int:
     try:
         base_dir = Path(suite_path).resolve().parent
-        rows = []
-        for lineno, raw in enumerate(read_text_lines(suite_path), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rows.append(_parse_suite_row(line, lineno))
+        rows = [_parse_suite_row(line, lineno)
+                for lineno, line in _content_lines(read_text_lines(suite_path))]
     except (ConfigurationError, ParseError, OSError) as exc:
         print(f"suite error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

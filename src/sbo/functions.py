@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .linalg import as_matrix, as_vector, lipschitz_from_matrix
-from .prox import _check_logsum_params, prox_logsum
+from .prox import _check_logsum_params, _log_sum, prox_logsum
 
 
 class SmoothFunction:
@@ -167,7 +167,7 @@ class MoreauLogSum(SmoothFunction):
 
     def penalty(self, x: np.ndarray) -> float:
         """The underlying log-sum penalty l(x) (upper-bounds the envelope)."""
-        return float(np.log1p(np.abs(x) / self.epsilon).sum())
+        return _log_sum(self.epsilon, x)
 
     def _prox_point(self, x: np.ndarray) -> np.ndarray:
         return prox_logsum(self.delta, self.epsilon, x)

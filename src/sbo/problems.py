@@ -30,7 +30,7 @@ from .bilevel import (BilevelProblem, CompositeObjective, ReferenceTruth,
 from .errors import ConfigurationError, ParseError
 from .functions import LeastSquares, MoreauLogSum, ScaledSqNorm, ZeroFunction
 from .linalg import format_matrix, format_vector, min_norm_ls, parse_matrix_lines
-from .prox import BallProx, L1Prox, ZeroProx, _clip, prox_l1
+from .prox import BallProx, L1Prox, ZeroProx, prox_l1
 
 
 @dataclass
@@ -158,19 +158,6 @@ def gen_phillips(n: int):
     return a, b
 
 
-def phillips_solution(n: int) -> np.ndarray:
-    """Galerkin coefficients of the exact solution f(t) = phi(t)."""
-    h = 12.0 / n
-    c = math.pi / 3.0
-    edges = np.linspace(-6.0, 6.0, n + 1)
-
-    def anti(t: np.ndarray) -> np.ndarray:
-        clipped = _clip(t, -3.0, 3.0)
-        return clipped + np.sin(c * clipped) / c
-
-    return (anti(edges[1:]) - anti(edges[:-1])) / math.sqrt(h)
-
-
 def gen_baart(n: int):
     """Galerkin box-function discretization of
     int_0^pi exp(s cos t) f(t) dt = 2 sinh(s)/s on s in [0, pi/2],
@@ -201,12 +188,6 @@ def gen_baart(n: int):
     return a, b
 
 
-def baart_solution(n: int) -> np.ndarray:
-    ht = math.pi / n
-    t_edges = ht * np.arange(n + 1)
-    return (np.cos(t_edges[:-1]) - np.cos(t_edges[1:])) / math.sqrt(ht)
-
-
 def gen_foxgood(n: int):
     """Midpoint-rule discretization of
     int_0^1 sqrt(s^2 + t^2) f(t) dt = ((1 + s^2)^{3/2} - s^3)/3 on [0, 1],
@@ -220,11 +201,6 @@ def gen_foxgood(n: int):
     a = h * np.sqrt(t[:, None] ** 2 + t[None, :] ** 2)
     b = ((1.0 + t**2) ** 1.5 - t**3) / 3.0
     return a, b
-
-
-def foxgood_solution(n: int) -> np.ndarray:
-    h = 1.0 / n
-    return h * (np.arange(1, n + 1) - 0.5)
 
 
 _MATRIX_GENERATORS = {
@@ -294,6 +270,17 @@ def certify_l1_selection(w: np.ndarray, c: np.ndarray, mu: float, lam: float):
         value, wy, x_y = trial
 
 
+def _least_squares_selection(a: np.ndarray, b: np.ndarray, mu_f: float, lam: float):
+    """(upper, lower, x_dag, h_dag) of min (mu_f/2)||x||^2 + lam*||x||_1 over
+    argmin 0.5*||Ax - b||^2: the two composite objectives, the min-norm
+    least-squares point x_dag (`min_norm_ls`) and the lower value there."""
+    lower = CompositeObjective(LeastSquares(a, b), ZeroProx())
+    upper = CompositeObjective(ScaledSqNorm(mu_f, dimension=a.shape[1]),
+                               L1Prox(lam) if lam > 0 else ZeroProx())
+    x_dag = min_norm_ls(a, b)
+    return upper, lower, x_dag, lower.smooth.value(x_dag)
+
+
 def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
                           mu_f: float = 1.0, lam: float = 0.1,
                           f_star_budget: int = 0) -> BilevelProblem:
@@ -326,26 +313,18 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
     a = (u[:, :rank] * sigma) @ v[:, :rank].T
     b = a @ rng.standard_normal(n)
 
-    lower = CompositeObjective(LeastSquares(a, b), ZeroProx())
-    upper = CompositeObjective(
-        ScaledSqNorm(mu_f, dimension=n),
-        L1Prox(lam) if lam > 0 else ZeroProx(),
-    )
-
-    x_dag = min_norm_ls(a, b)
+    upper, lower, x_dag, h_star = _least_squares_selection(a, b, mu_f, lam)
     null_basis = v[:, rank:]
 
     def project(x: np.ndarray) -> np.ndarray:
         return x_dag + null_basis @ (null_basis.T @ (x - x_dag))
 
-    residual = a @ x_dag - b
-    h_star = 0.5 * float(residual @ residual)
     ref = ReferenceTruth(
         h_star=h_star, h_star_tol=1e-10,
         weak_sharp=WeakSharp(alpha=0.5 * sigma[-1] ** 2, order=2.0),
         projector=project, projector_kind="exact",
     )
-    problem = BilevelProblem(upper, lower, reference=ref, initial_point=np.ones(n))
+    problem = BilevelProblem(upper, lower, reference=ref)
 
     w = v[:, :rank]
     ref.x_star, gap, y = certify_l1_selection(w, w.T @ x_dag, mu_f, lam)
@@ -381,7 +360,7 @@ def gen_l1_weak_sharp(n: int, c: np.ndarray) -> BilevelProblem:
         projector=lambda x: np.zeros(n), projector_kind="exact",
         subgradient=SubgradientAtOpt(-c, float(np.linalg.norm(c))),
     )
-    return BilevelProblem(upper, lower, reference=ref, initial_point=np.ones(n))
+    return BilevelProblem(upper, lower, reference=ref)
 
 
 def gen_sec61_inverse(which: str, n: int, mu_f: float = 1.0,
@@ -392,17 +371,10 @@ def gen_sec61_inverse(which: str, n: int, mu_f: float = 1.0,
     is numerically 0 (b lies in the numerical range of A); no further truth
     is attached."""
     _refuse_beyond_memory(n, 9 * n * n)  # A, its SVD and LAPACK's work arrays
-    a, b = inverse_problem(which, n)
-    lower = CompositeObjective(LeastSquares(a, b), ZeroProx())
-    upper = CompositeObjective(
-        ScaledSqNorm(mu_f, dimension=n),
-        L1Prox(lam) if lam > 0 else ZeroProx(),
-    )
-    x_dag = min_norm_ls(a, b)
-    residual = a @ x_dag - b
-    h_at_dag = 0.5 * float(residual @ residual)
+    upper, lower, _, h_at_dag = _least_squares_selection(*inverse_problem(which, n),
+                                                         mu_f, lam)
     ref = ReferenceTruth(h_star=0.0, h_star_tol=max(1e-10, h_at_dag))
-    return BilevelProblem(upper, lower, reference=ref, initial_point=np.ones(n))
+    return BilevelProblem(upper, lower, reference=ref)
 
 
 def ls_ball_projector(svd, b: np.ndarray, radius: float,
@@ -479,7 +451,8 @@ def gen_nonconvex_sec6(n: int, which: str = "phillips", delta: float = 1e-2,
     projector = ls_ball_projector(np.linalg.svd(a), b, 1.0, PROJECTOR_WEIGHT)
     x_ref = projector(x0)
     # the tiny-weight optimum overshoots h* by at most eta * 0.5*dist(x0, X*)^2
-    bias = PROJECTOR_WEIGHT * 0.5 * float((x_ref - x0) @ (x_ref - x0))
+    d = x_ref - x0
+    bias = PROJECTOR_WEIGHT * 0.5 * float(d @ d)
     ref = ReferenceTruth(
         h_star=lower.value(x_ref), h_star_tol=bias + 1e-10,
         projector=projector, projector_kind="approximate",
@@ -559,17 +532,26 @@ def read_text_lines(path) -> list[str]:
                          data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def parse_kv_lines(lines) -> dict:
-    """Flat "key = value" lines (`parse_items`, one item a line); '#' starts
-    a comment; blank lines ignored. A ParseError names the line."""
-    out: dict[str, str] = {}
+def _content_lines(lines):
+    """(lineno, text) of each line of a text input that holds more than a
+    comment: '#' starts a comment, the rest is stripped, a blank rest is
+    skipped and line numbers count from 1. Configs, instance-file headers
+    and suites are read this way."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            try:
-                out.update(parse_items([line], "entry", out))
-            except ConfigurationError as exc:
-                raise ParseError(str(exc), lineno) from None
+            yield lineno, line
+
+
+def parse_kv_lines(lines) -> dict:
+    """Flat "key = value" lines (`parse_items`, one item a line), read by
+    `_content_lines`. A ParseError names the line."""
+    out: dict[str, str] = {}
+    for lineno, line in _content_lines(lines):
+        try:
+            out.update(parse_items([line], "entry", out))
+        except ConfigurationError as exc:
+            raise ParseError(str(exc), lineno) from None
     return out
 
 

@@ -100,6 +100,11 @@ def prox_logsum(delta: float, epsilon: float, x: np.ndarray) -> np.ndarray:
     return np.where(ax <= delta / epsilon, 0.0, np.sign(x) * shrunk)
 
 
+def _log_sum(epsilon: float, x: np.ndarray) -> float:
+    """The log-sum penalty sum_i log(1 + |x_i|/epsilon)."""
+    return float(np.log1p(np.abs(x) / epsilon).sum())
+
+
 def _check_logsum_params(delta: float, epsilon: float) -> None:
     if not delta > 0:
         raise ConfigurationError("log-sum prox requires delta > 0")
@@ -212,7 +217,7 @@ class LogSumProx:
         self.epsilon = float(epsilon)
 
     def value(self, x: np.ndarray) -> float:
-        return float(np.log1p(np.abs(x) / self.epsilon).sum())
+        return _log_sum(self.epsilon, x)
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if gamma == 0.0:

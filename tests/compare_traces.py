@@ -62,9 +62,11 @@ computed by the shipped ipr_vfista config, by each IPR_RUNS run, by the
 shipped r_vfista_weak_sharp config and by MANUFACTURE_RUN, so a change to
 the accelerated loop that moves a count shows without a benchmark.
 REFERENCE_CHECK prints the reference that `build_instance` attaches to
-`rank_deficient_ls` at n = 50, rank 25, lam 0 and 0.1, for seeds 0 to 15:
-f_star, f_star_tol and a digest of x_star (its squared norm and its sum),
-as hex doubles, or "none" where the instance carries no f_star.
+`rank_deficient_ls` at n = 50, rank 25, lam 0 and 0.1, for seeds 0 to 15,
+and to sec61_phillips, sec61_baart and sec61_foxgood at n = 8 and 32:
+h_star, h_star_tol, f_star, f_star_tol and a digest of x_star (its
+squared norm and its sum), as hex doubles, with "none" in place of the
+last four where the instance carries no f_star.
 
 pytest does not collect this file. Run from the repository root:
 
@@ -217,21 +219,25 @@ for label, cfg in %r:
     print(label, steps[0])
 """ % (step_runs(),)
 
-# Prints "<instance> <f_star> <f_star_tol> <||x_star||^2> <sum x_star>" as hex
-# doubles for each reference, or "<instance> none" where none is attached.
+# Prints "<instance> <h_star> <h_star_tol> <f_star> <f_star_tol> <||x_star||^2>
+# <sum x_star>" as hex doubles for each reference, with "none" in place of
+# the last four where no f_star is attached.
 REFERENCE_CHECK = """
 from sbo.problems import InstanceSpec, build_instance
-for lam in ("0", "0.1"):
-    for seed in range(16):
-        ref = build_instance(InstanceSpec("rank_deficient_ls", 50, seed,
-                                          {"rank": "25", "lam": lam})).reference
-        label = f"rank_deficient_ls_lam{lam}_seed{seed}"
-        if ref.f_star is None:
-            print(label, "none")
-            continue
-        x = ref.x_star
-        print(label, ref.f_star.hex(), float(ref.f_star_tol).hex(), float(x @ x).hex(),
-              float(x.sum()).hex())
+specs = [(f"rank_deficient_ls_lam{lam}_seed{seed}",
+          InstanceSpec("rank_deficient_ls", 50, seed, {"rank": "25", "lam": lam}))
+         for lam in ("0", "0.1") for seed in range(16)]
+specs += [(f"sec61_{which}_n{n}", InstanceSpec(f"sec61_{which}", n))
+          for which in ("phillips", "baart", "foxgood") for n in (8, 32)]
+for label, spec in specs:
+    ref = build_instance(spec).reference
+    h = f"{float(ref.h_star).hex()} {float(ref.h_star_tol).hex()}"
+    if ref.f_star is None:
+        print(label, h, "none")
+        continue
+    x = ref.x_star
+    print(label, h, ref.f_star.hex(), float(ref.f_star_tol).hex(), float(x @ x).hex(),
+          float(x.sum()).hex())
 """
 
 # (label, snippet) of every check that runs a snippet in each checkout and
@@ -240,7 +246,7 @@ CHECKS = [("ls_ball_projector, 300 queries per family", PROJECTOR_CHECK),
           ("prox pairs, 50 chained steps each", PAIR_CHECK),
           ("spectral_norm_sq, 31 matrices", LIPSCHITZ_CHECK),
           ("accelerated steps per run", STEPS_CHECK),
-          ("rank_deficient_ls reference, 32 instances", REFERENCE_CHECK)]
+          ("rank_deficient_ls and sec61 references, 38 instances", REFERENCE_CHECK)]
 
 
 def plottable_columns(trace_csv: pathlib.Path) -> list[str]:

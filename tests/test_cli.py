@@ -686,6 +686,17 @@ def test_cmd_rates_bad_row_exits_2_with_line(tmp_path, capsys, token):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cmd_rates_reads_comments_and_blank_lines_as_configs_do(tmp_path, capsys):
+    suite = tmp_path / "suite.txt"
+    row = "config=selftest:powerlaw metric=value slope=-1 tol=0.01"
+    suite.write_text(f"# a suite\n\nlabel=noted {row}  # note\n")
+    assert main(["rates", str(suite)]) == 0
+    assert capsys.readouterr().out.startswith("PASS noted:")
+    suite.write_text(f"# a suite\n\n   \n# a bad row\nlabel=x {row} slpoe=-1\n")
+    assert main(["rates", str(suite)]) == 2
+    assert "line 5:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row,message", [
     ("label= config=selftest:powerlaw metric=value slope=-1 tol=0.01",
      "line 1: suite item 'label=' has an empty value"),

@@ -17,13 +17,12 @@ from sbo.errors import ConfigurationError, ParseError
 from sbo.linalg import min_norm_ls
 from sbo.metrics import dist_to_lower_set, infeasibility
 import sbo.problems as problems_mod
-from sbo.problems import (InstanceSpec, baart_solution, build_instance,
-                          foxgood_solution, gen_baart, gen_foxgood,
+from sbo.problems import (InstanceSpec, build_instance, gen_baart, gen_foxgood,
                           gen_l1_weak_sharp, gen_phillips,
                           gen_rank_deficient_ls, gen_sec61_inverse,
                           inverse_problem, load_instance, ls_ball_projector,
                           parse_items, parse_kv_lines, parse_value,
-                          phillips_solution, save_instance, typed_items)
+                          save_instance, typed_items)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -31,6 +30,32 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 # ---------------------------------------------------------------------------
 # Fredholm discretizations
 # ---------------------------------------------------------------------------
+
+
+def phillips_solution(n: int) -> np.ndarray:
+    """Galerkin coefficients of phillips' exact solution f(t) = phi(t)."""
+    h = 12.0 / n
+    c = math.pi / 3.0
+    edges = np.linspace(-6.0, 6.0, n + 1)
+
+    def anti(t: np.ndarray) -> np.ndarray:
+        clipped = np.clip(t, -3.0, 3.0)
+        return clipped + np.sin(c * clipped) / c
+
+    return (anti(edges[1:]) - anti(edges[:-1])) / math.sqrt(h)
+
+
+def baart_solution(n: int) -> np.ndarray:
+    """Galerkin coefficients of baart's exact solution f(t) = sin t."""
+    ht = math.pi / n
+    t_edges = ht * np.arange(n + 1)
+    return (np.cos(t_edges[:-1]) - np.cos(t_edges[1:])) / math.sqrt(ht)
+
+
+def foxgood_solution(n: int) -> np.ndarray:
+    """Midpoint values of foxgood's exact solution f(t) = t."""
+    h = 1.0 / n
+    return h * (np.arange(1, n + 1) - 0.5)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
