@@ -184,9 +184,11 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     iterate and y the next step's start. x0 is only read: x, the next
     iterate and y are three arrays of the run's own, and it writes the two
     it yields again when it resumes. A non-finite iterate raises
-    DivergenceError with its step index as k. The steps ignore overflow
-    warnings in an errstate left before each yield: a finite iterate whose
-    squares overflow is settled by `check_finite` and by the ball projection.
+    DivergenceError "accelerated solver: non-finite iterate at step k" with
+    its step index as k, and with an empty trace and config, which
+    `solvers.solve_r_vfista` attaches. The steps ignore overflow warnings in
+    an errstate left before each yield: a finite iterate whose squares
+    overflow is settled by `check_finite` and by the ball projection.
 
     A stretch between stops whose state repeats exactly ends by the cycle's
     period, with the bits of the full run: the state after step j,
@@ -232,7 +234,7 @@ def _accelerated_stretches(problem: BilevelProblem, eta: float, x: np.ndarray,
                 step(eta, y, x_next)
                 sq = x_next.dot(x_next)
                 if not math.isfinite(sq):
-                    check_finite(x_next, done + j, x, "accelerated run")
+                    check_finite(x_next, done + j, x, "accelerated solver")
                 subtract(x_next, x, y)  # y = x_next + momentum * (x_next - x)
                 multiply(momentum, y, y)
                 add(x_next, y, y)
@@ -268,13 +270,12 @@ def require_strongly_convex_upper(problem: BilevelProblem, who: str) -> None:
 
 
 def check_finite(x: np.ndarray, k: int, last: np.ndarray, solver: str,
-                 trace: Optional[list] = None, what: str = "iterate",
-                 config: Optional[dict] = None) -> None:
-    """DivergenceError "<solver>: non-finite <what> at step k" unless x is finite."""
+                 what: str = "iterate") -> None:
+    """DivergenceError "<solver>: non-finite <what> at step k" unless x is
+    finite, with last as last_finite and an empty trace and config: a
+    solver's run record attaches its own (`solvers._Run`)."""
     # x.dot(x) is finite only if every entry is; the full test settles the
     # rare finite x whose squares overflow
     if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
-        raise DivergenceError(
-            f"{solver}: non-finite {what} at step {k}", k=k, last_finite=last,
-            trace=trace, config=config,
-        )
+        raise DivergenceError(f"{solver}: non-finite {what} at step {k}", k=k,
+                              last_finite=last)

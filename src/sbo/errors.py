@@ -28,8 +28,11 @@ class ParseError(SboError, ValueError):
 class DivergenceError(SboError, RuntimeError):
     """A solver iterate left the finite-float range. Carries the index of
     the failing step, the last finite iterate, every trace record taken
-    before that step and the solver's resolved configuration (empty when
-    the raiser has none). The records' values need not be finite: an
+    before that step and the solver's resolved configuration. The raiser
+    gives the first two; the solver's run record (`solvers._Run`) attaches
+    the trace and config as the error leaves the run, so both are empty
+    when it is raised outside a solver run, as by a direct
+    `bilevel.accelerated_run`. The records' values need not be finite: an
     objective value can overflow to inf many records before the iterate
     leaves the float range. A diverged run's report.txt echoes, as
     `last_finite.*`, the last record whose values are all finite."""

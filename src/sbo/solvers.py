@@ -210,46 +210,61 @@ def trace_stops(big_k: int, every: Optional[int] = None) -> list[int]:
     return [int(k) for k in ks]
 
 
-@dataclass
-class _Clock:
-    """A run's clock: the time since t0 splits into the time spent
-    evaluating trace records (metrics_ns) and the solver's own time."""
+class _Run:
+    """One solver run's record keeper: its trace, its clock and its report.
+    The time since the run began splits into the time spent evaluating
+    trace records (metrics_ns) and the solver's own time. A DivergenceError
+    that leaves its `with` block carries the run's trace so far and its
+    resolved config."""
 
-    t0: int = field(default_factory=time.perf_counter_ns)
-    metrics_ns: int = 0
+    def __init__(self, problem: BilevelProblem, config: dict):
+        self.problem, self.config, self.trace = problem, config, []
+        self.t0, self.metrics_ns = time.perf_counter_ns(), 0
 
-    def wall_ns(self) -> int:
-        return time.perf_counter_ns() - self.t0
+    def __enter__(self) -> "_Run":
+        return self
 
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, DivergenceError):
+            exc.trace, exc.config = self.trace, self.config
 
-def _eval_record(problem: BilevelProblem, x: np.ndarray, k: int, eta, theta,
-                 clock: _Clock, gamma_hat: Optional[float] = None) -> TraceRecord:
-    """The trace record of x at step k; its elapsed_ns is the solver time
-    so far, and the time the record takes goes to clock.metrics_ns. The
-    projector columns are evaluated where the reference has a projector:
-    dist_lower always, residual_sq when gamma_hat is given."""
-    start = time.perf_counter_ns()
-    ref = problem.reference
-    f_bar = problem.upper.value(x)
-    h_bar = problem.lower.value(x)
-    infeas = _metrics.infeasibility(problem, x, h_bar)
-    subopt = _metrics.suboptimality(problem, x, f_bar)
-    dist_xsq = dist_lower = residual_sq = None
-    if ref is not None:
-        if ref.x_star is not None:
-            d = x - ref.x_star
-            dist_xsq = float(d @ d)
-        dist_lower = _metrics.dist_to_lower_set(problem, x)
-        if gamma_hat is not None:
-            g = _metrics.residual_norm(problem, x, gamma_hat)
-            residual_sq = None if g is None else g * g
-    record = TraceRecord(
-        k=k, eta=eta, theta=theta, f_bar=f_bar, h_bar=h_bar, infeas=infeas,
-        subopt=subopt, dist_xstar_sq=dist_xsq, dist_lower=dist_lower,
-        residual_sq=residual_sq, elapsed_ns=start - clock.t0 - clock.metrics_ns,
-    )
-    clock.metrics_ns += time.perf_counter_ns() - start
-    return record
+    def record(self, x: np.ndarray, k: int, eta, theta,
+               gamma_hat: Optional[float] = None) -> TraceRecord:
+        """Appends the trace record of x at step k and returns it; its
+        elapsed_ns is the solver time so far, and the time the record takes
+        goes to metrics_ns. The projector columns are evaluated where the
+        reference has a projector: dist_lower always, residual_sq when
+        gamma_hat is given."""
+        start = time.perf_counter_ns()
+        problem = self.problem
+        ref = problem.reference
+        f_bar = problem.upper.value(x)
+        h_bar = problem.lower.value(x)
+        infeas = _metrics.infeasibility(problem, x, h_bar)
+        subopt = _metrics.suboptimality(problem, x, f_bar)
+        dist_xsq = dist_lower = residual_sq = None
+        if ref is not None:
+            if ref.x_star is not None:
+                d = x - ref.x_star
+                dist_xsq = float(d @ d)
+            dist_lower = _metrics.dist_to_lower_set(problem, x)
+            if gamma_hat is not None:
+                g = _metrics.residual_norm(problem, x, gamma_hat)
+                residual_sq = None if g is None else g * g
+        record = TraceRecord(
+            k=k, eta=eta, theta=theta, f_bar=f_bar, h_bar=h_bar, infeas=infeas,
+            subopt=subopt, dist_xstar_sq=dist_xsq, dist_lower=dist_lower,
+            residual_sq=residual_sq, elapsed_ns=start - self.t0 - self.metrics_ns,
+        )
+        self.trace.append(record)
+        self.metrics_ns += time.perf_counter_ns() - start
+        return record
+
+    def report(self, x_final: np.ndarray, extras: dict) -> RunReport:
+        """The run's report, timed up to this call."""
+        return RunReport(self.config["solver"], self.config, x_final, self.trace, extras,
+                         wall_ns=time.perf_counter_ns() - self.t0,
+                         metrics_ns=self.metrics_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +362,8 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
                 "step); lower K, p or eta"
             )
 
-    cfg_echo = {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma, **sched_params}
-    clock = _Clock()
+    run = _Run(problem, {"solver": "ir_ista", "K": cfg.big_k, "gamma": gamma,
+                         **sched_params})
     step = problem.step_map(gamma)
     theta = 1.0
     gamma_sum = 0.0  # Gamma_k, the running sum of eta_j * theta_j
@@ -357,36 +372,32 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     block[0] = problem.initial_point
     block_rows = list(block)  # step i reads row i and writes row i + 1
     weights = np.empty(AVERAGING_BLOCK)  # their eta_j * theta_j
-    trace: list[TraceRecord] = []
 
     k = 0
-    for k_trace in stops:
-        while k < k_trace:  # one block of steps k .. k+size-1, then its flush
-            size = min(AVERAGING_BLOCK, k_trace - k)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(size):
-                    eta = eta_of(k + i)
-                    step(eta, block_rows[i], block_rows[i + 1])
-                    theta /= 1.0 - eta * gamma * mu_f
-                    w = eta * theta
-                    weights[i] = w
-                    gamma_sum += w
-                rows = block[1:size + 1]
-                flat = rows.reshape(-1)
-                if not math.isfinite(flat.dot(flat)):  # find the first bad row
+    with run:
+        for k_trace in stops:
+            while k < k_trace:  # one block of steps k .. k+size-1, then its flush
+                size = min(AVERAGING_BLOCK, k_trace - k)
+                with np.errstate(over="ignore", invalid="ignore"):
                     for i in range(size):
-                        check_finite(block[i + 1], k + i, block[i], "averaging solver",
-                                     trace, config=cfg_echo)
-            w_sum += weights[:size].dot(rows)
-            block[0] = block[size]
-            k += size
-        trace.append(_eval_record(problem, w_sum / gamma_sum, k, eta, theta, clock))
+                        eta = eta_of(k + i)
+                        step(eta, block_rows[i], block_rows[i + 1])
+                        theta /= 1.0 - eta * gamma * mu_f
+                        w = eta * theta
+                        weights[i] = w
+                        gamma_sum += w
+                    rows = block[1:size + 1]
+                    flat = rows.reshape(-1)
+                    if not math.isfinite(flat.dot(flat)):  # find the first bad row
+                        for i in range(size):
+                            check_finite(block[i + 1], k + i, block[i], "averaging solver")
+                w_sum += weights[:size].dot(rows)
+                block[0] = block[size]
+                k += size
+            run.record(w_sum / gamma_sum, k, eta, theta)
 
-    return RunReport(
-        solver="ir_ista", config=cfg_echo, x_final=w_sum / gamma_sum, trace=trace,
-        extras={"x_last": block[0].copy(), "Gamma_K": gamma_sum, "theta_last": theta},
-        wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
-    )
+    return run.report(w_sum / gamma_sum, {"x_last": block[0].copy(), "Gamma_K": gamma_sum,
+                                          "theta_last": theta})
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +411,9 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f)
     (`bilevel.accelerated_constants`). Returns the last iterate (no
     averaging): one `bilevel.accelerated_run` that stops at every trace point.
+    A non-finite iterate raises the run's own DivergenceError, "accelerated
+    solver: non-finite iterate at step k", to which the solver attaches its
+    trace up to k and its resolved config.
     """
     require_strongly_convex_upper(problem, "accelerated solver")
     upper, lower = problem.upper.smooth, problem.lower.smooth
@@ -417,25 +431,12 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
             "accelerated solver uses gamma = 1/(L_h + eta*L_f) exactly; "
             f"leave gamma = 'auto' (would be {gamma:.6g})"
         )
-    cfg_echo = {
-        "solver": "r_vfista", "K": cfg.big_k, "gamma": gamma, "kappa": kappa,
-        "momentum": momentum, **sched_params,
-    }
-
-    clock = _Clock()
-    trace: list[TraceRecord] = []
-    try:
+    run = _Run(problem, {"solver": "r_vfista", "K": cfg.big_k, "gamma": gamma,
+                         "kappa": kappa, "momentum": momentum, **sched_params})
+    with run:
         for k, (x, y) in zip(ks, accelerated_run(problem, eta, problem.initial_point, ks)):
-            trace.append(_eval_record(problem, x, k, eta, None, clock))
-    except DivergenceError as exc:
-        raise DivergenceError(
-            f"accelerated solver: non-finite iterate at step {exc.k}", k=exc.k,
-            last_finite=exc.last_finite, trace=trace, config=cfg_echo) from None
-
-    return RunReport(
-        solver="r_vfista", config=cfg_echo, x_final=x, trace=trace,
-        extras={"y_last": y}, wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
-    )
+            run.record(x, k, eta, None)
+    return run.report(x, {"y_last": y})
 
 
 # ---------------------------------------------------------------------------
@@ -492,40 +493,33 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
             )
 
     window_start = big_k // 2
-    cfg_echo = {
-        "solver": "ipr_vfista", "K": big_k, "a": INNER_BUDGET_EXPONENT,
-        "eta_bar": ETA_BAR, "gamma_hat": gamma_hat, "total_inner": total_inner,
-        "allow_large_step": cfg.allow_large_step,
-    }
-
-    clock = _Clock()
+    run = _Run(problem, {"solver": "ipr_vfista", "K": big_k, "a": INNER_BUDGET_EXPONENT,
+                         "eta_bar": ETA_BAR, "gamma_hat": gamma_hat,
+                         "total_inner": total_inner, "allow_large_step": cfg.allow_large_step})
     xhat = np.array(problem.initial_point, copy=True)
-    trace: list[TraceRecord] = [_eval_record(problem, xhat, 0, None, None, clock)]
     best = {"residual_sq": math.inf, "k": -1, "x": xhat}
 
-    for k in range(big_k):
-        grad_f = upper.gradient(xhat)
-        z = xhat - gamma_hat * grad_f
-        check_finite(z, k, xhat, "outer solver", trace, what="gradient step z",
-                     config=cfg_echo)
-        j_budget = (k + 1) ** INNER_BUDGET_EXPONENT
-        ln_j = max(math.log(j_budget), math.log(2.0))  # J_0 = 1 would give eta = 0
-        eta_k = 16.0 * (l_h + ETA_BAR) * (ln_j / j_budget) ** 2
-        try:
-            (xhat, _), = accelerated_run(projection_problem(problem.lower, z), eta_k,
-                                         _clip(xhat, -INNER_START_BOX, INNER_START_BOX),
-                                         [j_budget])
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"outer solver: non-finite inner iterate {exc.k} at step {k}", k=k,
-                last_finite=xhat, trace=trace, config=cfg_echo) from None
-        rec = _eval_record(
-            problem, xhat, k + 1, eta_k, None, clock,
-            gamma_hat=gamma_hat if k >= window_start else None,
-        )
-        trace.append(rec)
-        if rec.residual_sq is not None and rec.residual_sq < best["residual_sq"]:
-            best = {"residual_sq": rec.residual_sq, "k": k, "x": xhat}
+    with run:
+        run.record(xhat, 0, None, None)
+        for k in range(big_k):
+            grad_f = upper.gradient(xhat)
+            z = xhat - gamma_hat * grad_f
+            check_finite(z, k, xhat, "outer solver", what="gradient step z")
+            j_budget = (k + 1) ** INNER_BUDGET_EXPONENT
+            ln_j = max(math.log(j_budget), math.log(2.0))  # J_0 = 1 would give eta = 0
+            eta_k = 16.0 * (l_h + ETA_BAR) * (ln_j / j_budget) ** 2
+            try:
+                (xhat, _), = accelerated_run(projection_problem(problem.lower, z), eta_k,
+                                             _clip(xhat, -INNER_START_BOX, INNER_START_BOX),
+                                             [j_budget])
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"outer solver: non-finite inner iterate {exc.k} at step {k}", k=k,
+                    last_finite=xhat) from None
+            rec = run.record(xhat, k + 1, eta_k, None,
+                             gamma_hat=gamma_hat if k >= window_start else None)
+            if rec.residual_sq is not None and rec.residual_sq < best["residual_sq"]:
+                best = {"residual_sq": rec.residual_sq, "k": k, "x": xhat}
 
     extras = {"total_inner": total_inner}
     if best["k"] >= 0:
@@ -533,10 +527,7 @@ def solve_ipr_vfista(problem: BilevelProblem, cfg: NcConfig) -> RunReport:
             best_residual_sq=best["residual_sq"], best_residual_k=best["k"],
             x_best_residual=best["x"],
         )
-    return RunReport(
-        solver="ipr_vfista", config=cfg_echo, x_final=xhat, trace=trace,
-        extras=extras, wall_ns=clock.wall_ns(), metrics_ns=clock.metrics_ns,
-    )
+    return run.report(xhat, extras)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,12 @@ REFERENCE_CHECK prints the reference that `build_instance` attaches to
 and to sec61_phillips, sec61_baart and sec61_foxgood at n = 8 and 32:
 h_star, h_star_tol, f_star, f_star_tol and a digest of x_star (its
 squared norm and its sum), as hex doubles, with "none" in place of the
-last four where the instance carries no f_star.
+last four where the instance carries no f_star. DIVERGENCE_CHECK prints
+the DivergenceError of four runs whose gradient turns NaN at a fixed step:
+ir_ista inside an averaging block, r_vfista inside a stretch between trace
+points, and ipr_vfista at its gradient step z and inside its inner loop.
+For each it prints the message, k, last_finite as hex doubles, the k of
+every trace record the error carries and its sorted config.
 
 pytest does not collect this file. Run from the repository root:
 
@@ -240,13 +245,68 @@ for label, spec in specs:
           float(x.sum()).hex())
 """
 
+# Prints, for four runs whose gradient turns NaN at a fixed call, the
+# DivergenceError each raises: its message, k, last_finite as hex doubles,
+# the k of every trace record it carries and its sorted config.
+DIVERGENCE_CHECK = """
+import numpy as np
+from sbo.bilevel import BilevelProblem, CompositeObjective
+from sbo.errors import DivergenceError
+from sbo.functions import ScaledSqNorm, SmoothFunction
+from sbo.prox import L1Prox, ZeroProx
+from sbo.solvers import (DiminishingSchedule, FixedEtaSchedule, NcConfig, SolverConfig,
+                         solve_ipr_vfista, solve_ir_ista, solve_r_vfista)
+class NanAfter(SmoothFunction):
+    # 0.5 * sum_i w_i (x_i - c_i)^2, whose gradient is NaN from call good + 1 on
+    def __init__(self, weights, good, center=None):
+        self.weights, self.good, self.calls = np.array(weights), good, 0
+        self.center = np.zeros(len(weights)) if center is None else np.array(center)
+        self.dimension = len(weights)
+        self.lipschitz, self.strong_convexity = max(weights), min(weights)
+    def value(self, x):
+        d = x - self.center
+        return 0.5 * float(self.weights @ (d * d))
+    def gradient(self, x):
+        self.calls += 1
+        g = self.weights * (x - self.center)
+        return g if self.calls <= self.good else np.full_like(g, np.nan)
+def pair(upper, lower, x0, upper_prox=None):
+    return BilevelProblem(CompositeObjective(upper, upper_prox or ZeroProx()),
+                          CompositeObjective(lower, ZeroProx()), initial_point=np.array(x0))
+quad2 = ScaledSqNorm(1.0, dimension=2)
+runs = [
+    ("ir_ista, step 100 inside a block", solve_ir_ista,
+     pair(NanAfter([2.0, 1.0, 1.5], 100, [1.0, -0.5, 0.25]), NanAfter([1.0, 0.5, 0.0], 10**9),
+          [2.0, -1.0, 3.0], L1Prox(0.3)),
+     SolverConfig(big_k=1000, schedule=DiminishingSchedule(), trace_every=30)),
+    ("r_vfista, step 15 inside a stretch", solve_r_vfista,
+     pair(quad2, NanAfter([1.0, 0.0], 15), [1.0, 1.0]),
+     SolverConfig(big_k=50, schedule=FixedEtaSchedule(0.5), trace_every=10)),
+    ("ipr_vfista, gradient step z at step 2", solve_ipr_vfista,
+     pair(NanAfter([1.0, 1.0], 2), NanAfter([1.0, 0.0], 10**9), [1.0, 1.0]), NcConfig(big_k=4)),
+    ("ipr_vfista, inner loop at step 2", solve_ipr_vfista,
+     pair(quad2, NanAfter([1.0, 0.0], 6), [1.0, 1.0]), NcConfig(big_k=4)),
+]
+for label, solve, problem, cfg in runs:
+    try:
+        with np.errstate(invalid="ignore"):
+            solve(problem, cfg)
+        print(label, "no divergence")
+    except DivergenceError as err:
+        print(label, "|", err, "| k", err.k)
+        print(label, "last_finite", *(v.hex() for v in err.last_finite.tolist()))
+        print(label, "trace k", *(r.k for r in err.trace))
+        print(label, "config", sorted(err.config.items()))
+"""
+
 # (label, snippet) of every check that runs a snippet in each checkout and
 # compares the lines it prints.
 CHECKS = [("ls_ball_projector, 300 queries per family", PROJECTOR_CHECK),
           ("prox pairs, 50 chained steps each", PAIR_CHECK),
           ("spectral_norm_sq, 31 matrices", LIPSCHITZ_CHECK),
           ("accelerated steps per run", STEPS_CHECK),
-          ("rank_deficient_ls and sec61 references, 38 instances", REFERENCE_CHECK)]
+          ("rank_deficient_ls and sec61 references, 38 instances", REFERENCE_CHECK),
+          ("divergence errors of four solver runs", DIVERGENCE_CHECK)]
 
 
 def plottable_columns(trace_csv: pathlib.Path) -> list[str]:

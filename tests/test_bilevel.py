@@ -251,18 +251,21 @@ def test_accelerated_run_refuses_what_the_accelerated_solver_refuses():
 @pytest.mark.parametrize("stops", [[10], [2, 10], [3, 4], [1, 2, 3, 4, 5]])
 def test_accelerated_run_divergence_names_its_step(stops):
     # one lower gradient per step: the 4th is NaN, at step 3 of the run,
-    # whichever stretch it falls in
+    # whichever stretch it falls in; outside a solver run no trace or
+    # config is attached
     lower = CompositeObjective(GradientTurnsNan(np.array([1.0, 2.0]), 3), ZeroProx())
     p = BilevelProblem(CompositeObjective(ScaledSqNorm(1.0, dimension=2), ZeroProx()),
                        lower)
     yields = 0
     with np.errstate(invalid="ignore"):
-        with pytest.raises(DivergenceError, match="non-finite iterate at step 3$") as err:
+        with pytest.raises(DivergenceError, match="^accelerated solver: non-finite iterate "
+                                                  "at step 3$") as err:
             for _ in accelerated_run(p, 0.5, np.ones(2), stops):
                 yields += 1
     assert yields == sum(stop <= 3 for stop in stops)
     assert err.value.k == 3
     assert np.isfinite(err.value.last_finite).all()
+    assert err.value.trace == [] and err.value.config == {}
 
 
 def _ball_problem_started_at_1e160():

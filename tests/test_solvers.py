@@ -642,6 +642,9 @@ def test_ipr_divergence_in_the_outer_gradient_step_is_caught_at_its_step():
     assert err.value.k == 2
     assert [r.k for r in err.value.trace] == [0, 1, 2]
     assert np.isfinite(err.value.last_finite).all()
+    clean = BilevelProblem(CompositeObjective(DiagQuadratic(np.array([1.0, 1.0])),
+                                              ZeroProx()), lower, initial_point=np.ones(2))
+    assert err.value.config == solve_ipr_vfista(clean, NcConfig(big_k=4)).config
 
 
 def test_ipr_divergence_inside_the_inner_loop_names_the_inner_step():
