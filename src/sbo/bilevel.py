@@ -178,10 +178,12 @@ def accelerated_constants(problem: BilevelProblem,
 def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
                     stops: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """One untraced run of accelerated prox-gradient steps on the surrogate
-    at the constant weight eta (`accelerated_constants`) from x0, checked
-    when it is called: it yields (x, y) after each step count in `stops`, a
-    nonempty increasing list of positive integers, where x is the last
-    iterate and y the next step's start. x0 is only read: x, the next
+    at the constant weight eta (`accelerated_constants`) from x0, which it
+    copies when it is called: it yields (x, y) after each step count in
+    `stops`, where x is the last iterate and y the next step's start. Its
+    callers own the argument checks: the upper smooth part is strongly
+    convex, eta > 0, x0 has length `dimension` and `stops` is a nonempty
+    increasing list of positive integers. x0 is only read: x, the next
     iterate and y are three arrays of the run's own, and it writes the two
     it yields again when it resumes. A non-finite iterate raises
     DivergenceError "accelerated solver: non-finite iterate at step k" with
@@ -208,16 +210,7 @@ def accelerated_run(problem: BilevelProblem, eta: float, x0: np.ndarray,
     other is seen where the first checkpoint m >= max(mu, 4 (lam - 1))
     repeats, lam steps after it (that repeat opens a shut window), so a
     stretch computes at most min(iters, 1.25 max(mu, 4 lam) + 2 lam) steps."""
-    require_strongly_convex_upper(problem, "accelerated run")
-    for stop in stops:
-        if isinstance(stop, bool) or not isinstance(stop, (int, np.integer)):
-            raise ConfigurationError(f"accelerated run requires integer stops; got {stop!r}")
-    if not (eta > 0 and stops and stops[0] >= 1 and list(stops) == sorted(set(stops))):
-        raise ConfigurationError("accelerated run requires eta > 0 and increasing stops >= 1; "
-                                 f"got {eta!r} and {stops!r}")
-    x = np.array(x0, dtype=float)
-    problem._check_dim(x)
-    return _accelerated_stretches(problem, eta, x, stops)
+    return _accelerated_stretches(problem, eta, np.array(x0, dtype=float), stops)
 
 
 def _accelerated_stretches(problem: BilevelProblem, eta: float, x: np.ndarray,

@@ -19,6 +19,7 @@ import functools
 import inspect
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, get_args
@@ -42,17 +43,21 @@ class InstanceSpec:
 
 
 def parse_value(what: str, text, kind: type = float):
-    """`text` as an int, a finite float or a 0/1 flag (kind int, float or
-    bool; kind str keeps the text), or a ConfigurationError that names it
-    as `what`. A float given for an int or a flag must be integral."""
+    """`text` as an int inside the float range, a finite float or a 0/1
+    flag (kind int, float or bool; kind str keeps the text), or a
+    ConfigurationError that names it as `what`. A float given for an int or
+    a flag must be integral. An int past the float range would overflow
+    where a reader takes its float, e.g. a step count's square root."""
     try:
         value = (int if kind is bool else kind)(text)
     except (TypeError, ValueError, OverflowError):
         value = None
     if (value is None or kind is float and not math.isfinite(value)
             or kind is not float and isinstance(text, float) and value != text
-            or kind is bool and value not in (0, 1)):
-        must = {int: "an integer", float: "a finite number", bool: "0 or 1"}[kind]
+            or kind is bool and value not in (0, 1)
+            or kind is int and not abs(value) <= sys.float_info.max):
+        must = {int: f"an integer of magnitude <= {sys.float_info.max:.2g}",
+                float: "a finite number", bool: "0 or 1"}[kind]
         raise ConfigurationError(f"{what} must be {must}; got {text!r}")
     return bool(value) if kind is bool else value
 
@@ -306,6 +311,8 @@ def gen_rank_deficient_ls(n: int, rank: Optional[int] = None, seed: int = 0,
     if not (1 <= rank < n):
         raise ConfigurationError(f"rank must satisfy 1 <= rank < n, got {rank}")
     _refuse_beyond_memory(n, 12 * n * n)
+    if isinstance(f_star_budget, bool) or not isinstance(f_star_budget, (int, np.integer)):
+        raise ConfigurationError(f"f_star_budget must be an integer; got {f_star_budget!r}")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -206,8 +206,10 @@ def trace_stops(big_k: int, every: Optional[int] = None) -> list[int]:
         return sorted({*range(every, big_k + 1, every), big_k})
     if big_k <= 200:
         return list(range(1, big_k + 1))
-    ks = np.unique(np.round(np.geomspace(1.0, float(big_k), 200)).astype(int))
-    return [int(k) for k in ks]
+    # the rounded doubles as ints, then K itself, whose double is the last:
+    # exact for any K, where a cast to int64 wraps past 2^63
+    ks = np.unique(np.round(np.geomspace(1.0, float(big_k), 200)))[:-1]
+    return [*map(int, ks), big_k]
 
 
 class _Run:
@@ -342,6 +344,8 @@ def solve_ir_ista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
 
     eta_of, sched_params = cfg.schedule.resolve(gamma, l_f, l_h, mu_f, cfg.big_k)
     eta0 = eta_of(0)
+    if not eta0 > 0:  # e.g. 2*L_f/mu_f overflowed: every weight would be 0
+        raise ConfigurationError(f"averaging solver requires eta_0 > 0; got {eta0!r}")
     if gamma > 1.0 / (l_h + eta0 * l_f) * (1 + 1e-12):
         raise ConfigurationError(
             "stepsize bound violated: requires gamma <= 1/(L_h + eta_0*L_f); "

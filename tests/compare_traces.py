@@ -71,7 +71,13 @@ the DivergenceError of four runs whose gradient turns NaN at a fixed step:
 ir_ista inside an averaging block, r_vfista inside a stretch between trace
 points, and ipr_vfista at its gradient step z and inside its inner loop.
 For each it prints the message, k, last_finite as hex doubles, the k of
-every trace record the error carries and its sorted config.
+every trace record the error carries and its sorted config. INPUT_CHECK
+calls `sbo.cli.main` in-process, in a temporary directory, on four inputs:
+an ir_ista run at a solver.K past the float range, an ir_ista run on
+sec61_baart at instance.mu_f = 1e308 (whose weights are all 0),
+`sbo gen nonconvex_phillips:n=8` and an ir_ista run on l1_weak_sharp at
+solver.eta = solver.gamma = 1. For each it prints the exit code, or the
+type of the exception `main` raises, and the last line of its stderr.
 
 pytest does not collect this file. Run from the repository root:
 
@@ -299,6 +305,43 @@ for label, solve, problem, cfg in runs:
         print(label, "config", sorted(err.config.items()))
 """
 
+# Prints, for four inputs that the input boundary refuses or should, what
+# `sbo.cli.main` makes of each: its exit code, or the type of what it raises,
+# and the last line it writes to stderr.
+INPUT_CHECK = """
+import contextlib, io, pathlib, tempfile
+from sbo.cli import main
+runs = {
+    "ir_ista at a solver.K past the float range": {
+        "instance.name": "rank_deficient_ls", "instance.n": "10", "instance.rank": "4",
+        "solver.name": "ir_ista", "solver.K": "1" + "0" * 400},
+    "ir_ista on sec61_baart at mu_f = 1e308": {
+        "instance.name": "sec61_baart", "instance.n": "8", "instance.mu_f": "1e308",
+        "solver.name": "ir_ista", "solver.K": "50"},
+    "ir_ista on l1_weak_sharp at eta = gamma = 1": {
+        "instance.name": "l1_weak_sharp", "instance.n": "4", "solver.name": "ir_ista",
+        "solver.K": "50", "solver.eta": "1", "solver.gamma": "1"},
+}
+with tempfile.TemporaryDirectory() as work:
+    work = pathlib.Path(work)
+    argvs = {"sbo gen nonconvex_phillips:n=8":
+             ["gen", "nonconvex_phillips:n=8", "--out", str(work / "gen.txt")]}
+    for label, cfg in runs.items():
+        path = work / (label.replace(" ", "_") + ".cfg")
+        entries = {**cfg, "output.dir": str(work / "out")}
+        path.write_text("".join(f"{k} = {v}\\n" for k, v in entries.items()))
+        argvs[label] = ["run", str(path)]
+    for label, argv in argvs.items():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                outcome = f"exit {main(argv)}"
+            except Exception as exc:
+                outcome = type(exc).__name__
+        last = (err.getvalue().strip().splitlines() or [""])[-1]
+        print(label, "|", outcome, "|", last)
+"""
+
 # (label, snippet) of every check that runs a snippet in each checkout and
 # compares the lines it prints.
 CHECKS = [("ls_ball_projector, 300 queries per family", PROJECTOR_CHECK),
@@ -306,7 +349,8 @@ CHECKS = [("ls_ball_projector, 300 queries per family", PROJECTOR_CHECK),
           ("spectral_norm_sq, 31 matrices", LIPSCHITZ_CHECK),
           ("accelerated steps per run", STEPS_CHECK),
           ("rank_deficient_ls and sec61 references, 38 instances", REFERENCE_CHECK),
-          ("divergence errors of four solver runs", DIVERGENCE_CHECK)]
+          ("divergence errors of four solver runs", DIVERGENCE_CHECK),
+          ("sbo run and sbo gen on four refused inputs", INPUT_CHECK)]
 
 
 def plottable_columns(trace_csv: pathlib.Path) -> list[str]:

@@ -429,6 +429,8 @@ RD_IR_ISTA = {"instance.name": "rank_deficient_ls", "instance.n": "10",
               "instance.rank": "4", "solver.name": "ir_ista", "solver.K": "50"}
 NONCONVEX = {"instance.name": "nonconvex_phillips", "instance.n": "8",
              "instance.rank": None}
+# an integer past the float range: a step count the solvers would overflow on
+HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("overrides,named", [
@@ -478,6 +480,17 @@ NONCONVEX = {"instance.name": "nonconvex_phillips", "instance.n": "8",
     ({"solver.trace_every": "0"}, "trace_every must be >= 1"),
     ({"solver.name": "r_vfista", "solver.eta": "0.25", "solver.trace_every": "0"},
      "trace_every must be >= 1"),
+    *[({"solver.name": solver, "solver.K": HUGE},
+       "config key 'solver.K' must be an integer of magnitude <= 1.8e+308")
+      for solver in ("ir_ista", "r_vfista")],
+    ({**NONCONVEX, "solver.name": "ipr_vfista", "solver.K": HUGE},
+     "config key 'solver.K' must be an integer of magnitude <= 1.8e+308"),
+    # 2*L_f/mu_f overflows, so every eta_k, and the weight sum, would be 0
+    ({"instance.name": "sec61_baart", "instance.n": "8", "instance.rank": None,
+      "instance.mu_f": "1e308"}, "averaging solver requires eta_0 > 0; got 0.0"),
+    ({"instance.name": "l1_weak_sharp", "instance.n": "4", "instance.rank": None,
+      "solver.eta": "1", "solver.gamma": "1"},
+     "averaging weights require eta_0*gamma*mu_f < 1; got 1"),
 ])
 def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
                                                      overrides, named):
@@ -704,6 +717,10 @@ def test_cmd_rates_reads_comments_and_blank_lines_as_configs_do(tmp_path, capsys
      "line 1: suite item 'tol=1' gives a duplicate key 'tol'"),
     ("label=x config=selftest:powerlaw metric=value slope=-1 tol=0.01 kmax",
      "line 1: suite item 'kmax' is not key=value"),
+    pytest.param(
+        f"label=x config=rd.cfg metric=infeas slope=-1 tol=1 mode=finals ks=10,{HUGE}",
+        f"line 1: suite key 'ks' must be an integer of magnitude <= 1.8e+308; got '{HUGE}'",
+        id="ks-past-the-float-range"),
 ])
 def test_cmd_rates_bad_item_exits_2_naming_it(tmp_path, capsys, row, message):
     suite = tmp_path / "suite.txt"
@@ -1104,6 +1121,7 @@ def test_cmd_gen_rejects_bad_spec(tmp_path, capsys):
     ("phillips:n=8,name=baart", "'name=baart'"),  # the name, given before ':'
     ("rank_deficient_ls:n=8,seed=", "'seed=' has an empty value"),
     ("phillips:n=8,n=16", "'n=16' gives a duplicate key 'n'"),
+    ("nonconvex_phillips:n=8", "no array form for instance 'nonconvex_phillips'"),
 ])
 def test_cmd_gen_refuses_a_bad_item_naming_it(tmp_path, capsys, spec, named):
     assert main(["gen", spec, "--out", str(tmp_path / "x.txt")]) == 2

@@ -211,20 +211,23 @@ def test_certify_l1_selection_is_feasible_certified_and_kkt(seed, n, rank_share,
     assert primal - dual <= f_star_tol
     assert gap <= 1e-10 * max(1.0, abs(primal))
     # KKT: (W y - mu x)/lam lies in d||x||_1, up to the feasibility
-    # correction x - x(y), x(y) = soft(W y, lam)/mu, which a gap of 1e-12
-    # leaves at up to ~1e-6 relative, and up to the rounding of s and of
-    # that correction, a few eps (|g| + mu |x|)/lam per entry
+    # correction x - x(y), x(y) = soft(W y, lam)/mu, and up to the rounding
+    # of s, a few eps (|g| + mu |x|)/lam per entry. The correction is bounded
+    # without reading y: D is concave and its gradient c - W^T x(y) is
+    # (1/mu)-Lipschitz (soft is nonexpansive, W has orthonormal columns), so
+    # ||x - x(y)|| = ||grad D(y)|| <= sqrt(2 gap/mu), with the gap ceiling
+    # asserted above
     g = w @ y
     if lam == 0.0:
         assert np.linalg.norm(g - mu * x) <= 1e-12 * max(1.0, np.linalg.norm(g))
         x_dag = min_norm_ls(w.T, c)
         assert np.linalg.norm(x - x_dag) <= 1e-12 * max(1.0, np.linalg.norm(x_dag))
     else:
-        moved = np.abs(x - _soft(g, lam) / mu).max()
+        moved_max = math.sqrt(2e-10 * max(1.0, abs(primal)) / mu)
         rounding = 8.0 * np.finfo(float).eps * (np.abs(g) + mu * np.abs(x)) / lam
-        s, slack = (g - mu * x) / lam, mu * moved / lam + rounding
+        s, slack = (g - mu * x) / lam, mu * moved_max / lam + rounding
         assert np.all(np.abs(s) <= 1.0 + slack)
-        on = np.abs(x) > 2.0 * moved
+        on = np.abs(x) > 2.0 * moved_max
         assert np.all(np.abs(s[on] - np.sign(x[on])) <= slack[on])
 
 
@@ -271,6 +274,17 @@ def test_manufactured_f_star_lies_within_its_tolerance_of_the_certified_value():
 def test_rank_deficient_rejects_bad_rank():
     with pytest.raises(ConfigurationError):
         gen_rank_deficient_ls(5, 5, seed=0)
+
+
+@pytest.mark.parametrize("budget", [2.5, 2.0, True, np.float64(3.0)], ids=repr)
+def test_rank_deficient_refuses_a_non_integer_f_star_budget_by_name(budget):
+    # build_instance types the key as an int; a library call is refused here,
+    # before any step of the manufacture
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"f_star_budget must be an integer; got {budget!r}")):
+        gen_rank_deficient_ls(12, 4, f_star_budget=budget)
+    made = gen_rank_deficient_ls(12, 4, f_star_budget=np.int64(3)).reference
+    assert made.notes["f_star_budget"] == 3
 
 
 # ---------------------------------------------------------------------------

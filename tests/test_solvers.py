@@ -13,6 +13,7 @@ from sbo.bilevel import (BilevelProblem, CompositeObjective, ReferenceTruth,
                          accelerated_run, check_finite)
 from sbo.errors import ConfigurationError, DivergenceError
 from sbo.functions import MoreauLogSum, ScaledSqNorm, ZeroFunction
+from sbo.problems import InstanceSpec, build_instance, ls_ball_projector
 from sbo.prox import BallProx, L1Prox, ZeroProx
 from sbo.solvers import (ConstantIstaSchedule, ConstantVfistaSchedule,
                          DiminishingSchedule, FixedEtaSchedule, NcConfig,
@@ -442,6 +443,20 @@ def test_r_vfista_rejects_nonconvex_upper():
         solve_r_vfista(p, SolverConfig(big_k=3, schedule=FixedEtaSchedule(1.0)))
 
 
+def test_r_vfista_past_2_to_the_63_steps_stops_at_exact_integer_steps():
+    # a cast of the trace stops to int64 would wrap to -2^63 here; the run
+    # sits at x* from its first step, so each stretch ends by its period
+    problem = build_instance(InstanceSpec("l1_weak_sharp", 20, 3))
+    ref = problem.reference
+    eta = ref.weak_sharp.alpha / (2.0 * ref.subgradient.norm)
+    big_k = 10**19 + 1
+    rep = solve_r_vfista(problem, SolverConfig(big_k, FixedEtaSchedule(eta)))
+    ks = [r.k for r in rep.trace]
+    assert ks[0] == 1 and ks[-1] == big_k and ks == sorted(set(ks))
+    assert all(type(k) is int for k in ks)
+    assert rep.trace[-1].subopt == 0.0
+
+
 # ---------------------------------------------------------------------------
 # divergence guard
 # ---------------------------------------------------------------------------
@@ -615,6 +630,34 @@ def test_ipr_total_inner_follows_the_budget_exponent(monkeypatch):
     # sum_{k=1}^{53} k^3 = 2,047,761 passes the cap, which a = 2 reaches at K = 182
     with pytest.raises(ConfigurationError, match="K = 53 exceeds the cap 2000000; lower K$"):
         solve_ipr_vfista(p, NcConfig(big_k=53))
+
+
+@pytest.mark.parametrize("which", ["phillips", "baart", "foxgood"])
+def test_ipr_inner_runs_are_exact_to_rounding_from_outer_step_4(monkeypatch, which):
+    # claim (iii)'s inexactness, measured on the shipped config's solver:
+    # each inner run's x_{k+1} against the closed-form minimizer of its
+    # surrogate 0.5*||A u - b||^2 + (eta_k/2)*||u - z_k||^2 over the unit
+    # ball. At J_k = (k+1)^2 only the first few outer steps are inexact.
+    problem = build_instance(InstanceSpec(f"nonconvex_{which}", 32))
+    inner = []
+
+    def recording_run(problem, eta, x0, stops):
+        (x, y), = accelerated_run(problem, eta, x0, stops)
+        inner.append((problem.upper.smooth.center.copy(), eta, x.copy()))
+        return iter([(x, y)])
+
+    monkeypatch.setattr(solvers_mod, "accelerated_run", recording_run)
+    solve_ipr_vfista(problem, NcConfig(big_k=32, allow_large_step=True))
+    lower = problem.lower.smooth
+    svd = np.linalg.svd(lower.a)
+    errors = []
+    for z, eta, xhat in inner:
+        exact = ls_ball_projector(svd, lower.b, 1.0, eta)(z)
+        errors.append(np.linalg.norm(xhat - exact) / np.linalg.norm(exact))
+    print(f"{which} inner relative errors by k:", " ".join(f"{e:.1e}" for e in errors))
+    assert len(errors) == 32
+    assert errors[0] >= 1e-3
+    assert max(errors[4:]) <= 1e-10
 
 
 @settings(max_examples=300, deadline=None)
