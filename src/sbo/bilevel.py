@@ -165,13 +165,18 @@ def projection_problem(lower: CompositeObjective, z: np.ndarray) -> BilevelProbl
     return BilevelProblem(anchor, lower)
 
 
-def accelerated_constants(problem: BilevelProblem,
-                          eta: float) -> tuple[float, float, float]:
+def accelerated_constants(problem: BilevelProblem, eta: float,
+                          key: str = "eta") -> tuple[float, float, float]:
     """(gamma, kappa, momentum) of the accelerated method on the surrogate at
     the constant weight eta: stepsize gamma = 1/(L_h + eta*L_f) and momentum
-    (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f)."""
-    lipschitz = problem.surrogate_lipschitz(eta)
-    kappa = lipschitz / (eta * problem.upper.smooth.strong_convexity)
+    (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f).
+    An eta for which eta*mu_f underflows to 0 or kappa overflows is refused,
+    naming it as `key`."""
+    lipschitz, mu_f = problem.surrogate_lipschitz(eta), problem.upper.smooth.strong_convexity
+    kappa = lipschitz / (eta * mu_f) if eta * mu_f > 0 else math.inf
+    if not math.isfinite(kappa):
+        raise ConfigurationError(f"{key} = {eta!r} leaves the accelerated steps no finite "
+                                 f"kappa = (L_h + eta*L_f)/(eta*mu_f) at mu_f = {mu_f!r}")
     return 1.0 / lipschitz, kappa, (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
 
 

@@ -323,23 +323,20 @@ def render_svg(xs, ys, logx: bool = False, logy: bool = False,
 
 
 def cmd_run(config_path: str) -> int:
+    cfg = parse_kv_file(config_path)
+    output = typed_items(_section(cfg, ("instance.", "solver.")), _OUTPUT_KEYS,
+                         "config key", required=("output.dir",))
+    out_dir = Path(output["output.dir"])
+    timings = output.get("output.timings", False)
+    plots = [m.strip() for m in output.get("output.plots", "").split(",") if m.strip()]
+    for metric in plots:
+        if metric not in TRACE_COLUMNS:
+            raise ConfigurationError(
+                f"config key 'output.plots': no trace column {metric!r}; "
+                f"have {', '.join(TRACE_COLUMNS)}")
+    instance_keys = {k: v for k, v in cfg.items() if k.startswith("instance.")}
     try:
-        cfg = parse_kv_file(config_path)
-        output = typed_items(_section(cfg, ("instance.", "solver.")), _OUTPUT_KEYS,
-                             "config key", required=("output.dir",))
-        out_dir = Path(output["output.dir"])
-        timings = output.get("output.timings", False)
-        plots = [m.strip() for m in output.get("output.plots", "").split(",") if m.strip()]
-        for metric in plots:
-            if metric not in TRACE_COLUMNS:
-                raise ConfigurationError(
-                    f"config key 'output.plots': no trace column {metric!r}; "
-                    f"have {', '.join(TRACE_COLUMNS)}")
-        instance_keys = {k: v for k, v in cfg.items() if k.startswith("instance.")}
         report = run_from_config(cfg)
-    except (OSError, ValueError) as exc:  # every sbo input error is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DivergenceError as exc:
         # keep whatever was traced, and say what ran: the resolved config
         # and the last record whose values are all finite
@@ -486,13 +483,9 @@ def _run_suite_row(row: dict, base_dir: Path) -> tuple[bool, str]:
 
 
 def cmd_rates(suite_path: str) -> int:
-    try:
-        base_dir = Path(suite_path).resolve().parent
-        rows = [_parse_suite_row(line, lineno)
-                for lineno, line in _content_lines(read_text_lines(suite_path))]
-    except (ConfigurationError, ParseError, OSError) as exc:
-        print(f"suite error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base_dir = Path(suite_path).resolve().parent
+    rows = [_parse_suite_row(line, lineno)
+            for lineno, line in _content_lines(read_text_lines(suite_path))]
     all_ok = True
     for row in rows:
         ok, message = _run_suite_row(row, base_dir)
@@ -502,16 +495,11 @@ def cmd_rates(suite_path: str) -> int:
 
 
 def cmd_plot(csv_path: str, metric: str, out_svg: str, logx: bool, logy: bool) -> int:
-    try:
-        cols = read_trace_csv(csv_path)
-        if metric not in cols:
-            raise ConfigurationError(
-                f"no column {metric!r} in {csv_path}; have {list(cols)}")
-        svg = render_svg(cols["k"], cols[metric], logx=logx, logy=logy, ylabel=metric)
-        Path(out_svg).write_text(svg, encoding="utf-8")
-    except (SboError, OSError) as exc:
-        print(f"plot error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cols = read_trace_csv(csv_path)
+    if metric not in cols:
+        raise ConfigurationError(f"no column {metric!r} in {csv_path}; have {list(cols)}")
+    svg = render_svg(cols["k"], cols[metric], logx=logx, logy=logy, ylabel=metric)
+    Path(out_svg).write_text(svg, encoding="utf-8")
     print(f"ok: wrote {out_svg}")
     return EXIT_OK
 
@@ -525,17 +513,11 @@ def parse_instance_arg(spec: str) -> InstanceSpec:
 
 
 def cmd_gen(spec: str, out: str) -> int:
-    try:
-        inst = parse_instance_arg(spec)
-        a, b = generate_instance_arrays(inst)
-        params = dict(inst.params)
-        params["n"] = inst.n
-        if inst.seed is not None:
-            params["seed"] = inst.seed
-        save_instance(out, inst.name, params, a, b)
-    except (SboError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    inst = parse_instance_arg(spec)
+    params = {**inst.params, "n": inst.n}
+    if inst.seed is not None:
+        params["seed"] = inst.seed
+    save_instance(out, inst.name, params, *generate_instance_arrays(inst))
     print(f"ok: wrote {out}")
     return EXIT_OK
 
@@ -562,13 +544,19 @@ def main(argv=None) -> int:
     p_gen.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "rates":
-        return cmd_rates(args.suite)
-    if args.command == "plot":
-        return cmd_plot(args.csv, args.metric, args.out, args.logx, args.logy)
-    return cmd_gen(args.spec, args.out)  # argparse admits no other command
+    # each command's handler and the prefix of its input errors on stderr
+    prefix, handler = {
+        "run": ("config", lambda: cmd_run(args.config)),
+        "rates": ("suite", lambda: cmd_rates(args.suite)),
+        "plot": ("plot", lambda: cmd_plot(args.csv, args.metric, args.out,
+                                          args.logx, args.logy)),
+        "gen": ("config", lambda: cmd_gen(args.spec, args.out)),
+    }[args.command]
+    try:
+        return handler()
+    except (OSError, ValueError) as exc:  # every sbo input error is a ValueError
+        print(f"{prefix} error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -52,20 +52,25 @@ def prox_ball(radius: float, x: np.ndarray) -> np.ndarray:
 def _project_ball(radius: float, v: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     """The projection, written over v (and returned). The norm is
     sqrt(v.dot(v)), as np.linalg.norm computes it; radius/norm goes into
-    the 0-d `ratio`. When the squares overflow (a finite v with norm past
-    ~1.3e154), the norm is taken of v / max|v| instead, in an array of its
-    own."""
+    the 0-d `ratio`. When the squares overflow, `_large_norm` takes it."""
     norm = math.sqrt(v.dot(v))
     if norm <= radius:
         return v
     if math.isinf(norm):
-        scale = float(np.abs(v).max())
-        if math.isfinite(scale):
-            u = v / scale
-            unit_norm = math.sqrt(u.dot(u))
-            return v if scale * unit_norm <= radius else np.multiply(radius / unit_norm, u, v)
+        norm, u, unit_norm = _large_norm(v)
+        return v if norm <= radius else np.multiply(radius / unit_norm, u, v)
     ratio[()] = radius / norm
     return np.multiply(ratio, v, v)
+
+
+def _large_norm(v: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(||v||, u, ||u||) of a v whose squares overflow (a finite v with norm
+    past ~1.3e154): u = v / max|v|, in an array of its own, and ||v|| =
+    max|v|*||u||. Where max|v| is inf, u is v itself and both norms are inf."""
+    scale = float(np.abs(v).max())
+    u = v / scale if math.isfinite(scale) else v
+    unit_norm = math.sqrt(u.dot(u))
+    return scale * unit_norm, u, unit_norm
 
 
 def prox_box(lower: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -166,10 +171,12 @@ class BallProx:
         self.radius = float(radius)
 
     def value(self, x: np.ndarray) -> float:
+        with np.errstate(over="ignore"):  # the norm as `_project_ball` takes it
+            norm = math.sqrt(x.dot(x))
+            if math.isinf(norm):
+                norm = _large_norm(x)[0]
         # small slack so points produced by the projection itself pass
-        if math.sqrt(x.dot(x)) <= self.radius * (1.0 + 1e-12):
-            return 0.0
-        return math.inf
+        return 0.0 if norm <= self.radius * (1.0 + 1e-12) else math.inf
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if gamma == 0.0:

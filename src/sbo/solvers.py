@@ -101,6 +101,10 @@ class ConstantVfistaSchedule:
             raise ConfigurationError("accelerated constant schedule requires p > 2")
         if big_k <= 1:
             raise ConfigurationError("accelerated constant schedule requires K > 1")
+        for key, root in (("solver.K", big_k / math.log(big_k)), ("solver.p", self.p + 1.0)):
+            if math.isinf(root * root):  # where the root ** 2 below would raise
+                raise ConfigurationError(f"accelerated constant schedule: {key} is too large; "
+                                         f"its feasibility test squares {root:.6g}")
         lhs = (big_k / math.log(big_k)) ** 2
         rhs = (l_h + ETA_BAR * l_f) * (self.p + 1.0) ** 2 / (mu_f * ETA_BAR)
         if lhs < rhs:
@@ -415,7 +419,9 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     (sqrt(kappa)-1)/(sqrt(kappa)+1) with kappa = (L_h + eta*L_f)/(eta*mu_f)
     (`bilevel.accelerated_constants`). Returns the last iterate (no
     averaging): one `bilevel.accelerated_run` that stops at every trace point.
-    A non-finite iterate raises the run's own DivergenceError, "accelerated
+    An eta whose constants cannot be made (eta*mu_f underflows to 0 or kappa
+    overflows) is refused before the first step, naming solver.eta. A
+    non-finite iterate raises the run's own DivergenceError, "accelerated
     solver: non-finite iterate at step k", to which the solver attaches its
     trace up to k and its resolved config.
     """
@@ -429,7 +435,8 @@ def solve_r_vfista(problem: BilevelProblem, cfg: SolverConfig) -> RunReport:
     ks = trace_stops(cfg.big_k, cfg.trace_every)
     eta_of, sched_params = cfg.schedule.resolve(0.0, l_f, l_h, mu_f, cfg.big_k)
     eta = eta_of(0)
-    gamma, kappa, momentum = accelerated_constants(problem, eta)
+    gamma, kappa, momentum = accelerated_constants(
+        problem, eta, "solver.eta" if isinstance(cfg.schedule, FixedEtaSchedule) else "eta")
     if cfg.gamma != "auto":
         raise ConfigurationError(
             "accelerated solver uses gamma = 1/(L_h + eta*L_f) exactly; "

@@ -72,12 +72,17 @@ ir_ista inside an averaging block, r_vfista inside a stretch between trace
 points, and ipr_vfista at its gradient step z and inside its inner loop.
 For each it prints the message, k, last_finite as hex doubles, the k of
 every trace record the error carries and its sorted config. INPUT_CHECK
-calls `sbo.cli.main` in-process, in a temporary directory, on four inputs:
+calls `sbo.cli.main` in-process, in a temporary directory, on eight inputs:
 an ir_ista run at a solver.K past the float range, an ir_ista run on
 sec61_baart at instance.mu_f = 1e308 (whose weights are all 0),
-`sbo gen nonconvex_phillips:n=8` and an ir_ista run on l1_weak_sharp at
-solver.eta = solver.gamma = 1. For each it prints the exit code, or the
-type of the exception `main` raises, and the last line of its stderr.
+`sbo gen nonconvex_phillips:n=8`, an ir_ista run on l1_weak_sharp at
+solver.eta = solver.gamma = 1, and four r_vfista runs whose accelerated
+constants cannot be made: at solver.K = 10^157 and at solver.p = 1e200
+(the constant schedule's feasibility test squares past the float range),
+at solver.eta = 5e-324 with instance.mu_f = 0.5 (eta*mu_f underflows to 0)
+and at solver.eta = 1e-320 (kappa overflows). For each it prints the exit
+code, or the type of the exception `main` raises, and the last line of its
+stderr.
 
 pytest does not collect this file. Run from the repository root:
 
@@ -305,7 +310,7 @@ for label, solve, problem, cfg in runs:
         print(label, "config", sorted(err.config.items()))
 """
 
-# Prints, for four inputs that the input boundary refuses or should, what
+# Prints, for eight inputs that the input boundary refuses or should, what
 # `sbo.cli.main` makes of each: its exit code, or the type of what it raises,
 # and the last line it writes to stderr.
 INPUT_CHECK = """
@@ -321,6 +326,19 @@ runs = {
     "ir_ista on l1_weak_sharp at eta = gamma = 1": {
         "instance.name": "l1_weak_sharp", "instance.n": "4", "solver.name": "ir_ista",
         "solver.K": "50", "solver.eta": "1", "solver.gamma": "1"},
+    "r_vfista at solver.K = 10^157": {
+        "instance.name": "rank_deficient_ls", "instance.n": "10", "instance.rank": "4",
+        "solver.name": "r_vfista", "solver.K": "1" + "0" * 157},
+    "r_vfista at solver.p = 1e200": {
+        "instance.name": "rank_deficient_ls", "instance.n": "10", "instance.rank": "4",
+        "solver.name": "r_vfista", "solver.K": "50", "solver.p": "1e200"},
+    "r_vfista at eta = 5e-324 and mu_f = 0.5": {
+        "instance.name": "rank_deficient_ls", "instance.n": "10", "instance.rank": "4",
+        "instance.mu_f": "0.5", "solver.name": "r_vfista", "solver.K": "50",
+        "solver.eta": "5e-324"},
+    "r_vfista at eta = 1e-320": {
+        "instance.name": "rank_deficient_ls", "instance.n": "10", "instance.rank": "4",
+        "solver.name": "r_vfista", "solver.K": "50", "solver.eta": "1e-320"},
 }
 with tempfile.TemporaryDirectory() as work:
     work = pathlib.Path(work)
@@ -350,7 +368,7 @@ CHECKS = [("ls_ball_projector, 300 queries per family", PROJECTOR_CHECK),
           ("accelerated steps per run", STEPS_CHECK),
           ("rank_deficient_ls and sec61 references, 38 instances", REFERENCE_CHECK),
           ("divergence errors of four solver runs", DIVERGENCE_CHECK),
-          ("sbo run and sbo gen on four refused inputs", INPUT_CHECK)]
+          ("sbo run and sbo gen on eight refused inputs", INPUT_CHECK)]
 
 
 def plottable_columns(trace_csv: pathlib.Path) -> list[str]:

@@ -1,4 +1,5 @@
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -548,3 +549,18 @@ def test_the_shipped_r_vfista_config_computes_under_two_fifths_of_its_steps(monk
     steps = count_steps(monkeypatch, BilevelProblem)
     run_from_config({**parse_kv_file(R_VFISTA_CONFIG), "output.dir": str(tmp_path)})
     assert len(steps) <= 196
+
+
+@pytest.mark.parametrize("call,error,named", [
+    (lambda: BilevelProblem(make_1d_problem().upper, make_1d_problem().lower,
+                            initial_point=np.zeros(2)),
+     ContractViolation, "initial point has the wrong length"),
+    # eta*mu_f underflows to 0, or kappa = (L_h + eta*L_f)/(eta*mu_f) overflows
+    (lambda: accelerated_constants(make_1d_problem(), 0.0), ConfigurationError,
+     "eta = 0.0 leaves the accelerated steps no finite kappa"),
+    (lambda: accelerated_constants(make_1d_problem(), 1e-320, "solver.eta"),
+     ConfigurationError, "solver.eta = 1e-320 leaves the accelerated steps no finite kappa"),
+], ids=["initial point length", "eta = 0", "kappa = inf"])
+def test_bilevel_refusals_name_their_condition(call, error, named):
+    with pytest.raises(error, match=re.escape(named)):
+        call()

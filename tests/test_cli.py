@@ -504,6 +504,31 @@ def test_cmd_run_refuses_unread_or_bad_key_naming_it(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides,named", [
+    # the constant schedule's feasibility test squares K/ln K and p + 1
+    ({"solver.K": "1" + "0" * 157}, "solver.K is too large"),
+    ({"solver.p": "1e200"}, "solver.p is too large"),
+    # eta*mu_f underflows to 0, or kappa = (L_h + eta*L_f)/(eta*mu_f) overflows
+    ({"instance.mu_f": "0.5", "solver.eta": "5e-324"}, "solver.eta = 5e-324"),
+    ({"solver.eta": "1e-320"}, "solver.eta = 1e-320"),
+])
+def test_accelerated_inputs_without_constants_exit_2_and_fail_a_rates_row(
+        tmp_path, capsys, overrides, named):
+    cfg = tmp_path / "rv.cfg"
+    entries = {**RD_IR_ISTA, "solver.name": "r_vfista", **overrides,
+               "output.dir": str(tmp_path / "out")}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "out").exists()
+    suite = tmp_path / "suite.txt"
+    suite.write_text("label=rv config=rv.cfg metric=infeas slope=-2 tol=1\n")
+    assert main(["rates", str(suite)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL rv: ") and named in out
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
                          ids=lambda p: p.name)
 def test_shipped_configs_pass_the_strict_parser(tmp_path, path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,3 +230,12 @@ def test_gradient_matches_finite_differences_on_random_instances(func, data):
         assume(np.abs(np.abs(x) - func.delta / func.epsilon).min() > 1e-3)
     assert_gradient_matches_fd(func, [x])
     assert func.gradient_map()(x).tobytes() == func.gradient(x).tobytes()
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: ScaledSqNorm(1.0), "ScaledSqNorm: give a center or a dimension"),
+    (lambda: ScaledSqNorm(0.0, dimension=2), "ScaledSqNorm: weight must be positive"),
+], ids=["no center or dimension", "weight 0"])
+def test_function_refusals_name_their_condition(call, named):
+    with pytest.raises(ContractViolation, match=re.escape(named)):
+        call()

@@ -251,3 +251,19 @@ def test_parse_matrix_checks_the_rows_before_it_allocates():
 def test_format_matrix_shortest_repr():
     text = format_matrix(np.array([[0.1, 1e-5]]))
     assert text == "1 2\n0.1 1e-05\n"
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: as_vector(np.ones((2, 2))), "expected a 1-D vector, got shape (2, 2)"),
+    (lambda: as_vector([]), "expected a 1-D vector, got shape (0,)"),
+    (lambda: as_matrix(np.ones(3)), "expected a 2-D matrix, got shape (3,)"),
+    (lambda: as_matrix(np.ones((0, 2))), "expected a 2-D matrix, got shape (0, 2)"),
+], ids=["vector of a matrix", "empty vector", "matrix of a vector", "empty matrix"])
+def test_shape_refusals_name_the_shape(call, named):
+    with pytest.raises(ContractViolation, match=re.escape(named)):
+        call()
+
+
+def test_min_norm_ls_of_a_zero_matrix_is_zero():
+    x = min_norm_ls(np.zeros((3, 2)), np.ones(3))
+    assert x.shape == (2,) and not x.any()

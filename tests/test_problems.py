@@ -722,3 +722,15 @@ def test_the_memory_guard_refuses_a_build_whose_traced_peak_passes_memory(
     with pytest.raises(ConfigurationError, match=f"^instance.n = {n} is too large: its "
                                                  "build peaks at about"):
         build(n)
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: gen_sec61_inverse("shaw", 8), "unknown inverse problem 'shaw'"),
+    (lambda: gen_l1_weak_sharp(4, np.zeros(3)), "center c must have length n"),
+    # the f_star manufacture's weight 1e-9 at mu_f = 1e-300: kappa overflows
+    (lambda: gen_rank_deficient_ls(8, 4, mu_f=1e-300, f_star_budget=10),
+     "eta = 1e-09 leaves the accelerated steps no finite kappa"),
+], ids=["sec61 unknown which", "l1_weak_sharp center length", "manufacture kappa"])
+def test_generator_refusals_name_their_condition(call, named):
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        call()

@@ -108,6 +108,13 @@ def test_ball_value_is_inf_past_its_slack_and_0_where_prox_ball_lands():
         assert ball.value(1.3 * (1.0 + 1e-13) * unit) == 0.0
         assert ball.value(1.3 * (1.0 + 1e-11) * unit) == math.inf
     assert ball.value(np.array([3.0, 4.0])) == math.inf
+    # past ||x|| ~ 1.3e154 the squares overflow: the ball measures x as
+    # prox_ball does, without a warning, and keeps its slack there
+    huge, x = BallProx(1e200), np.full(4, 1e155)
+    assert np.array_equal(prox_ball(1e200, x), x)
+    assert huge.value(x) == 0.0
+    assert huge.value(np.full(4, 0.5e200 * (1.0 + 1e-13))) == 0.0
+    assert huge.value(np.full(4, 0.5e200 * (1.0 + 1e-11))) == math.inf
 
 
 def test_prox_box_cases():
@@ -495,3 +502,17 @@ def test_prox_box_keeps_the_bytes_of_the_minmax_form(rows):
         flat = np.broadcast_to(zero, x.shape)
         want = np.minimum(np.maximum(x, flat), flat).tobytes()
         assert prox_box(flat, flat, x).tobytes() == want
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: prox_box(np.zeros(2), np.ones(3), np.zeros(2)),
+     "prox_box: bounds must match the vector length"),
+    (lambda: prox_box(np.zeros(3), np.ones(3), np.zeros(2)),
+     "prox_box: bounds must match the vector length"),
+    (lambda: BoxProx(np.zeros(2), np.ones(3)), "box bounds must be two vectors of equal length"),
+    (lambda: BoxProx(np.zeros((2, 2)), np.ones((2, 2))),
+     "box bounds must be two vectors of equal length"),
+], ids=["prox_box lower", "prox_box x", "BoxProx lengths", "BoxProx matrices"])
+def test_box_refusals_name_their_condition(call, named):
+    with pytest.raises(ContractViolation, match=re.escape(named)):
+        call()

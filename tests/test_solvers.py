@@ -457,6 +457,47 @@ def test_r_vfista_past_2_to_the_63_steps_stops_at_exact_integer_steps():
     assert rep.trace[-1].subopt == 0.0
 
 
+def declaring_lipschitz(lipschitz):
+    """The problem of make_theta_problem whose upper part declares L_f."""
+    problem = make_theta_problem()
+    problem.upper.smooth.lipschitz = lipschitz
+    return problem
+
+
+def one_dim(upper, lower):
+    return BilevelProblem(CompositeObjective(upper, ZeroProx()),
+                          CompositeObjective(lower, ZeroProx()), initial_point=np.zeros(1))
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: solve_ipr_vfista(one_dim(ZeroFunction(1), DiagQuadratic([1.0])),
+                              NcConfig(big_k=4)), "outer loop requires a finite L_f > 0"),
+    (lambda: solve_ipr_vfista(one_dim(ScaledSqNorm(1.0, dimension=1),
+                                      MoreauLogSum(1e-2, 1e-1, 1)), NcConfig(big_k=4)),
+     "lower-level smooth part must be convex"),
+    (lambda: solve_fista_baseline(CompositeObjective(MoreauLogSum(1e-2, 1e-1, 2), ZeroProx()),
+                                  5, 1e-2), "baseline requires a convex objective"),
+    # L_f = 0.4 < mu_f/2: the schedule's eta0_l = 2*L_f/mu_f = 0.8
+    (lambda: solve_ir_ista(declaring_lipschitz(0.4), SolverConfig(5, DiminishingSchedule())),
+     "diminishing schedule requires 2*L_f/mu_f > 1"),
+    # the constant accelerated schedule's feasibility test squares K/ln K and p + 1
+    (lambda: ConstantVfistaSchedule(3.0).resolve(0.0, 1.0, 1.0, 1.0, 10**157),
+     "solver.K is too large"),
+    (lambda: ConstantVfistaSchedule(1e200).resolve(0.0, 1.0, 1.0, 1.0, 100),
+     "solver.p is too large"),
+    # eta*mu_f underflows to 0; kappa = (L_h + eta*L_f)/(eta*mu_f) overflows
+    (lambda: solve_r_vfista(quad_problem([1.0], [0.0], [0.5], [0.0]),
+                            SolverConfig(5, FixedEtaSchedule(5e-324))), "solver.eta = 5e-324"),
+    (lambda: solve_r_vfista(quad_problem([1.0], [0.0], [1.0], [0.0]),
+                            SolverConfig(5, FixedEtaSchedule(1e-320))), "solver.eta = 1e-320"),
+], ids=["ipr_vfista L_f = 0", "ipr_vfista nonconvex lower", "baseline nonconvex",
+        "diminishing 2*L_f/mu_f <= 1", "vfista schedule K", "vfista schedule p",
+        "r_vfista eta*mu_f = 0", "r_vfista kappa = inf"])
+def test_solver_refusals_name_their_condition(call, named):
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # divergence guard
 # ---------------------------------------------------------------------------
